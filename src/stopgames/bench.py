@@ -15,7 +15,7 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +84,24 @@ class BenchPlan:
 
     @staticmethod
     def from_json(text: str) -> "BenchPlan":
+        """Parse a plan file; unknown keys and mistyped values are a
+        ``ValueError``, as is a plan that fails ``validate``."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("plan must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(BenchPlan)})
+        if unknown:
+            raise ValueError(f"unknown plan keys: {', '.join(unknown)}")
+        for key, value in data.items():
+            if key in ("sizes", "ratios", "algorithms"):
+                item = str if key == "algorithms" else int
+                ok = isinstance(value, list) and all(type(x) is item for x in value)
+            elif key in ("mode", "instances_dir"):
+                ok = isinstance(value, str) or (key == "instances_dir" and value is None)
+            else:
+                ok = type(value) is int
+            if not ok:
+                raise ValueError(f"plan key {key!r} has a value of the wrong type: {value!r}")
         plan = BenchPlan(**data)
         plan.validate()
         return plan

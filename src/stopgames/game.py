@@ -259,24 +259,36 @@ def game_to_json(g: Game) -> str:
 
 
 def game_from_json(text: str) -> Game:
+    """Parse an instance file; every schema violation is a ``ValueError``."""
     data = json.loads(text)
-    n = data["n"]
-    nodes = data["nodes"]
+    if not isinstance(data, dict):
+        raise ValueError("instance must be a JSON object")
+    n = data.get("n")
+    nodes = data.get("nodes")
+    if type(n) is not int:
+        raise ValueError(f"instance needs an integer 'n', got {n!r}")
+    if not isinstance(nodes, list):
+        raise ValueError("instance needs a 'nodes' list")
     if len(nodes) != n:
         raise ValueError(f"instance lists {len(nodes)} nodes but n={n}")
     kinds: list[NodeKind] = [NodeKind.MAX] * n
     arcs: list[tuple[int, ...]] = [()] * n
     seen = set()
     for entry in nodes:
-        i = entry["id"]
-        if not 1 <= i <= n or i in seen:
-            raise ValueError(f"bad or duplicate node id {i}")
+        if not isinstance(entry, dict):
+            raise ValueError(f"node entry {entry!r} is not an object")
+        i = entry.get("id")
+        if type(i) is not int or not 1 <= i <= n or i in seen:
+            raise ValueError(f"bad or duplicate node id {i!r}")
         seen.add(i)
-        code = entry["kind"]
-        if code not in _KIND_FROM_CODE:
+        code = entry.get("kind")
+        if not isinstance(code, str) or code not in _KIND_FROM_CODE:
             raise ValueError(f"unknown node kind {code!r}")
+        out = entry.get("arcs")
+        if not isinstance(out, list) or not all(type(t) is int for t in out):
+            raise ValueError(f"node {i}: 'arcs' must be a list of node ids, got {out!r}")
         kinds[i - 1] = _KIND_FROM_CODE[code]
-        arcs[i - 1] = tuple(entry["arcs"])
+        arcs[i - 1] = tuple(out)
     g = Game(n, tuple(kinds), tuple(arcs))
     problems = validate_structure(g)
     if problems:

@@ -237,6 +237,47 @@ def test_cli_missing_file_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+MINIMAL_NODES = [
+    {"id": 1, "kind": "avg", "arcs": [2, 3]},
+    {"id": 2, "kind": "t0", "arcs": []},
+    {"id": 3, "kind": "t1", "arcs": []},
+]
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"n": 3},
+        {"n": 3, "nodes": [{**MINIMAL_NODES[0], "arcs": [2, "3"]}] + MINIMAL_NODES[1:]},
+        {"n": "3", "nodes": MINIMAL_NODES},
+        {"n": 3, "nodes": [[1, "avg", [2, 3]]] + MINIMAL_NODES[1:]},
+        {"n": 3, "nodes": [{**MINIMAL_NODES[0], "id": "1"}] + MINIMAL_NODES[1:]},
+        {"n": 3, "nodes": [{**MINIMAL_NODES[0], "arcs": 2}] + MINIMAL_NODES[1:]},
+        [3],
+    ],
+)
+def test_cli_malformed_instance_exits_1_with_one_line(tmp_path, capsys, instance):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(instance))
+    assert main(["solve", "--algo", "hk", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"bogus": 1}, {"sizes": "32"}, {"ratios": [4.0]}, {"algorithms": [["hk"]]}, {"master_seed": None}],
+)
+def test_cli_malformed_plan_exits_1_with_one_line(tmp_path, capsys, change):
+    plan = json.loads(small_plan().to_json())
+    plan.update(change)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    assert main(["bench", "--plan", str(path), "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_bench_and_summarize(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(small_plan().to_json())

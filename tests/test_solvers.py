@@ -1,3 +1,4 @@
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -6,15 +7,25 @@ from conftest import build_game, random_stopping_game
 from stopgames import (
     EXACT,
     FLOAT,
+    EvaluationContractError,
+    NodeKind,
     NonStoppingGameError,
+    Player,
+    RatioSpec,
+    Strategy,
+    StrategyPair,
+    generate_fully_reduced,
     solve_brute_force,
     solve_by_components,
     solve_hoffman_karp,
     solve_permutation_improvement,
     solve_value_iteration,
 )
+from stopgames.bench import generate_instance
+from stopgames.generate import GenParams, Variant, generate_basic, ratio_counts
 from stopgames.reduce import scc_condense
-from stopgames.solve import _value_iteration_detail
+from stopgames.rng import Rng, derive_seed
+from stopgames.solve import _order_induced_pair, _value_iteration_detail
 
 MINIMAL = build_game([("avg", (2, 3))])
 CHAIN = build_game([("avg", (2, 4)), ("avg", (3, 4))])
@@ -161,3 +172,147 @@ def test_component_solving_matches_whole_game():
         if done >= 30:
             break
     assert done >= 30
+
+
+# --- permutation improvement: the order-induced pair -------------------------
+#
+# Reference oracle: the straightforward derivation that recomputes the max
+# attractor by breadth-first search from scratch for each of the k+1 nested
+# rank sets and scans every node after each one.
+
+
+def _reference_max_attractor(g, targets, parents):
+    """Deterministic attractor for the max player with averages as sinks:
+    membership flags and breadth-first levels."""
+    n = g.n
+    in_attr = [False] * (n + 1)
+    level = [0] * (n + 1)
+    remaining = [0] * (n + 1)
+    for i in range(1, n + 1):
+        if g.kind(i) is NodeKind.MIN:
+            remaining[i] = 2
+    queue = deque()
+    for t in sorted(targets):
+        in_attr[t] = True
+        queue.append(t)
+    while queue:
+        u = queue.popleft()
+        for p in parents[u]:
+            if in_attr[p]:
+                continue
+            kind = g.kind(p)
+            if kind is NodeKind.MAX:
+                in_attr[p] = True
+                level[p] = level[u] + 1
+                queue.append(p)
+            elif kind is NodeKind.MIN:
+                remaining[p] -= 1
+                if remaining[p] == 0:
+                    in_attr[p] = True
+                    level[p] = level[u] + 1
+                    queue.append(p)
+    return in_attr, level
+
+
+def _reference_order_induced_pair(g, order, parents):
+    """Returns the pair and the number of decision nodes left unranked."""
+    n, k = g.n, len(order)
+    rank = [0] * (n + 1)
+    rank[g.terminal1] = k + 1
+    for pos, node in enumerate(order, start=1):
+        rank[node] = pos
+    level = [0] * (n + 1)
+    targets = {g.terminal1}
+    for i in range(k + 1, 0, -1):
+        if i <= k:
+            targets.add(order[i - 1])
+        attr, lvl = _reference_max_attractor(g, targets, parents)
+        for v in range(1, n + 1):
+            if g.kind(v).is_decision and attr[v] and rank[v] == 0:
+                rank[v] = i
+                level[v] = lvl[v]
+    sigma, tau = {}, {}
+    for v in range(1, n + 1):
+        kind = g.kind(v)
+        if not kind.is_decision:
+            continue
+        a, b = g.arcs_of(v)
+        if kind is NodeKind.MAX:
+            if rank[v] == 0:
+                sigma[v] = 0
+            elif rank[a] == rank[v] and level[a] < level[v]:
+                sigma[v] = 0
+            elif rank[b] == rank[v] and level[b] < level[v]:
+                sigma[v] = 1
+            else:
+                raise EvaluationContractError("attractor witness missing")
+        else:
+            if rank[a] > rank[v] and rank[b] > rank[v]:
+                raise EvaluationContractError("trap escape missing")
+            if rank[a] > rank[v]:
+                tau[v] = 1
+            elif rank[b] > rank[v]:
+                tau[v] = 0
+            else:
+                tau[v] = 0 if rank[a] <= rank[b] else 1
+    unranked = sum(1 for v in range(1, n + 1) if g.kind(v).is_decision and rank[v] == 0)
+    return StrategyPair(Strategy(Player.MAX, sigma), Strategy(Player.MIN, tau)), unranked
+
+
+def _equivalence_games():
+    for size in (16, 32, 64, 128):
+        for ratio in (1, 4, 8):
+            for j in range(2):
+                yield generate_fully_reduced(RatioSpec(size, ratio), derive_seed(41, size, ratio, j))[0], 12
+    for j in range(6):
+        a, b, c = ratio_counts(200, 1 + j)
+        yield generate_basic(GenParams(a + b + c + 2, a, b, c, derive_seed(42, j), Variant.BASIC)), 24
+    yield generate_fully_reduced(RatioSpec(512, 8), derive_seed(43, 512, 8))[0], 4
+
+
+def test_order_induced_pair_matches_from_scratch_attractors():
+    cases = unranked_cases = big = 0
+    for g, orders in _equivalence_games():
+        parents = g.parents()
+        for s in range(orders):
+            order = list(g.average_nodes)
+            Rng(s).shuffle(order)
+            want, unranked = _reference_order_induced_pair(g, order, parents)
+            assert _order_induced_pair(g, order, parents) == want, (g.n, s)
+            cases += 1
+            unranked_cases += unranked > 0
+            big += g.n >= 512
+    assert cases >= 400
+    assert unranked_cases >= 20  # decision nodes outside every attractor
+    assert big >= 4
+
+
+# (size, ratio, run seed) -> (iterations, permutation) on the fully reduced
+# game of generator seed derive_seed(31, size, ratio), exact mode
+PERM_PINNED = {
+    (48, 4, 0): (3, (25, 13, 45, 3, 10, 20, 9, 33, 27, 28, 17, 32, 2, 18, 44)),
+    (64, 8, 0): (3, (60, 29, 64, 30, 54, 5, 2, 25, 26, 39, 37, 34, 6, 49, 16, 40,
+                     44, 45, 11, 52, 51, 8, 7, 57, 19, 13, 20, 1, 22, 17, 59, 63)),
+    (96, 1, 1): (2, (94, 18, 3, 64, 38, 48, 66, 41, 23, 93)),
+}
+
+
+@pytest.mark.parametrize("size,ratio,seed", sorted(PERM_PINNED))
+def test_permutation_runs_pinned(size, ratio, seed):
+    g, _ = generate_fully_reduced(RatioSpec(size, ratio), derive_seed(31, size, ratio))
+    res = solve_permutation_improvement(g, seed, EXACT)
+    assert (res.iterations, res.permutation) == PERM_PINNED[(size, ratio, seed)]
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_permutation_cycle_fails_fast_512(mode):
+    g, _ = generate_fully_reduced(RatioSpec(512, 1), 579936874129910648)
+    with pytest.raises(EvaluationContractError, match="pass 9 repeats the order of pass 7"):
+        solve_permutation_improvement(g, 5150336583094877538, mode)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_permutation_cycle_fails_fast_bench_instance(mode):
+    g, _ = generate_instance(128, 4, 8, 4186076261459491109)
+    with pytest.raises(EvaluationContractError, match="pass 12 repeats the order of pass 10"):
+        solve_permutation_improvement(g, 2724478665962015742, mode)
