@@ -9,6 +9,20 @@ controlled terminal-free trap (``find_valid_arcs``).  The result is
 always a stopping game, and any stopping game without max/min arcs to
 terminals can be produced under some seed.
 
+Valid targets come from an attractor-rank index (``_RankIndex``) over the
+partial game, which must have an empty bad core; the phase-1 game has
+one, and every arc the loop adds keeps it so.  A node's rank is the round
+in which it is shown safe, i.e. unable to sit in a player-controlled
+terminal-free set: terminals, averages with fewer than two arcs and
+max/min nodes without arcs have rank 0, an average one more than its
+lowest-ranked successor (its witness), a max/min node one more than its
+highest.  The nodes whose recorded derivation passes through a node m
+form m's dependency region; only inside it can an arc out of m trap a
+node, so the search and the re-ranking after each added arc touch that
+region alone (delete and rederive, as in Gupta, Mumick & Subrahmanian,
+"Maintaining views incrementally", SIGMOD 1993), never all of m's
+ancestors.
+
 The modified variant additionally plants average nodes next to both
 terminals, keeps max/min arcs off the terminals, steers second arcs
 toward in-degree-zero nodes, and merges provably 0/1-valued nodes into
@@ -23,8 +37,10 @@ package's SplitMix64 stream seeded per attempt with ``derive_seed``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heappop, heappush
 
 from .game import Game, NodeKind, PartialGame
 from .reduce import check_assumptions, merge_terminal_valued
@@ -112,16 +128,164 @@ class GenMeta:
         }
 
 
+_AVG, _DEC, _TERM = 0, 1, 2
+
+
+class _RankIndex:
+    """Attractor ranks of a partial game with an empty bad core, kept up
+    to date while max/min arcs are added through ``add_arc``.
+
+    ``rank[v]`` and, for averages, ``witness[v]`` record one derivation of
+    v's safety (module docstring).  Arc and parent lists are the game's
+    own, read live.
+    """
+
+    def __init__(self, g):
+        n = g.n
+        self.game = g
+        self.arcs = g.arcs
+        self.parents = g.parents()
+        self.code = [_TERM] + [
+            _AVG if k is NodeKind.AVERAGE else _DEC if k.is_decision else _TERM
+            for k in g.kinds
+        ]
+        code, arcs = self.code, self.arcs
+        rank = [-1] * (n + 1)
+        witness = [0] * (n + 1)
+        waiting = [0] * (n + 1)  # unranked arcs of a max/min node
+        queue = []
+        for v in range(1, n + 1):
+            if code[v] == _TERM or len(arcs[v - 1]) < (2 if code[v] == _AVG else 1):
+                rank[v] = 0
+                queue.append(v)
+            elif code[v] == _DEC:
+                waiting[v] = len(arcs[v - 1])
+        for u in queue:  # FIFO: every push is one rank above the node popped
+            r = rank[u] + 1
+            for par in self.parents[u]:
+                if rank[par] >= 0:
+                    continue
+                if code[par] == _AVG:
+                    witness[par] = u
+                elif waiting[par] > 1:
+                    waiting[par] -= 1
+                    continue
+                rank[par] = r
+                queue.append(par)
+        if len(queue) < n:
+            stuck = next(v for v in range(1, n + 1) if rank[v] < 0)
+            raise ValueError(
+                f"partial game has a non-empty bad core (node {stuck} can avoid the terminals)"
+            )
+        self.rank, self.witness = rank, witness
+        self._last = (0, None)  # the last region computed, as (m, region)
+
+    def _region(self, m: int) -> set[int]:
+        """m and every node whose recorded derivation passes through m."""
+        if self._last[0] == m:
+            return self._last[1]
+        code, witness, parents = self.code, self.witness, self.parents
+        region = {m}
+        stack = [m]
+        while stack:
+            u = stack.pop()
+            for par in parents[u]:
+                if par not in region and (code[par] == _DEC or witness[par] == u):
+                    region.add(par)
+                    stack.append(par)
+        self._last = (m, region)
+        return region
+
+    def trapped(self, m: int) -> set[int]:
+        """Nodes that an added arc out of max/min node m could trap: those
+        with no derivation of safety that avoids m (m included)."""
+        region = self._region(m)
+        code, arcs, parents = self.code, self.arcs, self.parents
+        waiting = {}
+        freed = []
+        for v in region:
+            if v == m:
+                continue
+            out = arcs[v - 1]
+            if code[v] == _AVG:  # an average with a witness has both arcs
+                if out[0] not in region or out[1] not in region:
+                    freed.append(v)
+            else:
+                waiting[v] = len([t for t in out if t in region])
+        safe = set(freed)
+        while freed:
+            u = freed.pop()
+            for par in parents[u]:
+                if par in safe or par not in region or par == m:
+                    continue
+                if code[par] == _DEC:
+                    waiting[par] -= 1
+                    if waiting[par]:
+                        continue
+                safe.add(par)
+                freed.append(par)
+        return region - safe
+
+    def add_arc(self, m: int, q: int) -> None:
+        """Add arc (m, q), q outside ``trapped(m)``, and re-rank m's region.
+
+        Ranks only rise, so nodes outside the region keep their rank and
+        their derivation; the region is re-ranked in rank order.
+        """
+        region = self._region(m)
+        self._last = (0, None)
+        self.game.add_arc(m, q)
+        code, arcs, parents = self.code, self.arcs, self.parents
+        rank, witness = self.rank, self.witness
+        if q not in region and rank[q] < rank[m]:
+            return  # m keeps its rank, so every other node keeps its own
+        heap = []
+        waiting = {}
+        high = {}  # highest rank among a max/min node's ranked arcs
+        for v in region:
+            out = arcs[v - 1]
+            outside = [t for t in out if t not in region]
+            if code[v] == _AVG:
+                if outside:
+                    w = min(outside, key=rank.__getitem__)
+                    heap.append((rank[w] + 1, v, w))
+                continue
+            high[v] = max([rank[t] for t in outside], default=-1)
+            waiting[v] = len(out) - len(outside)
+            if not waiting[v]:
+                heap.append((high[v] + 1, v, 0))
+        heapify(heap)
+        # ``region`` keeps the nodes not yet re-ranked
+        while heap:
+            r, v, w = heappop(heap)
+            if v not in region:
+                continue
+            region.discard(v)
+            rank[v], witness[v] = r, w
+            for par in parents[v]:
+                if par not in region:
+                    continue
+                if code[par] == _AVG:
+                    heappush(heap, (r + 1, par, v))
+                    continue
+                waiting[par] -= 1
+                if r > high[par]:
+                    high[par] = r
+                if not waiting[par]:
+                    heappush(heap, (high[par] + 1, par, 0))
+
+
 def find_valid_arcs(g, m: int) -> set[int]:
     """Targets q such that adding arc (m, q) cannot create a trap.
 
-    ``m`` must be a max or min node with exactly one out-arc.  Starting
-    from the ancestors of m (the only candidates that could close a new
-    cycle), nodes are restored once they provably cannot sit in any
-    player-controlled terminal-free set: an average node with a missing
-    arc or an arc to a restored-or-terminal node, or a max/min node whose
-    every present arc leads to one.  Terminals themselves are always
-    valid targets and are left in the result; generators strip them.
+    ``g`` must be a partial game with an empty bad core, the generator's
+    invariant; otherwise ``ValueError``.  ``m`` must be a max or min node
+    with exactly one out-arc.  A target is valid unless it lies in m's
+    trapped set (``_RankIndex.trapped``): the nodes that, with m unsafe,
+    have no derivation of safety (an average node with a missing arc or
+    an arc to a safe node, a max/min node whose every present arc leads to
+    one).  Terminals are always valid targets and are left in the result;
+    generators strip them.
 
     The returned set excludes m and m's current target.
     """
@@ -130,72 +294,50 @@ def find_valid_arcs(g, m: int) -> set[int]:
     out_m = g.arcs_of(m)
     if len(out_m) != 1:
         raise ValueError(f"node {m} must have exactly one out-arc, has {len(out_m)}")
-    p = out_m[0]
-    n = g.n
-    parents = g.parents()
-
-    safe = [True] * (n + 1)
-    safe[m] = False
-    removed = []
-    stack = [m]
-    while stack:
-        u = stack.pop()
-        for par in parents[u]:
-            if safe[par]:
-                safe[par] = False
-                removed.append(par)
-                stack.append(par)
-
-    def restorable(v: int) -> bool:
-        out = g.arcs_of(v)
-        if g.kind(v) is NodeKind.AVERAGE:
-            return len(out) < 2 or any(safe[t] for t in out)
-        return all(safe[t] for t in out)
-
-    queue = [v for v in removed if restorable(v)]
-    while queue:
-        v = queue.pop()
-        if safe[v] or not restorable(v):
-            continue
-        safe[v] = True
-        for par in parents[v]:
-            if not safe[par] and par != m:
-                queue.append(par)
-
-    result = {q for q in range(1, n + 1) if safe[q]}
-    result.discard(m)
-    result.discard(p)
-    return result
+    valid = set(range(1, g.n + 1)) - _RankIndex(g).trapped(m)
+    valid.discard(out_m[0])
+    return valid
 
 
-def _pick_excluding(rng: Rng, n: int, excluded: set[int]) -> int:
-    """Uniform node id in 1..n outside ``excluded``."""
-    r = rng.randbelow(n - len(excluded))
-    x = r + 1
-    for e in sorted(excluded):
-        if e <= x:
+def _draw(rng: Rng, pool, skip: set[int]) -> int | None:
+    """Uniform element of the ascending sequence ``pool`` outside the
+    positions ``skip``, with one ``randbelow`` call; None, without a call,
+    when nothing is left."""
+    count = len(pool) - len(skip)
+    if not count:
+        return None
+    x = rng.randbelow(count)
+    for i in sorted(skip):
+        if i <= x:
             x += 1
-    return x
+    return pool[x]
 
 
 def _assign_second_arcs_decisions(pg: PartialGame, rng: Rng, prefer_zero_indegree: bool):
     """Phase-2 loop for max/min nodes; False return means a dead end."""
-    t0, t1 = pg.terminal0, pg.terminal1
+    n = pg.n
+    terminals = (pg.terminal0, pg.terminal1)
     pending = [
         i
-        for i in range(1, pg.n + 1)
+        for i in range(1, n + 1)
         if pg.kind(i).is_decision and len(pg.arcs_of(i)) == 1
     ]
+    index = _RankIndex(pg)
+    zero = [q for q in range(1, n + 1) if pg.indegree[q] == 0]
     while pending:
         m = pending.pop(rng.randbelow(len(pending)))
-        candidates = sorted(q for q in find_valid_arcs(pg, m) if q not in (t0, t1))
-        if not candidates:
-            return False
+        excluded = index.trapped(m).union(pg.arcs_of(m), terminals)
+        q = None
         if prefer_zero_indegree:
-            zero = [q for q in candidates if pg.indegree[q] == 0]
-            if zero:
-                candidates = zero
-        pg.add_arc(m, candidates[rng.randbelow(len(candidates))])
+            skip = {bisect_left(zero, e) for e in excluded if pg.indegree[e] == 0}
+            q = _draw(rng, zero, skip)
+        if q is None:
+            q = _draw(rng, range(1, n + 1), {e - 1 for e in excluded})
+            if q is None:
+                return False
+        if pg.indegree[q] == 0:
+            del zero[bisect_left(zero, q)]
+        index.add_arc(m, q)
     return True
 
 
@@ -207,8 +349,7 @@ def _complete_average_arcs(pg: PartialGame, rng: Rng):
     ]
     while pending:
         m = pending.pop(rng.randbelow(len(pending)))
-        first = pg.arcs_of(m)[0]
-        pg.add_arc(m, _pick_excluding(rng, pg.n, {m, first}))
+        pg.add_arc(m, _draw(rng, range(1, pg.n + 1), {m - 1, pg.arcs_of(m)[0] - 1}))
 
 
 def _build_basic(p: GenParams, rng: Rng) -> Game | None:
@@ -277,28 +418,24 @@ def _build_modified(p: GenParams, rng: Rng) -> PartialGame | None:
             # max/min first arcs stay off the terminals
             pg.add_arc(v, v + 1 + rng.randbelow(n - 2 - v))
 
-    z = sum(1 for i in range(1, n + 1) if pg.indegree[i] == 0)
-    r = rng.randint(max(z - (p.b + p.c), 0), min(p.a, z))
+    zero = [q for q in range(1, n + 1) if pg.indegree[q] == 0]
+    single = [
+        m
+        for m in range(1, n + 1)
+        if pg.kind(m) is NodeKind.AVERAGE and len(pg.arcs_of(m)) == 1
+    ]
+    r = rng.randint(max(len(zero) - (p.b + p.c), 0), min(p.a, len(zero)))
     for _ in range(r):
-        eligible = []
-        for m in range(1, n + 1):
-            if pg.kind(m) is not NodeKind.AVERAGE or len(pg.arcs_of(m)) != 1:
-                continue
-            first = pg.arcs_of(m)[0]
-            if any(
-                pg.indegree[q] == 0 and q not in (m, first) for q in range(1, n + 1)
-            ):
-                eligible.append(m)
+        # eligible while an in-degree-zero node other than m is left (m's
+        # target has m's arc, so it is never one)
+        eligible = single if len(zero) > 1 else [m for m in single if set(zero) - {m}]
         if not eligible:
             break
         m = eligible[rng.randbelow(len(eligible))]
-        first = pg.arcs_of(m)[0]
-        zq = [
-            q
-            for q in range(1, n + 1)
-            if pg.indegree[q] == 0 and q not in (m, first)
-        ]
-        pg.add_arc(m, zq[rng.randbelow(len(zq))])
+        q = _draw(rng, zero, {bisect_left(zero, m)} if pg.indegree[m] == 0 else set())
+        pg.add_arc(m, q)
+        del zero[bisect_left(zero, q)]
+        del single[bisect_left(single, m)]
 
     _complete_average_arcs(pg, rng)
     if not _assign_second_arcs_decisions(pg, rng, prefer_zero_indegree=True):
@@ -326,6 +463,10 @@ def generate_fully_reduced(
 ) -> tuple[Game, GenMeta]:
     """Generate until an instance satisfies the whole reduction checklist
     (including the single-component form); returns it with its metadata.
+
+    An attempt whose 0/1-valued merge removed nodes is rejected like a
+    checklist failure, so the returned game always has the a + b + c + 2
+    nodes its metadata records.
     """
     a, b, c = ratio_counts(spec.size, spec.ratio_num)
     for k in range(retry_cap):
@@ -338,6 +479,8 @@ def generate_fully_reduced(
             variant=Variant.MODIFIED,
         )
         g = generate_reduced(params)
+        if g.n < params.n:
+            continue
         checklist = check_assumptions(g)
         if checklist.fully_reduced and checklist.single_nonterminal_scc:
             meta = GenMeta(

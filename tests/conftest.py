@@ -169,6 +169,42 @@ def brute_force_valid_arcs(pg: PartialGame, m: int) -> set[int]:
     return valid
 
 
+def ancestor_peel_valid_arcs(g, m: int) -> set[int]:
+    """Reference valid-arc search, the generator's former algorithm: mark
+    every ancestor of m unsafe, then restore nodes that provably cannot sit
+    in a player-controlled terminal-free set.  O(n) per call."""
+    p = g.arcs_of(m)[0]
+    parents = g.parents()
+    safe = [True] * (g.n + 1)
+    safe[m] = False
+    removed = []
+    stack = [m]
+    while stack:
+        u = stack.pop()
+        for par in parents[u]:
+            if safe[par]:
+                safe[par] = False
+                removed.append(par)
+                stack.append(par)
+
+    def restorable(v: int) -> bool:
+        out = g.arcs_of(v)
+        if g.kind(v) is NodeKind.AVERAGE:
+            return len(out) < 2 or any(safe[t] for t in out)
+        return all(safe[t] for t in out)
+
+    queue = [v for v in removed if restorable(v)]
+    while queue:
+        v = queue.pop()
+        if safe[v] or not restorable(v):
+            continue
+        safe[v] = True
+        for par in parents[v]:
+            if not safe[par] and par != m:
+                queue.append(par)
+    return {q for q in range(1, g.n + 1) if safe[q]} - {m, p}
+
+
 def oracle_values(g: Game) -> dict[int, Fraction]:
     """Ground-truth optimal values by exhaustive strategy enumeration."""
     from stopgames import solve_brute_force

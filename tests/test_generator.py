@@ -1,7 +1,12 @@
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
-from conftest import brute_force_valid_arcs, build_game, deep_partial
+from conftest import ancestor_peel_valid_arcs, brute_force_valid_arcs, build_game, deep_partial
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stopgames import (
     GenParams,
@@ -20,6 +25,7 @@ from stopgames import (
     ratio_counts,
     scc_condense,
 )
+from stopgames import generate
 from stopgames.generate import _build_modified
 from stopgames.rng import Rng, derive_seed
 
@@ -94,6 +100,134 @@ def test_valid_arcs_matches_add_and_check_oracle():
     for seed in range(120):
         pg, m = deep_partial(seed, nodes=4 + seed % 9)
         assert find_valid_arcs(pg, m) == brute_force_valid_arcs(pg, m)
+
+
+def test_valid_arcs_rejects_partial_game_with_bad_core():
+    # max nodes 1 and 2 point at each other: a trap before any arc is added
+    pg = PartialGame([NodeKind.MAX, NodeKind.MAX, NodeKind.MIN, NodeKind.TERMINAL0, NodeKind.TERMINAL1])
+    pg.add_arc(1, 2)
+    pg.add_arc(2, 1)
+    pg.add_arc(3, 1)
+    with pytest.raises(ValueError, match="non-empty bad core") as err:
+        find_valid_arcs(pg, 3)
+    assert "\n" not in str(err.value)
+
+
+def _partial(kinds: str, arcs) -> PartialGame:
+    codes = {"x": NodeKind.MAX, "n": NodeKind.MIN, "a": NodeKind.AVERAGE}
+    pg = PartialGame([codes[k] for k in kinds] + [NodeKind.TERMINAL0, NodeKind.TERMINAL1])
+    for i, out in enumerate(arcs, start=1):
+        for t in out:
+            pg.add_arc(i, t)
+    return pg
+
+
+@st.composite
+def partial_games(draw):
+    """Partial games of 4..9 nodes with 0, 1 or 2 arcs per non-terminal,
+    targets anywhere: self arcs and duplicate arcs included."""
+    n = draw(st.integers(4, 9))
+    kinds = draw(st.text(alphabet="xna", min_size=n - 2, max_size=n - 2))
+    arcs = draw(st.lists(st.lists(st.integers(1, n), max_size=2), min_size=n - 2, max_size=n - 2))
+    return _partial(kinds, arcs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(partial_games(), st.integers(0, 8))
+# an average with a self arc, one with no arcs and one with one arc, a
+# min node with no arcs, a max node with a duplicate arc
+@example(_partial("xaanxa", [[2], [2, 6], [], [], [3, 3], [1]]), 0)
+def test_valid_arcs_property_matches_add_and_check(pg, pick):
+    if find_bad_core(pg):
+        with pytest.raises(ValueError):
+            generate._RankIndex(pg)
+        return
+    singles = [i for i in range(1, pg.n - 1) if pg.kind(i).is_decision and len(pg.arcs_of(i)) == 1]
+    if not singles:
+        return
+    m = singles[pick % len(singles)]
+    assert find_valid_arcs(pg, m) == brute_force_valid_arcs(pg, m)
+
+
+class CheckedRankIndex(generate._RankIndex):
+    """The generator's rank index, checked at every step of the decision
+    loop against the ancestor-peel reference and a from-scratch build."""
+
+    steps = 0
+
+    def trapped(self, m):
+        u = super().trapped(m)
+        valid = set(range(1, self.game.n + 1)) - u - set(self.game.arcs_of(m))
+        assert valid == ancestor_peel_valid_arcs(self.game, m)
+        return u
+
+    def add_arc(self, m, q):
+        super().add_arc(m, q)
+        assert self.rank == generate._RankIndex(self.game).rank
+        CheckedRankIndex.steps += 1
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_rank_index_matches_peel_and_rebuild_at_every_step(monkeypatch, variant):
+    cells = ((64, 1), (128, 8), (256, 4), (512, 1), (512, 8))
+    plain = []
+    for size, ratio in cells:
+        a, b, c = ratio_counts(size, ratio)
+        params = GenParams(a + b + c + 2, a, b, c, derive_seed(44, size, ratio), variant)
+        plain.append(game_to_json(generate_basic(params) if variant is Variant.BASIC else generate_reduced(params, merge=False)))
+    monkeypatch.setattr(generate, "_RankIndex", CheckedRankIndex)
+    CheckedRankIndex.steps = 0
+    for (size, ratio), text in zip(cells, plain):
+        a, b, c = ratio_counts(size, ratio)
+        params = GenParams(a + b + c + 2, a, b, c, derive_seed(44, size, ratio), variant)
+        g = generate_basic(params) if variant is Variant.BASIC else generate_reduced(params, merge=False)
+        assert game_to_json(g) == text
+    assert CheckedRankIndex.steps >= sum(2 * ratio_counts(*cell)[1] for cell in cells)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_generator_bytes_pinned():
+    """Instances over a fixed grid hash as recorded from the generator
+    that searched valid arcs by an ancestor peel (generator_sha256.json)."""
+    pinned = json.loads((Path(__file__).parent / "generator_sha256.json").read_text())
+    got = {}
+    for size in (12, 24, 48, 100, 200):
+        for ratio in (1, 4, 8):
+            a, b, c = ratio_counts(size, ratio)
+            for i in range(3):
+                seed = derive_seed(41, size, ratio, i)
+                basic = generate_basic(GenParams(a + b + c + 2, a, b, c, seed))
+                got[f"basic {size} {ratio} {i}"] = _sha256(game_to_json(basic))
+                modified = generate_reduced(GenParams(a + b + c + 2, a, b, c, seed, Variant.MODIFIED), merge=False)
+                got[f"modified {size} {ratio} {i}"] = _sha256(game_to_json(modified))
+    for size, count in ((16, 3), (32, 3), (64, 3), (128, 3), (256, 2), (512, 2), (1024, 2)):
+        for ratio in (1, 4, 8):
+            for i in range(count):
+                g, meta = generate_fully_reduced(RatioSpec(size, ratio), derive_seed(43, size, ratio, i))
+                text = game_to_json(g) + json.dumps(meta.as_dict(), sort_keys=True)
+                got[f"full {size} {ratio} {i}"] = _sha256(text)
+    assert sorted(got) == sorted(pinned)
+    assert [key for key in pinned if got[key] != pinned[key]] == []
+
+
+@pytest.mark.parametrize("parts, collapsed_attempt, retries", [((7, 128, 1), 1, 2), ((7, 128, 1, 233), 4, 10)])
+def test_fully_reduced_rejects_attempt_collapsed_by_merge(parts, collapsed_attempt, retries):
+    seed = derive_seed(*parts)
+    a, b, c = ratio_counts(128, 1)
+    # this attempt passes the checklist, but its 0/1-valued merge leaves
+    # only two averages and the terminals
+    params = GenParams(a + b + c + 2, a, b, c, derive_seed(seed, collapsed_attempt), Variant.MODIFIED)
+    assert generate_reduced(params).n == 4
+    g, meta = generate_fully_reduced(RatioSpec(128, 1), seed)
+    assert meta.retries == retries
+    assert (meta.a, meta.b, meta.c) == (a, b, c)
+    assert g.n == meta.realized_n == a + b + c + 2
+    assert (len(g.average_nodes), len(g.min_nodes), len(g.max_nodes)) == (a, b, c)
+    checklist = check_assumptions(g)
+    assert checklist.fully_reduced and checklist.single_nonterminal_scc
 
 
 def test_modified_construction_lines():
