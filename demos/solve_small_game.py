@@ -34,7 +34,7 @@ vi = solve_value_iteration(game, tol=1e-12)
 print(f"\nbrute force examined {truth.iterations} strategy pairs")
 print(f"hoffman-karp: {hk.iterations} iterations, values match: {hk.values == truth.values}")
 print(f"permutation improvement: {perm.iterations} iterations, values match: {perm.values == truth.values}")
-drift = max(abs(float(truth.values.value(i)) - vi.value(i)) for i in range(1, game.n + 1))
+drift = max(abs(float(truth.values.value(i)) - vi.values.value(i)) for i in range(1, game.n + 1))
 print(f"value iteration: max drift from exact = {drift:.2e}")
 
 print(f"\nmax strategy found: {hk.strategies.sigma.choice}")

@@ -24,13 +24,7 @@ from .evaluate import EXACT, FLOAT, EvaluationContractError, is_stable
 from .game import Game, load_game, save_game
 from .generate import GenMeta, RatioSpec, generate_fully_reduced, ratio_counts
 from .rng import derive_seed
-from .solve import (
-    ALGORITHMS,
-    _value_iteration_detail,
-    solve_brute_force,
-    solve_hoffman_karp,
-    solve_permutation_improvement,
-)
+from .solve import ALGORITHMS, SOLVERS
 
 CSV_HEADER = ["instance_id", "algorithm", "seed", "iterations", "wall_time_ms", "stable_check"]
 
@@ -69,7 +63,7 @@ class BenchPlan:
             raise ValueError("instance and run counts must be positive")
         if self.mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown mode {self.mode!r}")
-        unknown = set(self.algorithms) - set(ALGORITHMS)
+        unknown = set(self.algorithms) - set(SOLVERS)
         if not self.algorithms or unknown:
             raise ValueError(f"algorithms must be a non-empty subset of {ALGORITHMS}")
         if "bf" in self.algorithms:
@@ -185,22 +179,10 @@ def _run_seed(master: int, size: int, ratio: int, idx: int, algo: str, run: int)
 def _execute_job(job) -> BenchRecord:
     iid, game, algo, seed, mode = job
     start = time.perf_counter()
-    if algo == "hk":
-        res = solve_hoffman_karp(game, seed, mode)
-        iterations, values = res.iterations, res.values
-    elif algo == "perm":
-        res = solve_permutation_improvement(game, seed, mode)
-        iterations, values = res.iterations, res.values
-    elif algo == "bf":
-        res = solve_brute_force(game)
-        iterations, values = res.iterations, res.values
-    elif algo == "vi":
-        values, iterations, _ = _value_iteration_detail(game, 1e-12, 1_000_000)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
+    res = SOLVERS[algo](game, seed, mode)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    stable = is_stable(game, values, 1e-9)
-    return BenchRecord(iid, algo, seed, iterations, wall_ms, stable)
+    stable = is_stable(game, res.values, 1e-9)
+    return BenchRecord(iid, algo, seed, res.iterations, wall_ms, stable)
 
 
 def run_benchmark(plan: BenchPlan, workers: int = 1) -> list[BenchRecord]:

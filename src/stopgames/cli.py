@@ -21,17 +21,12 @@ from .bench import (
     write_summary_csv,
     write_plot_csv,
 )
-from .evaluate import EXACT, FLOAT, EvaluationContractError, is_stable, value_vector_to_json
+from .evaluate import EXACT, FLOAT, EvaluationContractError, is_stable
 from .game import NonStoppingGameError, is_stopping, load_game, save_game, validate_structure
 from .generate import GenerationError
 from .linsolve import SingularSystemError
 from .reduce import check_assumptions, reduce_game
-from .solve import (
-    _value_iteration_detail,
-    solve_brute_force,
-    solve_hoffman_karp,
-    solve_permutation_improvement,
-)
+from .solve import SOLVERS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="instance file")
 
     p = sub.add_parser("solve", help="solve one instance")
-    p.add_argument("--algo", choices=["hk", "perm", "bf", "vi"], required=True)
+    p.add_argument("--algo", choices=list(SOLVERS), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=[EXACT, FLOAT], default=FLOAT)
     p.add_argument("input", help="instance file")
@@ -119,27 +114,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solve(args) -> int:
     game = load_game(args.input)
-    if args.algo == "hk":
-        res = solve_hoffman_karp(game, args.seed, args.mode)
-    elif args.algo == "perm":
-        res = solve_permutation_improvement(game, args.seed, args.mode)
-    elif args.algo == "bf":
-        res = solve_brute_force(game)
-    else:
-        res = None
-    if res is not None:
-        values = res.values
-        payload = json.loads(res.to_json())
-    else:
-        values, iterations, _ = _value_iteration_detail(game, 1e-12, 1_000_000)
-        payload = {
-            "algorithm": "vi",
-            "seed": args.seed,
-            "iterations": iterations,
-            "mode": values.mode,
-            "values": json.loads(value_vector_to_json(values))["values"],
-        }
-    stable = is_stable(game, values, 1e-9)
+    res = SOLVERS[args.algo](game, args.seed, args.mode)
+    payload = json.loads(res.to_json())
+    stable = is_stable(game, res.values, 1e-9)
     payload["stable"] = stable
     print(json.dumps(payload))
     if not stable:

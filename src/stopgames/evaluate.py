@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import linsolve
-from .game import Game, NodeKind, NonStoppingGameError, find_bad_core
+from .game import Game, NodeKind, require_stopping
 
 EXACT = "exact"
 FLOAT = "float"
@@ -98,16 +98,13 @@ def _check_pair(g: Game, sp: StrategyPair) -> dict[int, int]:
     return chosen
 
 
-def reachable_to_terminal(g: Game, sp: StrategyPair, _targets=None) -> set[int]:
+def reachable_to_terminal(g: Game, sp: StrategyPair) -> set[int]:
     """Nodes with a path to a terminal in the strategy subgraph.
 
     Max/min nodes follow their single chosen arc, average nodes keep both.
-    Computed by backward reachability from the terminals (or from the
-    given target set, used when boundary nodes carry solved constants).
+    Computed by backward reachability from the terminals.
     """
-    chosen = _check_pair(g, sp)
-    targets = set(_targets) if _targets is not None else {g.terminal0, g.terminal1}
-    return _backward_reach(g, chosen, targets)
+    return _backward_reach(g, _check_pair(g, sp), {g.terminal0, g.terminal1})
 
 
 def _backward_reach(g: Game, chosen: dict[int, int], targets: set[int]) -> set[int]:
@@ -328,8 +325,7 @@ def best_response(
     """
     if fixed.player is player:
         raise ValueError("fixed strategy must belong to the opposite player")
-    if find_bad_core(g):
-        raise NonStoppingGameError("best response requires a stopping game")
+    require_stopping(g, "best response")
     resp = initial if initial is not None else first_arc_strategy(g, player)
     if set(resp.choice) != set(g.nodes_of_kind(player.node_kind)):
         raise ValueError("initial strategy does not cover the responder's nodes")

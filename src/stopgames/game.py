@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 
 class NonStoppingGameError(ValueError):
@@ -47,7 +48,8 @@ class Game:
 
     ``kinds[i-1]`` is the kind of node i and ``arcs[i-1]`` its ordered
     out-arc pair (empty tuple for terminals).  Instances are hashable and
-    safe to share between threads.
+    safe to share between threads.  Being immutable, a game decides once
+    whether it is stopping; ``stopping`` caches that answer.
     """
 
     n: int
@@ -67,6 +69,10 @@ class Game:
     @property
     def terminal1(self) -> int:
         return self.n
+
+    @cached_property
+    def stopping(self) -> bool:
+        return not find_bad_core(self)
 
     def nodes_of_kind(self, kind: NodeKind) -> list[int]:
         return [i for i in range(1, self.n + 1) if self.kinds[i - 1] is kind]
@@ -237,8 +243,18 @@ def find_bad_core(g) -> frozenset[int]:
 
 
 def is_stopping(g) -> bool:
-    """True when every strategy pair gives every node a path to a terminal."""
-    return not find_bad_core(g)
+    """True when every strategy pair gives every node a path to a terminal.
+
+    A ``Game`` answers from its cached flag; a ``PartialGame`` can still
+    change, so it is checked afresh.
+    """
+    return g.stopping if isinstance(g, Game) else not find_bad_core(g)
+
+
+def require_stopping(g: Game, what: str) -> None:
+    """Raise ``NonStoppingGameError`` unless ``g`` is stopping."""
+    if not g.stopping:
+        raise NonStoppingGameError(f"{what} requires a stopping game")
 
 
 # --- instance file format ---------------------------------------------------

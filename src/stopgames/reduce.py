@@ -22,13 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .game import (
-    Game,
-    NodeKind,
-    NonStoppingGameError,
-    find_bad_core,
-    is_stopping,
-)
+from .game import Game, NodeKind, require_stopping
 
 
 class Polarity(Enum):
@@ -40,17 +34,24 @@ class Polarity(Enum):
 class ReductionReport:
     """Audit log of one reduction run, in original node ids.
 
-    ``merges`` holds (removed node, absorbed-into node, rule name) in
-    application order; ``events`` additionally interleaves the deletions
-    so the run can be replayed exactly.  ``renumbering`` maps surviving
-    original ids to their ids in the reduced game.
+    ``events`` is the log: ``("merge", removed node, absorbed-into node,
+    rule name)`` and ``("delete", node)`` in application order, so the
+    run can be replayed exactly.  ``merges`` and ``removed_zero_indegree``
+    are views of it.  ``renumbering`` maps surviving original ids to their
+    ids in the reduced game.
     """
 
-    merges: list[tuple[int, int, str]]
-    removed_zero_indegree: list[int]
     constant_nodes: dict[int, Fraction]
     renumbering: dict[int, int]
     events: list[tuple]
+
+    @property
+    def merges(self) -> list[tuple[int, int, str]]:
+        return [e[1:] for e in self.events if e[0] == "merge"]
+
+    @property
+    def removed_zero_indegree(self) -> list[int]:
+        return [e[1] for e in self.events if e[0] == "delete"]
 
     def to_json(self) -> str:
         payload = {
@@ -76,8 +77,6 @@ class _Work:
         for i in range(1, g.n + 1):
             for t in self.arcs[i - 1]:
                 self.parents[t].append(i)
-        self.merges: list[tuple[int, int, str]] = []
-        self.removed: list[int] = []
         self.constants: dict[int, Fraction] = {}
         self.events: list[tuple] = []
 
@@ -111,7 +110,6 @@ class _Work:
         for u in set(plist):
             self.arcs[u - 1] = [w if t == v else t for t in self.arcs[u - 1]]
         self.alive[v] = False
-        self.merges.append((v, w, rule))
         self.events.append(("merge", v, w, rule))
         if self.kind(w).is_terminal:
             self.constants[v] = Fraction(1) if w == self.t1 else Fraction(0)
@@ -125,7 +123,6 @@ class _Work:
             self.parents[t].remove(v)
         self.arcs[v - 1] = []
         self.alive[v] = False
-        self.removed.append(v)
         self.events.append(("delete", v))
         return old_targets
 
@@ -205,8 +202,6 @@ class _Work:
     def finish(self) -> tuple[Game, ReductionReport]:
         game, renumber = self.materialize()
         report = ReductionReport(
-            merges=self.merges,
-            removed_zero_indegree=self.removed,
             constant_nodes=self.constants,
             renumbering=renumber,
             events=self.events,
@@ -222,8 +217,7 @@ def apply_trivial_reductions(g: Game) -> tuple[Game, ReductionReport]:
 
 
 def _terminal_valued(g: Game, polarity: Polarity) -> tuple[frozenset[int], int]:
-    if find_bad_core(g):
-        raise NonStoppingGameError("terminal-valued search requires a stopping game")
+    require_stopping(g, "terminal-valued search")
     n = g.n
     if polarity is Polarity.ONE:
         seed = g.terminal0
@@ -293,8 +287,7 @@ def merge_terminal_valued(g: Game) -> tuple[Game, ReductionReport]:
 def reduce_game(g: Game) -> tuple[Game, ReductionReport]:
     """Full pipeline: trivial rules, terminal-valued merges (which can
     expose new trivial reductions), then trivial rules again."""
-    if find_bad_core(g):
-        raise NonStoppingGameError("the reduction pipeline requires a stopping game")
+    require_stopping(g, "the reduction pipeline")
     work = _Work(g)
     work.run_trivial()
     snap, renumber = work.materialize()
@@ -449,8 +442,13 @@ def scc_condense(g: Game) -> list[SccComponent]:
 
 @dataclass(frozen=True)
 class AssumptionChecklist:
-    """The seven facts a fully reduced instance must satisfy, plus the
-    strict single-component form the benchmark generator filters on."""
+    """The six facts a fully reduced instance must satisfy, plus the
+    strict single-component form the benchmark generator filters on.
+
+    The paper's seventh item, a single SCC or only the two terminal
+    constants, always holds here: the instance format admits no constant
+    nodes beyond the two terminals (``game_from_json`` rejects a third).
+    """
 
     stopping: bool
     no_terminal_decision_arcs: bool
@@ -458,7 +456,6 @@ class AssumptionChecklist:
     no_zero_indegree: bool
     terminal_adjacent_average_pair: bool
     no_solved_nodes: bool
-    single_scc_or_two_constants: bool
     single_nonterminal_scc: bool
 
     @property
@@ -470,7 +467,6 @@ class AssumptionChecklist:
             and self.no_zero_indegree
             and self.terminal_adjacent_average_pair
             and self.no_solved_nodes
-            and self.single_scc_or_two_constants
         )
 
     def items(self) -> list[tuple[str, bool]]:
@@ -481,14 +477,13 @@ class AssumptionChecklist:
             ("no in-degree-zero nodes", self.no_zero_indegree),
             ("average nodes adjacent to both terminals", self.terminal_adjacent_average_pair),
             ("no forced 0/1-valued nodes", self.no_solved_nodes),
-            ("single SCC or only terminal constants", self.single_scc_or_two_constants),
         ]
 
 
 def check_assumptions(g: Game) -> AssumptionChecklist:
     """Evaluate the full reduction checklist on a well-formed game."""
     t0, t1 = g.terminal0, g.terminal1
-    stopping = is_stopping(g)
+    stopping = g.stopping
 
     no_term_dec = True
     no_dup_self = True
@@ -528,9 +523,6 @@ def check_assumptions(g: Game) -> AssumptionChecklist:
         single = len(nodes) >= 2 or any(
             v in g.arcs_of(v) for v in nodes
         )
-    # Plain instances carry no constant nodes beyond the two terminals, so
-    # the either/or item holds even when the game is not a single SCC.
-    item7 = True
 
     return AssumptionChecklist(
         stopping=stopping,
@@ -539,6 +531,5 @@ def check_assumptions(g: Game) -> AssumptionChecklist:
         no_zero_indegree=no_zero_indegree,
         terminal_adjacent_average_pair=adjacent_pair,
         no_solved_nodes=no_solved,
-        single_scc_or_two_constants=item7,
         single_nonterminal_scc=single,
     )

@@ -124,7 +124,7 @@ def test_criterion_3_solver_cross_agreement():
         truth = solve_brute_force(g).values
         vi = solve_value_iteration(g, tol=1e-12)
         assert all(
-            abs(float(truth.value(i)) - vi.value(i)) <= 1e-9 for i in range(1, g.n + 1)
+            abs(float(truth.value(i)) - vi.values.value(i)) <= 1e-9 for i in range(1, g.n + 1)
         )
         for s in range(5):
             seed = derive_seed(MASTER, 3, index, s)

@@ -278,6 +278,101 @@ def test_cli_malformed_plan_exits_1_with_one_line(tmp_path, capsys, change):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# A fully reduced 17-node game (generate_instance(16, 4, 0, 5)) with ten
+# decision nodes, few enough for brute force.
+PINNED_INSTANCE = (
+    '{"n":17,"nodes":[{"id":1,"kind":"min","arcs":[10,3]},{"id":2,"kind":"max","arcs":[11,5]},{"id":3,"kind":"avg","arcs":[6,2]},{"id":4,"kind":"min","arcs":[13,1]},{"id":5,"kind":"min","arcs":[15,4]},{"id":6,"kind":"max","arcs":[10,13]},{"id":7,"kind":"max","arcs":[9,8]},{"id":8,"kind":"min","arcs":[12,14]},{"id":9,"kind":"max","arcs":[11,5]},{"id":10,"kind":"min","arcs":[14,12]},{"id":11,"kind":"avg","arcs":[15,17]},{"id":12,"kind":"avg","arcs":[17,11]},{"id":13,"kind":"max","arcs":[14,11]},{"id":14,"kind":"avg","arcs":[17,12]},{"id":15,"kind":"avg","arcs":[16,7]},{"id":16,"kind":"t0","arcs":[]},{"id":17,"kind":"t1","arcs":[]}]}\n'
+)
+
+# `stopgames solve --seed 3 --mode exact` on PINNED_INSTANCE.  Brute force
+# and value iteration take no seed, so theirs reads null; value iteration
+# always runs in float.
+PINNED_STDOUT = {
+    "hk": '{"algorithm": "hk", "seed": 3, "iterations": 2, "mode": "exact", "values": ["23/28", "5/7", "23/28", "23/28", "3/7", "13/14", "6/7", "6/7", "5/7", "6/7", "5/7", "6/7", "13/14", "13/14", "3/7", "0", "1"], "max_strategy": {"2": 0, "6": 1, "7": 1, "9": 0, "13": 0}, "min_strategy": {"1": 1, "4": 1, "5": 0, "8": 0, "10": 1}, "stable": true}',
+    "perm": '{"algorithm": "perm", "seed": 3, "iterations": 1, "mode": "exact", "values": ["23/28", "5/7", "23/28", "23/28", "3/7", "13/14", "6/7", "6/7", "5/7", "6/7", "5/7", "6/7", "13/14", "13/14", "3/7", "0", "1"], "max_strategy": {"2": 0, "6": 1, "7": 1, "9": 0, "13": 0}, "min_strategy": {"1": 1, "4": 1, "5": 0, "8": 0, "10": 1}, "stable": true}',
+    "bf": '{"algorithm": "bf", "seed": null, "iterations": 410, "mode": "exact", "values": ["23/28", "5/7", "23/28", "23/28", "3/7", "13/14", "6/7", "6/7", "5/7", "6/7", "5/7", "6/7", "13/14", "13/14", "3/7", "0", "1"], "max_strategy": {"2": 0, "6": 1, "7": 1, "9": 0, "13": 0}, "min_strategy": {"1": 1, "4": 1, "5": 0, "8": 0, "10": 1}, "stable": true}',
+    "vi": '{"algorithm": "vi", "seed": null, "iterations": 68, "mode": "float", "values": ["0.821428571427532", "0.7142857142853245", "0.8214285714279868", "0.8214285714266225", "0.428571428570649", "0.928571428570649", "0.8571428571422075", "0.8571428571426623", "0.7142857142853245", "0.8571428571426623", "0.7142857142853245", "0.8571428571426623", "0.9285714285711038", "0.9285714285713311", "0.428571428570649", "0.0", "1.0"], "stable": true}',
+}
+
+
+@pytest.mark.parametrize("algo", sorted(PINNED_STDOUT))
+def test_cli_solve_stdout_pinned(tmp_path, capsys, algo):
+    path = tmp_path / "game.json"
+    path.write_text(PINNED_INSTANCE)
+    assert main(["solve", "--algo", algo, "--seed", "3", "--mode", "exact", str(path)]) == 0
+    assert capsys.readouterr().out == PINNED_STDOUT[algo] + "\n"
+
+
+# Both players can keep play between nodes 1 and 2 forever; in the second
+# game an average node hangs off the cycle, so the permutation solver has
+# an average to order.
+NON_STOPPING = {
+    "max-min cycle": [
+        {"id": 1, "kind": "max", "arcs": [2, 4]},
+        {"id": 2, "kind": "min", "arcs": [1, 4]},
+        {"id": 3, "kind": "t0", "arcs": []},
+        {"id": 4, "kind": "t1", "arcs": []},
+    ],
+    "cycle with an average": [
+        {"id": 1, "kind": "max", "arcs": [2, 5]},
+        {"id": 2, "kind": "min", "arcs": [1, 3]},
+        {"id": 3, "kind": "avg", "arcs": [1, 5]},
+        {"id": 4, "kind": "t0", "arcs": []},
+        {"id": 5, "kind": "t1", "arcs": []},
+    ],
+}
+
+
+@pytest.mark.parametrize("algo", ["hk", "perm", "bf", "vi"])
+@pytest.mark.parametrize("name", sorted(NON_STOPPING))
+def test_cli_solve_rejects_non_stopping(tmp_path, capsys, algo, name):
+    path = tmp_path / "cycle.json"
+    nodes = NON_STOPPING[name]
+    path.write_text(json.dumps({"n": len(nodes), "nodes": nodes}))
+    assert main(["solve", "--algo", algo, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "requires a stopping game" in captured.err
+
+
+def test_cli_bench_rejects_non_stopping_instance_file(tmp_path, capsys):
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    nodes = NON_STOPPING["cycle with an average"]
+    (inst_dir / "s6_r4_i000.json").write_text(json.dumps({"n": len(nodes), "nodes": nodes}))
+    plan = BenchPlan(
+        sizes=[6],
+        ratios=[4],
+        instances_per_cell=1,
+        runs_per_instance=1,
+        algorithms=["bf", "vi"],
+        instances_dir=str(inst_dir),
+    )
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(plan.to_json())
+    csv_path = tmp_path / "records.csv"
+    assert main(["bench", "--plan", str(plan_path), "--out", str(csv_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not csv_path.exists()
+
+
+def test_cli_verify_prints_six_assumptions(tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text(PINNED_INSTANCE)
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("assumption ")] == [
+        "assumption pass: stopping",
+        "assumption pass: no max/min arcs to terminals",
+        "assumption pass: no duplicate or self arcs",
+        "assumption pass: no in-degree-zero nodes",
+        "assumption pass: average nodes adjacent to both terminals",
+        "assumption pass: no forced 0/1-valued nodes",
+    ]
+
+
 def test_cli_bench_and_summarize(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(small_plan().to_json())

@@ -159,3 +159,33 @@ def test_json_rejects_bad_instances():
     }
     with pytest.raises(ValueError):
         game_from_json(json.dumps(bad_kind))
+
+
+def test_game_decides_stopping_once(monkeypatch):
+    """A Game is immutable, so solving, reducing and checking it runs the
+    bad-core fixpoint once; a PartialGame is checked afresh each time."""
+    import stopgames.game as game_module
+    from stopgames import check_assumptions, reduce_game, solve_hoffman_karp
+
+    calls = []
+    original = game_module.find_bad_core
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(game_module, "find_bad_core", counting)
+    g = Game(MINIMAL.n, MINIMAL.kinds, MINIMAL.arcs)
+    for seed in range(3):
+        solve_hoffman_karp(g, seed)
+    reduce_game(g)
+    check_assumptions(g)
+    assert is_stopping(g)
+    assert len(calls) == 1 and calls[0] is g
+
+    pg = PartialGame([NodeKind.AVERAGE, NodeKind.TERMINAL0, NodeKind.TERMINAL1])
+    pg.add_arc(1, 1)
+    assert is_stopping(pg)
+    pg.add_arc(1, 1)
+    assert not is_stopping(pg)
+    assert len(calls) == 3 and calls[1] is calls[2] is pg

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,13 +12,14 @@ from stopgames import (
     apply_trivial_reductions,
     check_assumptions,
     find_terminal_valued,
+    game_from_json,
     generate_fully_reduced,
     merge_terminal_valued,
     reduce_game,
     scc_condense,
     validate_structure,
 )
-from stopgames.generate import RatioSpec
+from stopgames.generate import GenParams, RatioSpec, generate_basic
 from stopgames.reduce import find_terminal_valued_with_stats, replay_reduction
 
 MINIMAL = build_game([("avg", (2, 3))])
@@ -210,7 +213,6 @@ def test_check_assumptions_minimal_game():
     ck = check_assumptions(MINIMAL)
     assert ck.stopping
     assert not ck.terminal_adjacent_average_pair  # only one terminal-adjacent average
-    assert ck.single_scc_or_two_constants  # the two-constants branch carries it
     assert not ck.single_nonterminal_scc
     assert not ck.fully_reduced
 
@@ -226,3 +228,48 @@ def test_check_assumptions_on_fully_reduced_instance():
     ck = check_assumptions(g)
     assert ck.fully_reduced and ck.single_nonterminal_scc
     assert all(ok for _, ok in ck.items())
+
+
+@pytest.mark.parametrize("extra", ["t0", "t1"])
+def test_instance_format_admits_no_third_terminal(extra):
+    """The checklist carries no "single SCC or only the two terminal
+    constants" item because it cannot fail: an instance has no constant
+    nodes beyond its two terminals, and a third one is rejected."""
+    nodes = [
+        {"id": 1, "kind": extra, "arcs": []},
+        {"id": 2, "kind": "avg", "arcs": [3, 4]},
+        {"id": 3, "kind": "t0", "arcs": []},
+        {"id": 4, "kind": "t1", "arcs": []},
+    ]
+    with pytest.raises(ValueError, match=f"extra {extra[1]}-terminal at node 1"):
+        game_from_json(json.dumps({"n": 4, "nodes": nodes}))
+
+
+# sha256 of ReductionReport.to_json for reduce_game on basic 62-node games
+# (a = b = c = 20); between them the four runs fire all six rules and
+# delete in-degree-zero nodes.
+REPORT_SHA256 = {
+    35: "c211c339e8f4e2875eb7f9c544dfddb547cc06a35f291c881f985e26b36b2c27",
+    92: "b9612cd8352816994508c1354f1ae3028802970a5bd96fa0032b36636bef888f",
+    135: "3b70c24533f432517d8e2644191f121b710e7a260afbb1e04109e49f3eb467a3",
+    140: "099fcaf03ffea80e88a0d53a550a384de1241c059f610f386ddc49486488347b",
+}
+
+
+def test_report_json_pinned():
+    rules = set()
+    for seed, want in REPORT_SHA256.items():
+        g = generate_basic(GenParams(n=62, a=20, b=20, c=20, seed=seed))
+        _, report = reduce_game(g)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == want, seed
+        assert len(report.merges) + len(report.removed_zero_indegree) == len(report.events)
+        assert report.removed_zero_indegree
+        rules |= {rule for _, _, rule in report.merges}
+    assert rules == {
+        "terminal-arc",
+        "identical-arcs",
+        "self-arc",
+        "constant-collapse",
+        "one-valued",
+        "zero-valued",
+    }

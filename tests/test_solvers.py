@@ -25,7 +25,7 @@ from stopgames.bench import generate_instance
 from stopgames.generate import GenParams, Variant, generate_basic, ratio_counts
 from stopgames.reduce import scc_condense
 from stopgames.rng import Rng, derive_seed
-from stopgames.solve import _order_induced_pair, _value_iteration_detail
+from stopgames.solve import _order_induced_pair
 
 MINIMAL = build_game([("avg", (2, 3))])
 CHAIN = build_game([("avg", (2, 4)), ("avg", (3, 4))])
@@ -50,16 +50,19 @@ def test_brute_force_cap():
 
 
 def test_value_iteration_minimal():
-    v = solve_value_iteration(MINIMAL, tol=1e-12)
-    assert v.value(1) == pytest.approx(0.5, abs=1e-12)
+    res = solve_value_iteration(MINIMAL, tol=1e-12)
+    assert res.values.value(1) == pytest.approx(0.5, abs=1e-12)
+    assert res.algorithm == "vi" and res.seed is None and res.strategies is None
 
 
 def test_value_iteration_monotone_from_zero():
     for seed in (1, 7, 23):
         g = random_stopping_game(seed, max_nodes=10)
-        _, _, history = _value_iteration_detail(g, 1e-10, 100000, keep_history=True)
+        res = solve_value_iteration(g, 1e-10, 100000, keep_history=True)
+        history = res.value_history
+        assert len(history) == res.iterations + 1  # the zero start, then each sweep
         for prev, cur in zip(history, history[1:]):
-            assert all(c >= p - 1e-15 for p, c in zip(prev, cur))
+            assert all(c >= p - 1e-15 for p, c in zip(prev.values, cur.values))
 
 
 def test_hoffman_karp_without_max_nodes_single_iteration():
@@ -110,7 +113,7 @@ def test_solvers_agree_small_batch():
             )
         vi = solve_value_iteration(g, tol=1e-12)
         assert all(
-            abs(float(want.value(i)) - vi.value(i)) <= 1e-9 for i in range(1, g.n + 1)
+            abs(float(want.value(i)) - vi.values.value(i)) <= 1e-9 for i in range(1, g.n + 1)
         )
 
 
