@@ -149,8 +149,11 @@ class PartialGame:
     def parents(self) -> list[list[int]]:
         return self._parents
 
-    def freeze(self) -> Game:
-        g = Game(self.n, tuple(self.kinds), tuple(tuple(a) for a in self.arcs))
+    def freeze(self, stopping: bool = False) -> Game:
+        """The finished game; ``stopping=True`` builds it with the stopping
+        flag set, for a builder that kept the bad core empty."""
+        make = stopping_game if stopping else Game
+        g = make(self.n, tuple(self.kinds), tuple(tuple(a) for a in self.arcs))
         problems = validate_structure(g)
         if problems:
             raise ValueError("incomplete game: " + "; ".join(problems))
@@ -249,6 +252,20 @@ def is_stopping(g) -> bool:
     change, so it is checked afresh.
     """
     return g.stopping if isinstance(g, Game) else not find_bad_core(g)
+
+
+def stopping_game(n: int, kinds, arcs) -> Game:
+    """A ``Game`` known to be stopping from how it was built: its cached
+    ``stopping`` flag is set, so ``find_bad_core`` never runs on it.
+
+    Only for games stopping by construction: generator output, and games
+    derived from a stopping game by the trivial rules and the 0/1 merges,
+    which only move arcs onto targets play could already reach from there
+    or onto the terminals, and delete nodes.
+    """
+    g = Game(n, kinds, arcs)
+    g.__dict__["stopping"] = True
+    return g
 
 
 def require_stopping(g: Game, what: str) -> None:

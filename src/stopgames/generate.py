@@ -372,7 +372,7 @@ def _build_basic(p: GenParams, rng: Rng) -> Game | None:
     _complete_average_arcs(pg, rng)
     if not _assign_second_arcs_decisions(pg, rng, prefer_zero_indegree=False):
         return None
-    return pg.freeze()
+    return pg.freeze(stopping=True)  # valid second arcs keep the bad core empty
 
 
 def generate_basic(p: GenParams) -> Game:
@@ -450,7 +450,7 @@ def generate_reduced(p: GenParams, merge: bool = True) -> Game:
     for attempt in range(256):
         pg = _build_modified(p, Rng(derive_seed(p.seed, attempt)))
         if pg is not None:
-            g = pg.freeze()
+            g = pg.freeze(stopping=True)  # valid second arcs keep the bad core empty
             if not merge:
                 return g
             reduced, _ = merge_terminal_valued(g)

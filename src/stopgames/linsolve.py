@@ -4,13 +4,19 @@ Strategy-fixed game evaluation reduces to ``A v = b`` where row i reads
 ``2*v_i - v_j - v_k = const`` over the average nodes only, so A is sparse
 with tiny integer entries.  Two solvers share that input shape:
 
-* ``solve_exact`` returns Fractions.  Small systems go through dense
-  rational elimination; larger ones are solved modulo several 31-bit
-  primes, combined by CRT, and lifted back to rationals, which is orders
-  of magnitude faster than rational pivoting.  Every exact solution is
-  verified by substituting into the sparse rows, and any failure falls
-  back to the always-correct rational elimination, so the fast path can
-  never return a wrong answer silently.
+* ``solve_exact`` returns Fractions.  A system with more than eight
+  unknowns and an integer right-hand side is solved by Dixon's p-adic
+  lifting: A is inverted once modulo a prime p below 2**23, and each
+  lifting step then costs one matrix-vector product mod p and an update
+  of a small integer residual.  Every other step the p-adic approximation
+  is turned into numerators over one common denominator d, and the answer
+  is returned only once ``A·N == d·b`` holds exactly in integers.  Past
+  the Hadamard bound on Cramer's-rule numerators and denominators the
+  reconstruction cannot miss, so lifting that goes that far without a
+  verified answer raises ``SingularSystemError``.  A matrix singular
+  modulo both fixed primes, small systems and Fraction right-hand sides
+  go through dense rational elimination, which raises on a truly
+  singular system.
 
 * ``solve_float`` returns float64 values with one step of iterative
   refinement and a residual guarantee.
@@ -22,7 +28,7 @@ right-hand side may mix ints and Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, prod
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -32,43 +38,6 @@ from scipy.sparse.linalg import splu
 class SingularSystemError(RuntimeError):
     """The value system had no unique solution; impossible for well-formed
     stopping-game evaluations, so this signals a caller bug."""
-
-
-def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin, valid far beyond 2**64.
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes_below_2_31(count: int) -> list[int]:
-    out = []
-    candidate = (1 << 31) - 1
-    while len(out) < count:
-        if _is_prime(candidate):
-            out.append(candidate)
-        candidate -= 2
-    return out
-
-
-_PRIMES = _primes_below_2_31(40)
 
 
 def _gauss_fractions(rows, rhs) -> list[Fraction]:
@@ -104,122 +73,124 @@ def _gauss_fractions(rows, rhs) -> list[Fraction]:
     return x
 
 
-class _BadPrime(Exception):
-    pass
+# The two largest primes below 2**23.  Reduced residues stay below 2**23,
+# so a sum of a products of two of them fits int64 for a < 2**17.
+_LIFT_PRIMES = (8388593, 8388587)
 
 
-def _solve_mod_prime(dense_a: np.ndarray, dense_b: np.ndarray, p: int) -> np.ndarray:
-    """Gaussian elimination of [A|b] over GF(p) with int64 arithmetic.
+def _inverse_mod(dense_a: np.ndarray, p: int) -> np.ndarray | None:
+    """A^-1 mod p by in-place Gauss-Jordan elimination over GF(p); None
+    when A is singular mod p.
 
-    Entries stay below 2**31 so products fit int64; sums of reduced
-    products stay far below 2**63.
+    Reduction mod p is delayed: each step reduces only the pivot row and
+    column and adds less than 2**46 to any other entry, so int64 holds
+    every entry for a < 2**17.  Each rank-1 update touches only the rows
+    where the pivot column is nonzero, which stay few on value systems.
     """
     a = dense_a.shape[0]
-    m = np.concatenate([dense_a % p, (dense_b % p)[:, None]], axis=1).astype(np.int64)
+    m = dense_a % p
+    swaps = []
     for k in range(a):
-        nz = np.nonzero(m[k:, k])[0]
-        if nz.size == 0:
-            raise _BadPrime
-        piv = k + int(nz[0])
-        if piv != k:
+        col = m[:, k] % p
+        if not col[k]:
+            nz = np.flatnonzero(col[k:])
+            if nz.size == 0:
+                return None
+            piv = k + int(nz[0])
             m[[k, piv]] = m[[piv, k]]
-        inv = pow(int(m[k, k]), p - 2, p)
-        m[k, k:] = m[k, k:] * inv % p
-        below = m[k + 1 :, k]
-        if below.size:
-            m[k + 1 :, k:] = (m[k + 1 :, k:] - below[:, None] * m[k, k:][None, :]) % p
-    x = np.zeros(a, dtype=np.int64)
-    for k in range(a - 1, -1, -1):
-        tail = int((m[k, k + 1 : a] * x[k + 1 :] % p).sum())
-        x[k] = (int(m[k, a]) - tail) % p
-    return x
+            col[[k, piv]] = col[[piv, k]]
+            swaps.append((k, piv))
+        inv = pow(int(col[k]), -1, p)
+        row = m[k] % p * inv % p
+        row[k] = inv
+        col[k] = 0
+        m[:, k] = 0
+        rows = col.nonzero()[0]
+        m[rows] -= col[rows, None] * row
+        m[k] = row
+    m %= p
+    # Row swaps of A are column swaps of its inverse, undone in reverse.
+    for k, piv in reversed(swaps):
+        m[:, [k, piv]] = m[:, [piv, k]]
+    return m
 
 
-def _crt(residues: list[np.ndarray], primes: list[int]) -> tuple[list[int], int]:
-    xs = [int(r) for r in residues[0]]
-    modulus = primes[0]
-    for res, p in zip(residues[1:], primes[1:]):
-        inv = pow(modulus % p, p - 2, p)
-        for i in range(len(xs)):
-            diff = (int(res[i]) - xs[i]) % p
-            xs[i] += modulus * (diff * inv % p)
-        modulus *= p
-    return xs, modulus
+def _reconstruct(xs, modulus: int) -> tuple[list[int], int] | None:
+    """Numerators N and one denominator d with ``N ≡ d·xs (mod modulus)``;
+    None when no fit is found.
+
+    Each component, scaled by the d found so far, must come out at most
+    bound = sqrt(modulus / 2) in absolute value, or else be lifted by
+    extended Euclid to n/e with |n| and d·e at most bound; e then
+    multiplies d and the numerators before it.
+    """
+    bound = isqrt((modulus - 1) // 2)
+    half = modulus // 2
+    den = 1
+    nums: list[int] = []
+    for x in xs:
+        y = x * den % modulus
+        if y > half:
+            y -= modulus
+        if abs(y) > bound:
+            r0, r1, t0, t1 = modulus, y % modulus, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1 = r1, r0 - q * r1
+                t0, t1 = t1, t0 - q * t1
+            e = abs(t1)
+            if den * e > bound:
+                return None
+            y = r1 if t1 > 0 else -r1
+            nums = [v * e for v in nums]
+            den *= e
+        nums.append(y)
+    return nums, den
 
 
-def _rational_reconstruct(x: int, modulus: int, bound: int):
-    """Extended-Euclid lift of ``x mod modulus`` to num/den with both
-    bounded by ``bound``; None when no such fraction exists."""
-    r0, t0 = modulus, 0
-    r1, t1 = x % modulus, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if t1 == 0 or abs(t1) > bound:
-        return None
-    num, den = r1, t1
-    if den < 0:
-        num, den = -num, -den
-    g = gcd(num, den)
-    if g > 1:
-        num //= g
-        den //= g
-    if gcd(den, modulus) != 1:
-        return None
-    return Fraction(num, den)
-
-
-def _verify(rows, rhs, x) -> bool:
-    for row, b in zip(rows, rhs):
-        acc = Fraction(0)
-        for j, c in row.items():
-            if c:
-                acc += c * x[j]
-        if acc != b:
-            return False
-    return True
-
-
-def _solve_modular(rows, rhs) -> list[Fraction] | None:
+def _solve_dixon(rows, rhs: list[int]) -> list[Fraction] | None:
+    """Dixon p-adic lifting; None when A is singular modulo both primes."""
     a = len(rows)
     dense_a = np.zeros((a, a), dtype=np.int64)
     for i, row in enumerate(rows):
         for j, c in row.items():
             dense_a[i, j] = c
-    dense_b = np.array(rhs, dtype=np.int64)
-
-    # Hadamard-style bound on solution numerators/denominators: row norms
-    # of A with the worst-case column swapped for b.
-    bound_sq = 1
-    for i, row in enumerate(rows):
-        norm = sum(c * c for c in row.values()) + int(rhs[i]) ** 2
-        bound_sq *= max(norm, 1)
-    bound = isqrt(bound_sq) + 1
-    need = 2 * bound * bound
-
-    residues: list[np.ndarray] = []
-    primes: list[int] = []
-    modulus = 1
-    for p in _PRIMES:
-        if modulus > need:
+    for p in _LIFT_PRIMES:
+        inverse = _inverse_mod(dense_a, p)
+        if inverse is not None:
             break
-        try:
-            residues.append(_solve_mod_prime(dense_a, dense_b, p))
-        except _BadPrime:
-            continue
-        primes.append(p)
-        modulus *= p
-    if modulus <= need:
+    else:
         return None
-    xs, modulus = _crt(residues, primes)
-    out = []
-    for v in xs:
-        f = _rational_reconstruct(v, modulus, bound)
-        if f is None:
-            return None
-        out.append(f)
-    return out
+
+    # Hadamard bound: bound_sq, the product of the squared row norms of
+    # [A | b], bounds the square of the determinant and of every Cramer's-
+    # rule numerator.  Past a modulus of 2*bound_sq reconstruction cannot
+    # miss.
+    bound_sq = prod(n + b * b for n, b in zip((dense_a * dense_a).sum(axis=1).tolist(), rhs))
+    ceiling = 2 * bound_sq
+
+    residual = np.array(rhs, dtype=np.int64)
+    xs = np.zeros(a, dtype=object)
+    modulus = 1
+    step = 0
+    while True:
+        digit = inverse @ (residual % p) % p
+        residual = (residual - dense_a @ digit) // p
+        xs += digit.astype(object) * modulus
+        modulus *= p
+        step += 1
+        past_bound = modulus > ceiling
+        if step % 2 == 0 or past_bound:
+            found = _reconstruct(xs, modulus)
+            if found is not None:
+                nums, den = found
+                if all(
+                    sum(c * nums[j] for j, c in row.items()) == den * b
+                    for row, b in zip(rows, rhs)
+                ):
+                    return [Fraction(v, den) for v in nums]
+            if past_bound:
+                raise SingularSystemError("no verified solution within the Hadamard bound")
 
 
 def solve_exact(rows, rhs) -> list[Fraction]:
@@ -229,9 +200,8 @@ def solve_exact(rows, rhs) -> list[Fraction]:
         return []
     integral = all(isinstance(b, int) or getattr(b, "denominator", 0) == 1 for b in rhs)
     if a > 8 and integral:
-        int_rhs = [int(b) for b in rhs]
-        x = _solve_modular(rows, int_rhs)
-        if x is not None and _verify(rows, int_rhs, x):
+        x = _solve_dixon(rows, [int(b) for b in rhs])
+        if x is not None:
             return x
     return _gauss_fractions(rows, rhs)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .game import Game, NodeKind, require_stopping
+from .game import Game, NodeKind, require_stopping, stopping_game
 
 
 class Polarity(Enum):
@@ -64,9 +64,14 @@ class ReductionReport:
 
 
 class _Work:
-    """Tombstone view of a game under reduction; ids stay original."""
+    """Tombstone view of a game under reduction; ids stay original.
 
-    def __init__(self, g: Game):
+    ``stopping`` says the original game is known to be stopping; the rules
+    keep it so, and the games materialized from it are built stopping.
+    """
+
+    def __init__(self, g: Game, stopping: bool = False):
+        self.stopping = stopping
         self.n = g.n
         self.t0 = g.terminal0
         self.t1 = g.terminal1
@@ -197,7 +202,8 @@ class _Work:
         arcs = tuple(
             tuple(renumber[t] for t in self.arcs[i - 1]) for i in survivors
         )
-        return Game(len(survivors), kinds, arcs), renumber
+        make = stopping_game if self.stopping else Game
+        return make(len(survivors), kinds, arcs), renumber
 
     def finish(self) -> tuple[Game, ReductionReport]:
         game, renumber = self.materialize()
@@ -276,7 +282,7 @@ def merge_terminal_valued(g: Game) -> tuple[Game, ReductionReport]:
     node into the 0-terminal, then renumber the survivors stably."""
     one = find_terminal_valued(g, Polarity.ONE)
     zero = find_terminal_valued(g, Polarity.ZERO)
-    work = _Work(g)
+    work = _Work(g, stopping=True)
     for v in sorted(one - {g.terminal1}):
         work.merge(v, g.terminal1, "one-valued")
     for v in sorted(zero - {g.terminal0}):
@@ -288,7 +294,7 @@ def reduce_game(g: Game) -> tuple[Game, ReductionReport]:
     """Full pipeline: trivial rules, terminal-valued merges (which can
     expose new trivial reductions), then trivial rules again."""
     require_stopping(g, "the reduction pipeline")
-    work = _Work(g)
+    work = _Work(g, stopping=True)
     work.run_trivial()
     snap, renumber = work.materialize()
     if snap.n > 2:

@@ -98,7 +98,7 @@ def test_exact_and_float_agree():
 
 
 def test_exact_and_float_agree_midsize():
-    # a few hundred nodes, enough averages to exercise the modular path
+    # a few hundred nodes, enough averages for the p-adic lifting path
     from stopgames.generate import RatioSpec, generate_fully_reduced
 
     for size, ratio in ((256, 8), (500, 4)):

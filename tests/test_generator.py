@@ -189,10 +189,8 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_generator_bytes_pinned():
-    """Instances over a fixed grid hash as recorded from the generator
-    that searched valid arcs by an ancestor peel (generator_sha256.json)."""
-    pinned = json.loads((Path(__file__).parent / "generator_sha256.json").read_text())
+def _grid_texts() -> dict[str, str]:
+    """Canonical text of every instance on the fixed 144-cell grid."""
     got = {}
     for size in (12, 24, 48, 100, 200):
         for ratio in (1, 4, 8):
@@ -200,17 +198,58 @@ def test_generator_bytes_pinned():
             for i in range(3):
                 seed = derive_seed(41, size, ratio, i)
                 basic = generate_basic(GenParams(a + b + c + 2, a, b, c, seed))
-                got[f"basic {size} {ratio} {i}"] = _sha256(game_to_json(basic))
+                got[f"basic {size} {ratio} {i}"] = game_to_json(basic)
                 modified = generate_reduced(GenParams(a + b + c + 2, a, b, c, seed, Variant.MODIFIED), merge=False)
-                got[f"modified {size} {ratio} {i}"] = _sha256(game_to_json(modified))
+                got[f"modified {size} {ratio} {i}"] = game_to_json(modified)
     for size, count in ((16, 3), (32, 3), (64, 3), (128, 3), (256, 2), (512, 2), (1024, 2)):
         for ratio in (1, 4, 8):
             for i in range(count):
                 g, meta = generate_fully_reduced(RatioSpec(size, ratio), derive_seed(43, size, ratio, i))
-                text = game_to_json(g) + json.dumps(meta.as_dict(), sort_keys=True)
-                got[f"full {size} {ratio} {i}"] = _sha256(text)
+                got[f"full {size} {ratio} {i}"] = game_to_json(g) + json.dumps(meta.as_dict(), sort_keys=True)
+    return got
+
+
+def test_generator_bytes_pinned():
+    """Instances over a fixed grid hash as recorded from the generator
+    that searched valid arcs by an ancestor peel (generator_sha256.json)."""
+    pinned = json.loads((Path(__file__).parent / "generator_sha256.json").read_text())
+    got = {key: _sha256(text) for key, text in _grid_texts().items()}
     assert sorted(got) == sorted(pinned)
     assert [key for key in pinned if got[key] != pinned[key]] == []
+
+
+def test_games_built_stopping_are_stopping(monkeypatch):
+    """Every game built with its stopping flag set, by the generators
+    (each frozen and each 0/1-merged game of every attempt) and by
+    ``reduce_game`` (the post-trivial snapshot and the result), has an
+    empty bad core: over the 144-cell grid and on reduced desk-scale
+    games."""
+    import stopgames.game as game_module
+    from stopgames import reduce as reduce_module
+    from stopgames import reduce_game
+
+    built = []
+    original = game_module.stopping_game
+
+    def recording(n, kinds, arcs):
+        g = original(n, kinds, arcs)
+        built.append(g)
+        return g
+
+    monkeypatch.setattr(game_module, "stopping_game", recording)
+    monkeypatch.setattr(reduce_module, "stopping_game", recording)
+    _grid_texts()
+    grid_built = len(built)
+    for ratio in (1, 8):
+        a, b, c = ratio_counts(128, ratio)
+        for i in range(3):
+            basic = generate_basic(GenParams(a + b + c + 2, a, b, c, derive_seed(45, ratio, i)))
+            reduced, _ = reduce_game(basic)
+            assert reduced.n < basic.n
+            reduce_game(generate_fully_reduced(RatioSpec(128, ratio), derive_seed(46, ratio, i))[0])
+    assert grid_built >= 144 and len(built) > grid_built + 12
+    assert all(g.stopping is True for g in built)
+    assert [g for g in built if find_bad_core(g)] == []
 
 
 @pytest.mark.parametrize("parts, collapsed_attempt, retries", [((7, 128, 1), 1, 2), ((7, 128, 1, 233), 4, 10)])

@@ -3,7 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stopgames import linsolve
 from stopgames.linsolve import (
+    _LIFT_PRIMES,
     SingularSystemError,
     _gauss_fractions,
     solve_exact,
@@ -115,3 +117,66 @@ def test_singular_system_raises():
     rows = [{0: 1, 1: 1}, {0: 1, 1: 1}]
     with pytest.raises(SingularSystemError):
         solve_float(rows, [1, 2])
+
+
+def _dense(rows):
+    dense = np.zeros((len(rows), len(rows)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            dense[i, j] = c
+    return dense
+
+
+def _with_blocks(blocks, rows, rhs):
+    """Block-diagonal system: 2x2 blocks [[q+1, 1], [1, 1]] of determinant
+    q, one per entry of ``blocks``, then ``rows`` shifted past them."""
+    out_rows, out_rhs = [], []
+    for q in blocks:
+        k = len(out_rows)
+        out_rows += [{k: q + 1, k + 1: 1}, {k: 1, k + 1: 1}]
+        out_rhs += [1, 2]
+    k = len(out_rows)
+    out_rows += [{j + k: c for j, c in row.items()} for row in rows]
+    return out_rows, out_rhs + list(rhs)
+
+
+def test_exact_lifting_retries_second_prime_then_rational_elimination():
+    """A determinant divisible by the first prime makes the lifting use the
+    second; divisible by both, the system goes to rational elimination."""
+    first, second = _LIFT_PRIMES
+    rows, rhs = random_system(Rng(77), 12)
+    one_bad = _with_blocks([first], rows, rhs)
+    assert linsolve._inverse_mod(_dense(one_bad[0]), first) is None
+    assert linsolve._inverse_mod(_dense(one_bad[0]), second) is not None
+    assert linsolve._solve_dixon(*one_bad) is not None
+    assert solve_exact(*one_bad) == _gauss_fractions(*one_bad)
+
+    both_bad = _with_blocks([first, second], rows, rhs)
+    assert linsolve._solve_dixon(*both_bad) is None
+    assert solve_exact(*both_bad) == _gauss_fractions(*both_bad)
+
+
+@pytest.mark.parametrize("scale", [1, _LIFT_PRIMES[0] ** 2], ids=["unit", "p-squared"])
+def test_exact_lifting_long_chain_of_averages(scale):
+    """x_i = (x_{i+1} + c_i) / 2 down a chain of 320 averages: the common
+    denominator is 2**320, so lifting runs for about 28 steps.  Scaled by
+    p**2, the first two p-adic digits are zero, so the reconstruction after
+    two steps is the zero vector, which the integer check must reject."""
+    rng = Rng(78)
+    a = 320
+    consts = [scale * rng.randbelow(2) for _ in range(a)]
+    rows = [{i: 2, i + 1: -1} for i in range(a - 1)] + [{a - 1: 2}]
+    expected = [Fraction(0)] * a
+    nxt = Fraction(0)
+    for i in range(a - 1, -1, -1):
+        nxt = expected[i] = (nxt + consts[i]) / 2
+    x = solve_exact(rows, consts)
+    assert x == expected
+    assert max(v.denominator for v in x).bit_length() > 300
+
+
+def test_exact_singular_system_raises():
+    rows, rhs = random_system(Rng(79), 12)
+    rows[1], rhs[1] = dict(rows[0]), rhs[0]
+    with pytest.raises(SingularSystemError):
+        solve_exact(rows, rhs)

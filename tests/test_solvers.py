@@ -1,5 +1,8 @@
+import hashlib
+import json
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import build_game, random_stopping_game
@@ -25,7 +28,7 @@ from stopgames.bench import generate_instance
 from stopgames.generate import GenParams, Variant, generate_basic, ratio_counts
 from stopgames.reduce import scc_condense
 from stopgames.rng import Rng, derive_seed
-from stopgames.solve import _order_induced_pair
+from stopgames.solve import SOLVERS, _order_induced_pair
 
 MINIMAL = build_game([("avg", (2, 3))])
 CHAIN = build_game([("avg", (2, 4)), ("avg", (3, 4))])
@@ -319,3 +322,24 @@ def test_permutation_cycle_fails_fast_bench_instance(mode):
     g, _ = generate_instance(128, 4, 8, 4186076261459491109)
     with pytest.raises(EvaluationContractError, match="pass 12 repeats the order of pass 10"):
         solve_permutation_improvement(g, 2724478665962015742, mode)
+
+
+def test_exact_outputs_pinned():
+    """Exact HK and perm values (sha256 of one ``num/den`` line per node)
+    and iteration counts on 12 benchmark instances, as recorded from the
+    solver that combined per-prime eliminations by CRT (exact_sha256.json)."""
+    pinned = json.loads((Path(__file__).parent / "exact_sha256.json").read_text())
+    master = 2738034203069476102
+    got = {}
+    for size in (64, 128):
+        for ratio in (1, 4, 8):
+            for i in (0, 1):
+                g, _ = generate_instance(size, ratio, i, master)
+                for algo in ("hk", "perm"):
+                    r = SOLVERS[algo](g, derive_seed(master, size, ratio, i), EXACT)
+                    text = "".join(f"{v.numerator}/{v.denominator}\n" for v in r.values.values)
+                    got[f"{algo} {size} {ratio} {i}"] = {
+                        "iterations": r.iterations,
+                        "values_sha256": hashlib.sha256(text.encode()).hexdigest(),
+                    }
+    assert got == pinned
