@@ -6,6 +6,13 @@ terminal at all are set to zero; the remaining max/min nodes just copy
 their chosen successor, so the whole system collapses to a small linear
 system over the average nodes.  Both the exact-rational and the float64
 paths share that reduction.
+
+An evaluation reads the game's cached layout (``Game.code``,
+``Game.parents()`` and the node tuples of each kind) and builds, per
+strategy pair, one successor array, one breadth-first walk back from
+the terminals over the parent lists, and two per-node arrays: the column
+of the unknown average a node's value equals, or else its constant.
+Only the solved unknowns are range-checked, once each.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import linsolve
-from .game import Game, NodeKind, require_stopping
+from .game import AVG, Game, NodeKind, require_stopping
 
 EXACT = "exact"
 FLOAT = "float"
@@ -34,10 +41,6 @@ class Player(Enum):
     MAX = "max"
     MIN = "min"
 
-    @property
-    def node_kind(self) -> NodeKind:
-        return NodeKind.MAX if self is Player.MAX else NodeKind.MIN
-
 
 @dataclass(frozen=True)
 class Strategy:
@@ -48,9 +51,6 @@ class Strategy:
 
     player: Player
     choice: dict[int, int]
-
-    def target(self, g: Game, i: int) -> int:
-        return g.arcs_of(i)[self.choice[i]]
 
 
 @dataclass(frozen=True)
@@ -70,32 +70,33 @@ class ValueVector:
     def value(self, i: int):
         return self.values[i - 1]
 
-    def as_floats(self) -> list[float]:
-        return [float(v) for v in self.values]
+
+def _owned(g: Game, player: Player) -> tuple[int, ...]:
+    return g.max_nodes if player is Player.MAX else g.min_nodes
 
 
 def random_strategy(g: Game, player: Player, rng) -> Strategy:
     """Uniform strategy; one bit per owned node in ascending id order."""
-    return Strategy(
-        player, {i: rng.randbelow(2) for i in g.nodes_of_kind(player.node_kind)}
-    )
+    return Strategy(player, {i: rng.randbelow(2) for i in _owned(g, player)})
 
 
 def first_arc_strategy(g: Game, player: Player) -> Strategy:
-    return Strategy(player, {i: 0 for i in g.nodes_of_kind(player.node_kind)})
+    return Strategy(player, {i: 0 for i in _owned(g, player)})
 
 
-def _check_pair(g: Game, sp: StrategyPair) -> dict[int, int]:
-    chosen: dict[int, int] = {}
-    for strat, kind in ((sp.sigma, NodeKind.MAX), (sp.tau, NodeKind.MIN)):
-        owned = g.nodes_of_kind(kind)
+def _successors(g: Game, sp: StrategyPair) -> list[int]:
+    """``succ[i]`` is the chosen target of max/min node i, 0 elsewhere;
+    ``ValueError`` unless each strategy covers exactly its player's nodes
+    with 0/1 choices."""
+    succ = [0] * (g.n + 1)
+    for name, strat, owned in (("max", sp.sigma, g.max_nodes), ("min", sp.tau, g.min_nodes)):
         if set(strat.choice) != set(owned):
-            raise ValueError(f"{kind.value} strategy must cover exactly {owned}")
+            raise ValueError(f"{name} strategy must cover exactly {list(owned)}")
         for i, c in strat.choice.items():
             if c not in (0, 1):
                 raise ValueError(f"choice for node {i} must be 0 or 1, got {c}")
-            chosen[i] = g.arcs_of(i)[c]
-    return chosen
+            succ[i] = g.arcs[i - 1][c]
+    return succ
 
 
 def reachable_to_terminal(g: Game, sp: StrategyPair) -> set[int]:
@@ -104,29 +105,24 @@ def reachable_to_terminal(g: Game, sp: StrategyPair) -> set[int]:
     Max/min nodes follow their single chosen arc, average nodes keep both.
     Computed by backward reachability from the terminals.
     """
-    return _backward_reach(g, _check_pair(g, sp), {g.terminal0, g.terminal1})
+    return set(_reach_order(g, _successors(g, sp), (g.terminal0, g.terminal1)))
 
 
-def _backward_reach(g: Game, chosen: dict[int, int], targets: set[int]) -> set[int]:
-    rev: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for i in range(1, g.n + 1):
-        if i in targets:
-            continue
-        kind = g.kind(i)
-        if kind.is_terminal:
-            continue
-        outs = (chosen[i],) if kind.is_decision else g.arcs_of(i)
-        for t in outs:
-            rev[t].append(i)
-    reach = set(targets)
-    stack = list(targets)
-    while stack:
-        u = stack.pop()
-        for p in rev[u]:
-            if p not in reach:
-                reach.add(p)
-                stack.append(p)
-    return reach
+def _reach_order(g: Game, succ: list[int], roots) -> list[int]:
+    """The roots and every node with a path to one in the strategy
+    subgraph, breadth first over the game's parents: a max/min node comes
+    after its chosen successor, through which it was reached."""
+    code, parents = g.code, g.parents()
+    seen = [False] * (g.n + 1)
+    order = list(roots)
+    for u in order:
+        seen[u] = True
+    for u in order:  # FIFO: the list grows while it is walked
+        for p in parents[u]:
+            if not seen[p] and (code[p] == AVG or succ[p] == u):
+                seen[p] = True
+                order.append(p)
+    return order
 
 
 def evaluate_strategy_pair(
@@ -146,92 +142,58 @@ def evaluate_strategy_pair(
     """
     if mode not in (EXACT, FLOAT):
         raise ValueError(f"unknown mode {mode!r}")
-    chosen = _check_pair(g, sp)
-    n = g.n
-    fixed: dict[int, Fraction] = {g.terminal0: Fraction(0), g.terminal1: Fraction(1)}
-    if fixed_values:
-        for i, v in fixed_values.items():
-            fixed[i] = Fraction(v)
+    succ = _successors(g, sp)
+    n, code, arcs = g.n, g.code, g.arcs
+    # Every node's value is a constant or the value of one unknown average
+    # node: col[i] is that average's column and -1 for a constant, which
+    # const[i] then holds (0 for nodes that cannot reach a fixed node).
+    col = [-1] * (n + 1)
+    const: list = [0] * (n + 1)
+    const[g.terminal1] = 1
+    fixed = {g.terminal0, g.terminal1}
+    for i, v in (fixed_values or {}).items():
+        const[i] = Fraction(v)
+        fixed.add(i)
+    reached = _reach_order(g, succ, fixed)[len(fixed):]
+    unknown_avg = sorted([u for u in reached if code[u] == AVG])
+    for pos, u in enumerate(unknown_avg):
+        col[u] = pos
+    for u in reached:  # each max/min node after the successor it copies
+        s = succ[u]
+        if s:
+            col[u], const[u] = col[s], const[s]
 
-    reach = _backward_reach(g, chosen, set(fixed))
-    known: dict[int, Fraction] = dict(fixed)
-    for i in range(1, n + 1):
-        if i not in reach:
-            known[i] = Fraction(0)
-
-    # Collapse max/min alias chains onto their first known or average node.
-    resolved: dict[int, tuple] = {}
-
-    def resolve(i: int) -> tuple:
-        path = []
-        cur = i
-        while True:
-            if cur in resolved:
-                res = resolved[cur]
-                break
-            if cur in known:
-                res = ("const", known[cur])
-                break
-            if g.kind(cur) is NodeKind.AVERAGE:
-                res = ("var", cur)
-                break
-            path.append(cur)
-            cur = chosen[cur]
-            if len(path) > n:
-                raise EvaluationContractError("alias chain failed to terminate")
-        for p in path:
-            resolved[p] = res
-        return res
-
-    unknown_avg = [
-        i for i in range(1, n + 1) if g.kind(i) is NodeKind.AVERAGE and i not in known
-    ]
-    index = {u: pos for pos, u in enumerate(unknown_avg)}
     rows: list[dict[int, int]] = []
-    rhs: list[Fraction] = []
+    rhs: list = []
     for u in unknown_avg:
-        row = {index[u]: 2}
-        const = Fraction(0)
-        for child in g.arcs_of(u):
-            tag, val = resolve(child)
-            if tag == "const":
-                const += val
+        row = {col[u]: 2}
+        b = 0
+        for child in arcs[u - 1]:
+            c = col[child]
+            if c < 0:
+                b += const[child]
             else:
-                col = index[val]
-                row[col] = row.get(col, 0) - 1
+                row[c] = row.get(c, 0) - 1
         rows.append(row)
-        rhs.append(const)
+        rhs.append(b)
 
+    # Only the solved unknowns can leave [0, 1]; every alias shares the
+    # checked value.
     if mode == EXACT:
         solution = linsolve.solve_exact(rows, rhs)
+        for x in solution:
+            if not 0 <= x <= 1:
+                raise EvaluationContractError(f"exact value {x} outside [0, 1]")
     else:
-        solution = linsolve.solve_float(rows, rhs)
-
-    values: list = [None] * n
-    for i in range(1, n + 1):
-        if i in known:
-            values[i - 1] = known[i]
-        elif g.kind(i) is NodeKind.AVERAGE:
-            values[i - 1] = solution[index[i]]
-        else:
-            tag, val = resolve(i)
-            values[i - 1] = val if tag == "const" else solution[index[val]]
-
-    if mode == EXACT:
-        for v in values:
-            if not 0 <= v <= 1:
-                raise EvaluationContractError(f"exact value {v} outside [0, 1]")
-        return ValueVector(tuple(values), EXACT)
-
-    out = []
-    for v in values:
-        f = float(v)
-        if f < 0.0 or f > 1.0:
-            if f < -1e-9 or f > 1.0 + 1e-9:
-                raise EvaluationContractError(f"float value {f} outside [0, 1]")
-            f = min(max(f, 0.0), 1.0)
-        out.append(f)
-    return ValueVector(tuple(out), FLOAT)
+        solution = linsolve.solve_float(rows, rhs).tolist()
+        for pos, f in enumerate(solution):
+            if f < 0.0 or f > 1.0:
+                if f < -1e-9 or f > 1.0 + 1e-9:
+                    raise EvaluationContractError(f"float value {f} outside [0, 1]")
+                solution[pos] = min(max(f, 0.0), 1.0)
+    as_value = Fraction if mode == EXACT else float
+    values = [solution[c] if c >= 0 else as_value(k) for c, k in zip(col, const)]
+    return ValueVector(tuple(values[1:]), mode)
 
 
 def _local_value(kind: NodeKind, a, b):
@@ -277,7 +239,7 @@ def switchable_set(
         margin = 0 if v.mode == EXACT else DEFAULT_SWITCH_MARGIN
     vals = v.values
     out = set()
-    for i in g.nodes_of_kind(player.node_kind):
+    for i in _owned(g, player):
         j, k = g.arcs_of(i)
         if player is Player.MAX:
             if max(vals[j - 1], vals[k - 1]) > vals[i - 1] + margin:
@@ -327,7 +289,7 @@ def best_response(
         raise ValueError("fixed strategy must belong to the opposite player")
     require_stopping(g, "best response")
     resp = initial if initial is not None else first_arc_strategy(g, player)
-    if set(resp.choice) != set(g.nodes_of_kind(player.node_kind)):
+    if set(resp.choice) != set(_owned(g, player)):
         raise ValueError("initial strategy does not cover the responder's nodes")
 
     cap = 10 * len(resp.choice) + 20
@@ -359,12 +321,15 @@ def best_response(
 # --- value vector JSON ------------------------------------------------------
 
 
-def value_vector_to_json(v: ValueVector) -> str:
+def value_strings(v: ValueVector) -> list[str]:
+    """One string per node: ``num/den`` in exact mode, ``repr`` in float."""
     if v.mode == EXACT:
-        vals = [str(Fraction(x)) for x in v.values]
-    else:
-        vals = [repr(float(x)) for x in v.values]
-    return json.dumps({"mode": v.mode, "values": vals}, separators=(",", ":"))
+        return [str(Fraction(x)) for x in v.values]
+    return [repr(float(x)) for x in v.values]
+
+
+def value_vector_to_json(v: ValueVector) -> str:
+    return json.dumps({"mode": v.mode, "values": value_strings(v)}, separators=(",", ":"))
 
 
 def value_vector_from_json(text: str) -> ValueVector:

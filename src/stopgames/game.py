@@ -41,6 +41,22 @@ class NodeKind(Enum):
 
 _KIND_FROM_CODE = {k.value: k for k in NodeKind}
 
+# Int kind codes, ``Game.code`` and ``PartialGame.code``: the hot loops
+# compare these instead of enum members and their properties.
+MAX, MIN, AVG, TERM = range(4)
+_CODE = {
+    NodeKind.MAX: MAX,
+    NodeKind.MIN: MIN,
+    NodeKind.AVERAGE: AVG,
+    NodeKind.TERMINAL0: TERM,
+    NodeKind.TERMINAL1: TERM,
+}
+
+
+def _kind_codes(kinds) -> tuple[int, ...]:
+    """Kind codes indexed by node id; entry 0 is unused and reads TERM."""
+    return (TERM,) + tuple(_CODE[k] for k in kinds)
+
 
 @dataclass(frozen=True)
 class Game:
@@ -48,8 +64,10 @@ class Game:
 
     ``kinds[i-1]`` is the kind of node i and ``arcs[i-1]`` its ordered
     out-arc pair (empty tuple for terminals).  Instances are hashable and
-    safe to share between threads.  Being immutable, a game decides once
-    whether it is stopping; ``stopping`` caches that answer.
+    safe to share between threads.  Being immutable, a game derives its
+    layout once, on first use: whether it is stopping (``stopping``), the
+    kind codes (``code``), the parent lists (``parents()``) and the nodes
+    of each kind (``max_nodes``, ``min_nodes``, ``average_nodes``).
     """
 
     n: int
@@ -74,49 +92,57 @@ class Game:
     def stopping(self) -> bool:
         return not find_bad_core(self)
 
-    def nodes_of_kind(self, kind: NodeKind) -> list[int]:
-        return [i for i in range(1, self.n + 1) if self.kinds[i - 1] is kind]
+    @cached_property
+    def code(self) -> tuple[int, ...]:
+        """``code[i]`` is node i's kind as MAX, MIN, AVG or TERM."""
+        return _kind_codes(self.kinds)
 
-    @property
-    def max_nodes(self) -> list[int]:
-        return self.nodes_of_kind(NodeKind.MAX)
+    @cached_property
+    def max_nodes(self) -> tuple[int, ...]:
+        return tuple(i for i, c in enumerate(self.code) if c == MAX)
 
-    @property
-    def min_nodes(self) -> list[int]:
-        return self.nodes_of_kind(NodeKind.MIN)
+    @cached_property
+    def min_nodes(self) -> tuple[int, ...]:
+        return tuple(i for i, c in enumerate(self.code) if c == MIN)
 
-    @property
-    def average_nodes(self) -> list[int]:
-        return self.nodes_of_kind(NodeKind.AVERAGE)
+    @cached_property
+    def average_nodes(self) -> tuple[int, ...]:
+        return tuple(i for i, c in enumerate(self.code) if c == AVG)
 
     def decision_node_count(self) -> int:
-        return sum(1 for k in self.kinds if k.is_decision)
+        return len(self.max_nodes) + len(self.min_nodes)
 
-    def parents(self) -> list[list[int]]:
+    @cached_property
+    def _parents(self) -> tuple[tuple[int, ...], ...]:
+        par: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for i in range(1, self.n + 1):
+            for t in self.arcs[i - 1]:
+                par[t].append(i)
+        return tuple(tuple(p) for p in par)
+
+    def parents(self) -> tuple[tuple[int, ...], ...]:
         """Parent lists indexed by node id (entry 0 unused).
 
         A parent appears once per arc, so duplicate arcs yield duplicate
         entries; that multiplicity is what the linear-cost propagation
         passes rely on.
         """
-        par: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for i in range(1, self.n + 1):
-            for t in self.arcs[i - 1]:
-                par[t].append(i)
-        return par
+        return self._parents
 
 
 class PartialGame:
     """Mutable game under construction: out-degrees may be 0, 1, or 2.
 
-    Single-writer: one generation run owns the instance.  Parent lists and
-    in-degrees are maintained incrementally because the generator queries
-    them constantly.
+    Single-writer: one generation run owns the instance.  Its kinds are
+    fixed at construction, so ``code`` is set once as on ``Game``; parent
+    lists and in-degrees are maintained incrementally because the
+    generator queries them constantly.
     """
 
     def __init__(self, kinds: list[NodeKind]):
         self.n = len(kinds)
         self.kinds = list(kinds)
+        self.code = _kind_codes(kinds)
         self.arcs: list[list[int]] = [[] for _ in range(self.n)]
         self._parents: list[list[int]] = [[] for _ in range(self.n + 1)]
         self.indegree = [0] * (self.n + 1)
@@ -215,18 +241,19 @@ def find_bad_core(g) -> frozenset[int]:
     its target drops out, so the whole check is linear in n.
     """
     n = g.n
+    code = g.code
     in_set = [False] * (n + 1)
     inside_count = [0] * (n + 1)  # arcs of i that currently stay in the set
     members = []
     for i in range(1, n + 1):
-        if not g.kind(i).is_terminal:
+        if code[i] != TERM:
             in_set[i] = True
             members.append(i)
     for i in members:
         inside_count[i] = sum(1 for t in g.arcs_of(i) if in_set[t])
 
     def survives(i: int) -> bool:
-        if g.kind(i) is NodeKind.AVERAGE:
+        if code[i] == AVG:
             return inside_count[i] == 2
         return inside_count[i] >= 1
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
 
-from .game import Game, NodeKind, PartialGame
+from .game import AVG, TERM, Game, NodeKind, PartialGame
 from .reduce import check_assumptions, merge_terminal_valued
 from .rng import Rng, derive_seed
 
@@ -128,16 +128,14 @@ class GenMeta:
         }
 
 
-_AVG, _DEC, _TERM = 0, 1, 2
-
-
 class _RankIndex:
     """Attractor ranks of a partial game with an empty bad core, kept up
     to date while max/min arcs are added through ``add_arc``.
 
     ``rank[v]`` and, for averages, ``witness[v]`` record one derivation of
-    v's safety (module docstring).  Arc and parent lists are the game's
-    own, read live.
+    v's safety (module docstring).  Kind codes, arc and parent lists are
+    the game's own, read live; parents are never terminals, so a parent
+    that is not an average is a max/min node.
     """
 
     def __init__(self, g):
@@ -145,27 +143,24 @@ class _RankIndex:
         self.game = g
         self.arcs = g.arcs
         self.parents = g.parents()
-        self.code = [_TERM] + [
-            _AVG if k is NodeKind.AVERAGE else _DEC if k.is_decision else _TERM
-            for k in g.kinds
-        ]
+        self.code = g.code
         code, arcs = self.code, self.arcs
         rank = [-1] * (n + 1)
         witness = [0] * (n + 1)
         waiting = [0] * (n + 1)  # unranked arcs of a max/min node
         queue = []
         for v in range(1, n + 1):
-            if code[v] == _TERM or len(arcs[v - 1]) < (2 if code[v] == _AVG else 1):
+            if code[v] == TERM or len(arcs[v - 1]) < (2 if code[v] == AVG else 1):
                 rank[v] = 0
                 queue.append(v)
-            elif code[v] == _DEC:
+            elif code[v] != AVG:
                 waiting[v] = len(arcs[v - 1])
         for u in queue:  # FIFO: every push is one rank above the node popped
             r = rank[u] + 1
             for par in self.parents[u]:
                 if rank[par] >= 0:
                     continue
-                if code[par] == _AVG:
+                if code[par] == AVG:
                     witness[par] = u
                 elif waiting[par] > 1:
                     waiting[par] -= 1
@@ -190,7 +185,7 @@ class _RankIndex:
         while stack:
             u = stack.pop()
             for par in parents[u]:
-                if par not in region and (code[par] == _DEC or witness[par] == u):
+                if par not in region and (code[par] != AVG or witness[par] == u):
                     region.add(par)
                     stack.append(par)
         self._last = (m, region)
@@ -207,7 +202,7 @@ class _RankIndex:
             if v == m:
                 continue
             out = arcs[v - 1]
-            if code[v] == _AVG:  # an average with a witness has both arcs
+            if code[v] == AVG:  # an average with a witness has both arcs
                 if out[0] not in region or out[1] not in region:
                     freed.append(v)
             else:
@@ -218,7 +213,7 @@ class _RankIndex:
             for par in parents[u]:
                 if par in safe or par not in region or par == m:
                     continue
-                if code[par] == _DEC:
+                if code[par] != AVG:
                     waiting[par] -= 1
                     if waiting[par]:
                         continue
@@ -245,7 +240,7 @@ class _RankIndex:
         for v in region:
             out = arcs[v - 1]
             outside = [t for t in out if t not in region]
-            if code[v] == _AVG:
+            if code[v] == AVG:
                 if outside:
                     w = min(outside, key=rank.__getitem__)
                     heap.append((rank[w] + 1, v, w))
@@ -265,7 +260,7 @@ class _RankIndex:
             for par in parents[v]:
                 if par not in region:
                     continue
-                if code[par] == _AVG:
+                if code[par] == AVG:
                     heappush(heap, (r + 1, par, v))
                     continue
                 waiting[par] -= 1

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .game import Game, NodeKind, require_stopping, stopping_game
+from .game import TERM, Game, NodeKind, require_stopping, stopping_game
 
 
 class Polarity(Enum):
@@ -76,12 +76,10 @@ class _Work:
         self.t0 = g.terminal0
         self.t1 = g.terminal1
         self.kinds = list(g.kinds)
+        self.code = g.code
         self.alive = [False] + [True] * g.n
         self.arcs: list[list[int]] = [list(g.arcs_of(i)) for i in range(1, g.n + 1)]
-        self.parents: list[list[int]] = [[] for _ in range(g.n + 1)]
-        for i in range(1, g.n + 1):
-            for t in self.arcs[i - 1]:
-                self.parents[t].append(i)
+        self.parents: list[list[int]] = [list(p) for p in g.parents()]
         self.constants: dict[int, Fraction] = {}
         self.events: list[tuple] = []
 
@@ -95,7 +93,7 @@ class _Work:
         return [
             i
             for i in range(1, self.n + 1)
-            if self.alive[i] and not self.kind(i).is_terminal
+            if self.alive[i] and self.code[i] != TERM
         ]
 
     def merge(self, v: int, w: int, rule: str) -> tuple[list[int], list[int]]:
@@ -191,7 +189,7 @@ class _Work:
             if self._check_unreachable_terminal():
                 return
             for u in set((old_parents or []) + old_targets):
-                if self.alive[u] and not self.kind(u).is_terminal and u not in queued:
+                if self.alive[u] and self.code[u] != TERM and u not in queued:
                     pending.append(u)
                     queued.add(u)
 

@@ -21,6 +21,7 @@ not stopping.
 from __future__ import annotations
 
 import itertools
+import json
 from collections.abc import Callable
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -40,8 +41,9 @@ from .evaluate import (
     is_stable,
     random_strategy,
     switchable_set,
+    value_strings,
 )
-from .game import Game, NodeKind, require_stopping
+from .game import AVG, MAX, MIN, Game, NodeKind, require_stopping
 from .rng import Rng
 
 
@@ -64,16 +66,12 @@ class SolveResult:
     value_history: tuple | None = None
 
     def to_json(self) -> str:
-        import json
-
-        from .evaluate import value_vector_to_json
-
         payload = {
             "algorithm": self.algorithm,
             "seed": self.seed,
             "iterations": self.iterations,
             "mode": self.values.mode,
-            "values": json.loads(value_vector_to_json(self.values))["values"],
+            "values": value_strings(self.values),
         }
         if self.strategies is not None:
             payload["max_strategy"] = {
@@ -140,10 +138,7 @@ def solve_hoffman_karp(
     )
 
 
-_MAX, _MIN, _OTHER = 0, 1, 2
-
-
-def _order_induced_pair(g: Game, order: list[int], parents) -> StrategyPair:
+def _order_induced_pair(g: Game, order: list[int]) -> StrategyPair:
     """Strategies consistent with reading ``order`` as ascending values.
 
     In the subgame where average nodes are sinks ranked by their position
@@ -170,11 +165,7 @@ def _order_induced_pair(g: Game, order: list[int], parents) -> StrategyPair:
     """
     n = g.n
     k = len(order)
-    arcs = g.arcs
-    code = [_OTHER] + [
-        _MAX if kind is NodeKind.MAX else _MIN if kind is NodeKind.MIN else _OTHER
-        for kind in g.kinds
-    ]
+    arcs, code, parents = g.arcs, g.code, g.parents()
     rank = [0] * (n + 1)
     rank[g.terminal1] = k + 1
     for pos, node in enumerate(order, start=1):
@@ -195,9 +186,9 @@ def _order_induced_pair(g: Game, order: list[int], parents) -> StrategyPair:
                 level[u] = d
             for p in parents[u]:
                 c = code[p]
-                if c == _MAX:
+                if c == MAX:
                     nd = d + 1
-                elif c == _MIN:
+                elif c == MIN:
                     a, b = arcs[p - 1]
                     la, lb = lvl[a], lvl[b]
                     nd = (la if la > lb else lb) + 1
@@ -209,31 +200,28 @@ def _order_induced_pair(g: Game, order: list[int], parents) -> StrategyPair:
 
     sigma: dict[int, int] = {}
     tau: dict[int, int] = {}
-    for v in range(1, n + 1):
-        c = code[v]
-        if c == _OTHER:
-            continue
+    for v in g.max_nodes:
         a, b = arcs[v - 1]
-        if c == _MAX:
-            if rank[v] == 0:
-                sigma[v] = 0
-            elif rank[a] == rank[v] and level[a] < level[v]:
-                sigma[v] = 0
-            elif rank[b] == rank[v] and level[b] < level[v]:
-                sigma[v] = 1
-            else:
-                raise EvaluationContractError("attractor witness missing")
+        if rank[v] == 0:
+            sigma[v] = 0
+        elif rank[a] == rank[v] and level[a] < level[v]:
+            sigma[v] = 0
+        elif rank[b] == rank[v] and level[b] < level[v]:
+            sigma[v] = 1
         else:
-            # both targets sit at rank <= rank[v]; take the lower region
-            # (kept play can never be forced above the node's own rank)
-            if rank[a] > rank[v] and rank[b] > rank[v]:
-                raise EvaluationContractError("trap escape missing")
-            if rank[a] > rank[v]:
-                tau[v] = 1
-            elif rank[b] > rank[v]:
-                tau[v] = 0
-            else:
-                tau[v] = 0 if rank[a] <= rank[b] else 1
+            raise EvaluationContractError("attractor witness missing")
+    for v in g.min_nodes:
+        a, b = arcs[v - 1]
+        # both targets sit at rank <= rank[v]; take the lower region
+        # (kept play can never be forced above the node's own rank)
+        if rank[a] > rank[v] and rank[b] > rank[v]:
+            raise EvaluationContractError("trap escape missing")
+        if rank[a] > rank[v]:
+            tau[v] = 1
+        elif rank[b] > rank[v]:
+            tau[v] = 0
+        else:
+            tau[v] = 0 if rank[a] <= rank[b] else 1
     return StrategyPair(Strategy(Player.MAX, sigma), Strategy(Player.MIN, tau))
 
 
@@ -262,7 +250,6 @@ def solve_permutation_improvement(
         iteration_cap = 10 * g.n
     order = list(averages)
     Rng(seed).shuffle(order)
-    parents = g.parents()
     seen: dict[tuple[int, ...], int] = {}  # order -> the pass that evaluated it
     passes = 0
     while passes < iteration_cap:
@@ -274,7 +261,7 @@ def solve_permutation_improvement(
                 f"the order of pass {seen[key]}"
             )
         seen[key] = passes
-        sp = _order_induced_pair(g, order, parents)
+        sp = _order_induced_pair(g, order)
         v = evaluate_strategy_pair(g, sp, mode)
         # re-sorting first makes the order consistent with these values;
         # stability of the assignment is then the binding condition
@@ -343,16 +330,13 @@ def solve_value_iteration(
     require_stopping(g, "value iteration")
     n = g.n
     t0, t1 = g.terminal0 - 1, g.terminal1 - 1
-    a0 = np.zeros(n, dtype=np.int64)
-    a1 = np.zeros(n, dtype=np.int64)
-    for i in range(1, n + 1):
-        out = g.arcs_of(i)
-        a0[i - 1] = (out[0] if out else i) - 1
-        a1[i - 1] = (out[1] if out else i) - 1
-    kinds = np.array([k.value for k in g.kinds])
-    max_mask = kinds == "max"
-    min_mask = kinds == "min"
-    avg_mask = kinds == "avg"
+    # the terminals, nodes n-1 and n, loop to themselves
+    succ = np.array(g.arcs[:-2] + ((n - 1, n - 1), (n, n)), dtype=np.int64) - 1
+    a0, a1 = succ[:, 0], succ[:, 1]
+    code = np.array(g.code[1:])
+    max_mask = code == MAX
+    min_mask = code == MIN
+    avg_mask = code == AVG
 
     v = np.zeros(n)
     v[t1] = 1.0

@@ -85,15 +85,16 @@ def all_strategy_pairs(g: Game):
             yield StrategyPair(sigma, Strategy(Player.MIN, dict(zip(min_nodes, tau_bits))))
 
 
-def subgraph_reaches_terminal(g: Game, sp: StrategyPair) -> bool:
-    """Independent path oracle: does every node reach a terminal in the
-    strategy subgraph?  Forward closure per node, no shared machinery."""
+def oracle_reaching_nodes(g: Game, sp: StrategyPair) -> set[int]:
+    """Independent path oracle: the nodes with a path to a terminal in the
+    strategy subgraph.  Forward closure per node, no shared machinery."""
     chosen = {}
     for i in g.max_nodes:
         chosen[i] = g.arcs_of(i)[sp.sigma.choice[i]]
     for i in g.min_nodes:
         chosen[i] = g.arcs_of(i)[sp.tau.choice[i]]
     terminals = {g.terminal0, g.terminal1}
+    reaching = set()
     for start in range(1, g.n + 1):
         seen = {start}
         stack = [start]
@@ -111,9 +112,14 @@ def subgraph_reaches_terminal(g: Game, sp: StrategyPair) -> bool:
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)
-        if not found:
-            return False
-    return True
+        if found:
+            reaching.add(start)
+    return reaching
+
+
+def subgraph_reaches_terminal(g: Game, sp: StrategyPair) -> bool:
+    """Does every node reach a terminal in the strategy subgraph?"""
+    return len(oracle_reaching_nodes(g, sp)) == g.n
 
 
 def oracle_is_stopping(g: Game) -> bool:

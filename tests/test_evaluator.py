@@ -1,17 +1,23 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import (
     all_strategy_pairs,
     build_game,
     oracle_pair_values,
+    oracle_reaching_nodes,
+    random_full_game,
     random_pair,
     random_stopping_game,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stopgames import (
     EXACT,
     FLOAT,
+    EvaluationContractError,
     NonStoppingGameError,
     Player,
     Strategy,
@@ -23,12 +29,14 @@ from stopgames import (
     reachable_to_terminal,
     switchable_set,
 )
+from stopgames import linsolve
 from stopgames.evaluate import value_vector_from_json, value_vector_to_json
 from stopgames.rng import Rng
 
 MINIMAL = build_game([("avg", (2, 3))])
 CHAIN = build_game([("avg", (2, 4)), ("avg", (3, 4))])
 CYCLE4 = build_game([("max", (2, 4)), ("min", (1, 4))])
+SELF_ARCS = build_game([("max", (2, 2)), ("avg", (2, 5)), ("min", (3, 4))])
 
 EMPTY_PAIR = StrategyPair(Strategy(Player.MAX, {}), Strategy(Player.MIN, {}))
 
@@ -214,3 +222,50 @@ def test_value_vector_json_round_trip():
     assert back == v
     vf = evaluate_strategy_pair(CHAIN, EMPTY_PAIR, FLOAT)
     assert value_vector_from_json(value_vector_to_json(vf)) == vf
+
+
+# max node 2 and min node 3 alias the single average node 1 through their
+# chosen arcs, so all three share the solved unknown
+ALIASED = build_game([("avg", (4, 5)), ("max", (1, 4)), ("min", (2, 5))])
+ALIASED_PAIR = pair(ALIASED, sigma_bits=[0], tau_bits=[0])
+
+
+@pytest.mark.parametrize(
+    "mode,solver,bad",
+    [
+        (EXACT, "solve_exact", [Fraction(3, 2)]),
+        (EXACT, "solve_exact", [Fraction(-1, 10**12)]),
+        (FLOAT, "solve_float", np.array([1.5])),
+        (FLOAT, "solve_float", np.array([-1e-6])),
+    ],
+)
+def test_evaluate_rejects_solution_outside_unit_interval(monkeypatch, mode, solver, bad):
+    monkeypatch.setattr(linsolve, solver, lambda rows, rhs: bad)
+    with pytest.raises(EvaluationContractError, match=r"outside \[0, 1\]"):
+        evaluate_strategy_pair(ALIASED, ALIASED_PAIR, mode)
+
+
+def test_evaluate_clamps_float_roundoff_on_aliases(monkeypatch):
+    monkeypatch.setattr(linsolve, "solve_float", lambda rows, rhs: np.array([-1e-12]))
+    v = evaluate_strategy_pair(ALIASED, ALIASED_PAIR, FLOAT)
+    assert [repr(v.value(i)) for i in (1, 2, 3)] == ["0.0", "0.0", "0.0"]
+    assert all(type(x) is float for x in v.values)
+
+
+@st.composite
+def full_games_with_pairs(draw):
+    """Games of 3..10 nodes with arc targets anywhere (often non-stopping,
+    self arcs and duplicate arcs included) and a random strategy pair."""
+    g = random_full_game(Rng(draw(st.integers(0, 2**64 - 1))), draw(st.integers(1, 8)))
+    return g, random_pair(g, Rng(draw(st.integers(0, 2**64 - 1))))
+
+
+# CYCLE4 is non-stopping; in the second game max node 1 has both arcs on
+# node 2, average 2 has a self arc and min node 3 a self arc it keeps
+@settings(max_examples=300, deadline=None)
+@given(full_games_with_pairs())
+@example((CYCLE4, pair(CYCLE4, sigma_bits=[0], tau_bits=[0])))
+@example((SELF_ARCS, pair(SELF_ARCS, sigma_bits=[1], tau_bits=[0])))
+def test_reachability_matches_forward_closure(case):
+    g, sp = case
+    assert reachable_to_terminal(g, sp) == oracle_reaching_nodes(g, sp)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 from conftest import build_game, oracle_is_stopping, random_full_game
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stopgames import (
     Game,
@@ -13,6 +15,7 @@ from stopgames import (
     is_stopping,
     validate_structure,
 )
+from stopgames.game import AVG, MAX, MIN, TERM
 from stopgames.rng import Rng
 
 MINIMAL = build_game([("avg", (2, 3))])
@@ -189,3 +192,34 @@ def test_game_decides_stopping_once(monkeypatch):
     pg.add_arc(1, 1)
     assert not is_stopping(pg)
     assert len(calls) == 3 and calls[1] is calls[2] is pg
+
+
+@st.composite
+def full_games(draw):
+    """Games of 3..10 nodes with arc targets anywhere, often non-stopping:
+    self arcs and duplicate arcs included."""
+    return random_full_game(Rng(draw(st.integers(0, 2**64 - 1))), draw(st.integers(1, 8)))
+
+
+# max node 1 with a duplicate arc, average 2 with a self arc, min node 3
+# with a self arc and a duplicate arc
+@settings(max_examples=300, deadline=None)
+@given(full_games())
+@example(build_game([("max", (2, 2)), ("avg", (2, 5)), ("min", (3, 3))]))
+def test_layout_matches_kinds_and_arcs(g):
+    par = [[] for _ in range(g.n + 1)]
+    for i in range(1, g.n + 1):
+        for t in g.arcs_of(i):
+            par[t].append(i)
+    assert g.parents() == tuple(tuple(p) for p in par)
+    assert g.parents() is g.parents()  # built once per game
+
+    codes = {NodeKind.MAX: MAX, NodeKind.MIN: MIN, NodeKind.AVERAGE: AVG}
+    want = [codes.get(g.kind(i), TERM) for i in range(1, g.n + 1)]
+    assert list(g.code[1:]) == want
+    for nodes, code in ((g.max_nodes, MAX), (g.min_nodes, MIN), (g.average_nodes, AVG)):
+        assert nodes == tuple(i for i in range(1, g.n + 1) if want[i - 1] == code)
+    assert g.decision_node_count() == sum(1 for i in range(1, g.n + 1) if g.kind(i).is_decision)
+
+    pg = PartialGame(list(g.kinds))
+    assert list(pg.code[1:]) == want

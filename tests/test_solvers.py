@@ -284,7 +284,7 @@ def test_order_induced_pair_matches_from_scratch_attractors():
             order = list(g.average_nodes)
             Rng(s).shuffle(order)
             want, unranked = _reference_order_induced_pair(g, order, parents)
-            assert _order_induced_pair(g, order, parents) == want, (g.n, s)
+            assert _order_induced_pair(g, order) == want, (g.n, s)
             cases += 1
             unranked_cases += unranked > 0
             big += g.n >= 512
@@ -324,22 +324,47 @@ def test_permutation_cycle_fails_fast_bench_instance(mode):
         solve_permutation_improvement(g, 2724478665962015742, mode)
 
 
-def test_exact_outputs_pinned():
-    """Exact HK and perm values (sha256 of one ``num/den`` line per node)
-    and iteration counts on 12 benchmark instances, as recorded from the
-    solver that combined per-prime eliminations by CRT (exact_sha256.json)."""
-    pinned = json.loads((Path(__file__).parent / "exact_sha256.json").read_text())
+def _pinned_instances(mode):
+    """The 12 benchmark instances of both pin files, plus one 1024-node
+    8:4 game in float mode, with the run seed of each."""
     master = 2738034203069476102
-    got = {}
     for size in (64, 128):
         for ratio in (1, 4, 8):
             for i in (0, 1):
                 g, _ = generate_instance(size, ratio, i, master)
-                for algo in ("hk", "perm"):
-                    r = SOLVERS[algo](g, derive_seed(master, size, ratio, i), EXACT)
-                    text = "".join(f"{v.numerator}/{v.denominator}\n" for v in r.values.values)
-                    got[f"{algo} {size} {ratio} {i}"] = {
-                        "iterations": r.iterations,
-                        "values_sha256": hashlib.sha256(text.encode()).hexdigest(),
-                    }
+                yield f"{size} {ratio} {i}", g, derive_seed(master, size, ratio, i)
+    if mode == FLOAT:
+        g, _ = generate_fully_reduced(RatioSpec(1024, 8), 1)
+        yield "1024 8 fully-reduced-1", g, 1
+
+
+def _sha256_lines(lines):
+    return hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_exact_outputs_pinned(mode):
+    """HK and perm outputs per mode (``<mode>_sha256.json``): the
+    iteration count, the sha256 of one line per node value (``num/den``
+    in exact mode, ``repr`` in float mode) and the sha256 of one
+    ``node choice`` line per max then min node.  The exact values were
+    recorded from the solver that combined per-prime eliminations by CRT,
+    the float pins from the evaluator that resolved alias chains per
+    evaluation with a closure."""
+    pinned = json.loads((Path(__file__).parent / f"{mode}_sha256.json").read_text())
+    got = {}
+    for name, g, seed in _pinned_instances(mode):
+        for algo in ("hk", "perm"):
+            r = SOLVERS[algo](g, seed, mode)
+            if mode == EXACT:
+                values = [f"{v.numerator}/{v.denominator}" for v in r.values.values]
+            else:
+                values = [repr(v) for v in r.values.values]
+            sp = r.strategies
+            choices = sorted(sp.sigma.choice.items()) + sorted(sp.tau.choice.items())
+            got[f"{algo} {name}"] = {
+                "iterations": r.iterations,
+                "values_sha256": _sha256_lines(values),
+                "strategies_sha256": _sha256_lines(f"{i} {c}" for i, c in choices),
+            }
     assert got == pinned
