@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .game import TERM, Game, NodeKind, require_stopping, stopping_game
+from .game import AVG, MAX, MIN, TERM, Game, require_stopping, stopping_game
 
 
 class Polarity(Enum):
@@ -68,6 +68,9 @@ class _Work:
 
     ``stopping`` says the original game is known to be stopping; the rules
     keep it so, and the games materialized from it are built stopping.
+    ``live`` counts the alive non-terminals: ``merge`` and ``delete`` keep
+    it, so the checks between rules cost O(1) and a whole reduction costs
+    O(n) plus the work of the rules it fires.
     """
 
     def __init__(self, g: Game, stopping: bool = False):
@@ -75,26 +78,31 @@ class _Work:
         self.n = g.n
         self.t0 = g.terminal0
         self.t1 = g.terminal1
-        self.kinds = list(g.kinds)
+        self.kinds = g.kinds
         self.code = g.code
         self.alive = [False] + [True] * g.n
-        self.arcs: list[list[int]] = [list(g.arcs_of(i)) for i in range(1, g.n + 1)]
+        self.live = len(g.code) - g.code.count(TERM)
+        self.arcs: list[list[int]] = [list(a) for a in g.arcs]
         self.parents: list[list[int]] = [list(p) for p in g.parents()]
         self.constants: dict[int, Fraction] = {}
         self.events: list[tuple] = []
 
-    def kind(self, i: int) -> NodeKind:
-        return self.kinds[i - 1]
-
-    def indegree(self, i: int) -> int:
-        return len(self.parents[i])
-
     def alive_nonterminals(self) -> list[int]:
-        return [
-            i
-            for i in range(1, self.n + 1)
-            if self.alive[i] and self.code[i] != TERM
-        ]
+        return [i for i in range(1, self.n + 1) if self.alive[i] and self.code[i] != TERM]
+
+    def _require_live(self, v: int, what: str) -> None:
+        if not (0 < v <= self.n and self.alive[v] and self.code[v] != TERM):
+            raise ValueError(f"cannot {what} node {v}: not a live non-terminal of this game")
+
+    def _unlink(self, v: int) -> list[int]:
+        """Drop v's out-arcs and v itself; returns its old targets."""
+        old_targets = self.arcs[v - 1]
+        for t in old_targets:
+            self.parents[t].remove(v)
+        self.arcs[v - 1] = []
+        self.alive[v] = False
+        self.live -= 1
+        return old_targets
 
     def merge(self, v: int, w: int, rule: str) -> tuple[list[int], list[int]]:
         """Redirect every arc into v toward w and drop v.
@@ -102,57 +110,53 @@ class _Work:
         Returns (old parents of v, old targets of v) so the caller can
         requeue the nodes whose local situation changed.
         """
-        assert v != w and self.alive[v] and self.alive[w]
-        old_targets = list(self.arcs[v - 1])
-        for t in old_targets:
-            self.parents[t].remove(v)
-        self.arcs[v - 1] = []
+        self._require_live(v, "merge")
+        if v == w or not (0 < w <= self.n and self.alive[w]):
+            raise ValueError(f"cannot merge node {v} into node {w}: not a live other node")
+        old_targets = self._unlink(v)
         plist = self.parents[v]
         self.parents[v] = []
         self.parents[w].extend(plist)
         for u in set(plist):
             self.arcs[u - 1] = [w if t == v else t for t in self.arcs[u - 1]]
-        self.alive[v] = False
         self.events.append(("merge", v, w, rule))
-        if self.kind(w).is_terminal:
+        if self.code[w] == TERM:
             self.constants[v] = Fraction(1) if w == self.t1 else Fraction(0)
         return plist, old_targets
 
     def delete(self, v: int) -> list[int]:
         """Remove an in-degree-zero node; returns its old targets."""
-        assert self.alive[v] and not self.parents[v]
-        old_targets = list(self.arcs[v - 1])
-        for t in old_targets:
-            self.parents[t].remove(v)
-        self.arcs[v - 1] = []
-        self.alive[v] = False
+        self._require_live(v, "delete")
+        if self.parents[v]:
+            raise ValueError(f"cannot delete node {v}: it has parents {self.parents[v]}")
         self.events.append(("delete", v))
-        return old_targets
-
-    def _collapse_all(self, absorber: int) -> None:
-        for v in self.alive_nonterminals():
-            self.merge(v, absorber, "constant-collapse")
+        return self._unlink(v)
 
     def _check_unreachable_terminal(self) -> bool:
         """Rule for a terminal with no incoming arcs: every other node's
         value equals the other terminal's, so everything collapses."""
-        if not self.alive_nonterminals():
+        if not self.live:
             return False
-        if self.indegree(self.t0) == 0:
-            self._collapse_all(self.t1)
-            return True
-        if self.indegree(self.t1) == 0:
-            self._collapse_all(self.t0)
-            return True
+        for unreachable, absorber in ((self.t0, self.t1), (self.t1, self.t0)):
+            if not self.parents[unreachable]:
+                for v in self.alive_nonterminals():
+                    self.merge(v, absorber, "constant-collapse")
+                return True
         return False
 
     def _trivial_step(self, v: int) -> tuple[list[int], list[int]] | None:
         """Apply the first matching local rule at v; None if none fits."""
-        kind = self.kind(v)
+        code = self.code[v]
         a, b = self.arcs[v - 1]
-        if kind.is_decision:
-            keep = self.t1 if kind is NodeKind.MAX else self.t0
-            drop = self.t0 if kind is NodeKind.MAX else self.t1
+        if code == AVG:
+            if a == b and a != v:
+                return self.merge(v, a, "identical-arcs")
+            if a == v and b != v:
+                return self.merge(v, b, "self-arc")
+            if b == v and a != v:
+                return self.merge(v, a, "self-arc")
+        else:
+            keep, drop = (self.t1, self.t0) if code == MAX else (self.t0, self.t1)
             if a == keep or b == keep:
                 return self.merge(v, keep, "terminal-arc")
             if a == drop and b != v:
@@ -161,15 +165,8 @@ class _Work:
                 return self.merge(v, a, "terminal-arc")
             if a == b and a != v:
                 return self.merge(v, a, "identical-arcs")
-        else:
-            if a == b and a != v:
-                return self.merge(v, a, "identical-arcs")
-            if a == v and b != v:
-                return self.merge(v, b, "self-arc")
-            if b == v and a != v:
-                return self.merge(v, a, "self-arc")
         if not self.parents[v]:
-            return None, self.delete(v)
+            return [], self.delete(v)
         return None
 
     def run_trivial(self) -> None:
@@ -188,18 +185,33 @@ class _Work:
             old_parents, old_targets = result
             if self._check_unreachable_terminal():
                 return
-            for u in set((old_parents or []) + old_targets):
+            for u in set(old_parents + old_targets):
                 if self.alive[u] and self.code[u] != TERM and u not in queued:
                     pending.append(u)
                     queued.add(u)
+
+    def forced(self, polarity: Polarity) -> list[int]:
+        """The alive non-terminals whose value is forced to exactly 1 (or
+        0), in id order; the search of ``find_terminal_valued`` run on
+        this view."""
+        marked, _ = _mark_unforced(self.code, self.arcs, self.parents, polarity, self.t0, self.t1)
+        return [v for v in self.alive_nonterminals() if not marked[v]]
+
+    def merge_forced(self) -> None:
+        """Merge every forced-1 node into the 1-terminal, then every
+        forced-0 node into the 0-terminal (both searched first)."""
+        one = self.forced(Polarity.ONE)
+        zero = self.forced(Polarity.ZERO)
+        for v in one:
+            self.merge(v, self.t1, "one-valued")
+        for v in zero:
+            self.merge(v, self.t0, "zero-valued")
 
     def materialize(self) -> tuple[Game, dict[int, int]]:
         survivors = [i for i in range(1, self.n + 1) if self.alive[i]]
         renumber = {old: new for new, old in enumerate(survivors, start=1)}
         kinds = tuple(self.kinds[i - 1] for i in survivors)
-        arcs = tuple(
-            tuple(renumber[t] for t in self.arcs[i - 1]) for i in survivors
-        )
+        arcs = tuple(tuple([renumber[t] for t in self.arcs[i - 1]]) for i in survivors)
         make = stopping_game if self.stopping else Game
         return make(len(survivors), kinds, arcs), renumber
 
@@ -220,20 +232,16 @@ def apply_trivial_reductions(g: Game) -> tuple[Game, ReductionReport]:
     return work.finish()
 
 
-def _terminal_valued(g: Game, polarity: Polarity) -> tuple[frozenset[int], int]:
-    require_stopping(g, "terminal-valued search")
-    n = g.n
-    if polarity is Polarity.ONE:
-        seed = g.terminal0
-        immediate = (NodeKind.MIN, NodeKind.AVERAGE)
-        gated = NodeKind.MAX
-    else:
-        seed = g.terminal1
-        immediate = (NodeKind.MAX, NodeKind.AVERAGE)
-        gated = NodeKind.MIN
-    marked = [False] * (n + 1)
+def _mark_unforced(code, arcs, parents, polarity: Polarity, t0: int, t1: int) -> tuple[list[bool], int]:
+    """Mark every node whose value can provably stay below 1 (above 0 for
+    ``Polarity.ZERO``), on any view of a stopping game: ``code`` and
+    ``parents`` indexed by node id, ``arcs`` by id - 1.
+
+    Returns the marks and the number of parent examinations.
+    """
+    seed, gated = (t0, MAX) if polarity is Polarity.ONE else (t1, MIN)
+    marked = [False] * len(code)
     marked[seed] = True
-    parents = g.parents()
     queue = [seed]
     examined = 0
     while queue:
@@ -242,17 +250,21 @@ def _terminal_valued(g: Game, polarity: Polarity) -> tuple[frozenset[int], int]:
             examined += 1
             if marked[p]:
                 continue
-            kind = g.kind(p)
-            if kind in immediate:
-                marked[p] = True
-                queue.append(p)
-            elif kind is gated:
-                a, b = g.arcs_of(p)
-                if marked[a] and marked[b]:
-                    marked[p] = True
-                    queue.append(p)
-    members = frozenset(i for i in range(1, n + 1) if not marked[i])
-    return members, examined
+            if code[p] == gated:
+                a, b = arcs[p - 1]
+                if not (marked[a] and marked[b]):
+                    continue
+            marked[p] = True
+            queue.append(p)
+    return marked, examined
+
+
+def find_terminal_valued_with_stats(g: Game, polarity: Polarity) -> tuple[frozenset[int], int]:
+    """``find_terminal_valued`` plus the number of parent examinations
+    (at most 2n)."""
+    require_stopping(g, "terminal-valued search")
+    marked, examined = _mark_unforced(g.code, g.arcs, g.parents(), polarity, g.terminal0, g.terminal1)
+    return frozenset(i for i in range(1, g.n + 1) if not marked[i]), examined
 
 
 def find_terminal_valued(g: Game, polarity: Polarity) -> frozenset[int]:
@@ -265,44 +277,30 @@ def find_terminal_valued(g: Game, polarity: Polarity) -> frozenset[int]:
     image, propagating above-0 from the 1-terminal.  The matching
     terminal is always part of the returned set.
     """
-    return _terminal_valued(g, polarity)[0]
-
-
-def find_terminal_valued_with_stats(
-    g: Game, polarity: Polarity
-) -> tuple[frozenset[int], int]:
-    """Same, plus the number of parent examinations (at most 2n)."""
-    return _terminal_valued(g, polarity)
+    return find_terminal_valued_with_stats(g, polarity)[0]
 
 
 def merge_terminal_valued(g: Game) -> tuple[Game, ReductionReport]:
     """Merge every forced-1 node into the 1-terminal and every forced-0
     node into the 0-terminal, then renumber the survivors stably."""
-    one = find_terminal_valued(g, Polarity.ONE)
-    zero = find_terminal_valued(g, Polarity.ZERO)
+    require_stopping(g, "terminal-valued search")
     work = _Work(g, stopping=True)
-    for v in sorted(one - {g.terminal1}):
-        work.merge(v, g.terminal1, "one-valued")
-    for v in sorted(zero - {g.terminal0}):
-        work.merge(v, g.terminal0, "zero-valued")
+    work.merge_forced()
     return work.finish()
 
 
 def reduce_game(g: Game) -> tuple[Game, ReductionReport]:
     """Full pipeline: trivial rules, terminal-valued merges (which can
-    expose new trivial reductions), then trivial rules again."""
+    expose new trivial reductions), then trivial rules again.
+
+    All three stages run on one work view of ``g``; the reduced game is
+    materialized once, at the end.
+    """
     require_stopping(g, "the reduction pipeline")
     work = _Work(g, stopping=True)
     work.run_trivial()
-    snap, renumber = work.materialize()
-    if snap.n > 2:
-        back = {new: old for old, new in renumber.items()}
-        one = find_terminal_valued(snap, Polarity.ONE)
-        zero = find_terminal_valued(snap, Polarity.ZERO)
-        for v in sorted(one - {snap.terminal1}):
-            work.merge(back[v], work.t1, "one-valued")
-        for v in sorted(zero - {snap.terminal0}):
-            work.merge(back[v], work.t0, "zero-valued")
+    if work.live:
+        work.merge_forced()
         work.run_trivial()
     return work.finish()
 
@@ -346,10 +344,10 @@ def recover_values(g: Game, report: ReductionReport, reduced_values: dict):
             v = event[1]
             a, b = g.arcs_of(v)
             va, vb = value_of(a), value_of(b)
-            kind = g.kind(v)
-            if kind is NodeKind.MAX:
+            code = g.code[v]
+            if code == MAX:
                 values[v] = max(va, vb)
-            elif kind is NodeKind.MIN:
+            elif code == MIN:
                 values[v] = min(va, vb)
             else:
                 values[v] = (va + vb) / 2
@@ -376,70 +374,67 @@ def scc_condense(g: Game) -> list[SccComponent]:
     component's out-arcs lead only to terminals or to components earlier
     in the list; solving them left to right needs no lookahead.
     """
-    n = g.n
-    sys_index = {}
-    low = {}
+    n, code, arcs = g.n, g.code, g.arcs
+    outs = [()] + [tuple(t for t in a if code[t] != TERM) for a in arcs]
+    index = [-1] * (n + 1)
+    low = [0] * (n + 1)
     onstack = [False] * (n + 1)
     stack: list[int] = []
     counter = 0
     comps: list[list[int]] = []
 
-    def neighbours(v: int) -> list[int]:
-        return [t for t in g.arcs_of(v) if not g.kind(t).is_terminal]
-
     for root in range(1, n + 1):
-        if g.kind(root).is_terminal or root in sys_index:
+        if code[root] == TERM or index[root] >= 0:
             continue
-        work: list[list] = [[root, 0]]
-        sys_index[root] = low[root] = counter
+        index[root] = low[root] = counter
         counter += 1
         stack.append(root)
         onstack[root] = True
+        work = [[root, 0]]
         while work:
-            v, ptr = work[-1]
-            outs = neighbours(v)
-            advanced = False
-            while ptr < len(outs):
-                w = outs[ptr]
+            frame = work[-1]
+            v, ptr = frame
+            out = outs[v]
+            while ptr < len(out):
+                w = out[ptr]
                 ptr += 1
-                if w not in sys_index:
-                    work[-1][1] = ptr
-                    sys_index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    onstack[w] = True
-                    work.append([w, 0])
-                    advanced = True
+                if index[w] < 0:
                     break
-                if onstack[w]:
-                    low[v] = min(low[v], sys_index[w])
-            if advanced:
+                if onstack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        onstack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
                 continue
-            work.pop()
-            if low[v] == sys_index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            frame[1] = ptr
+            index[w] = low[w] = counter
+            counter += 1
+            stack.append(w)
+            onstack[w] = True
+            work.append([w, 0])
 
-    out = []
-    comp_of = {}
+    comp_of = [-1] * (n + 1)
     for idx, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = idx
+    out = []
     for idx, comp in enumerate(comps):
-        boundary = []
-        for v in sorted(comp):
-            for arc_idx, t in enumerate(g.arcs_of(v)):
-                if g.kind(t).is_terminal or comp_of[t] != idx:
-                    boundary.append((v, arc_idx, t))
+        boundary = [
+            (v, arc_idx, t)
+            for v in sorted(comp)
+            for arc_idx, t in enumerate(arcs[v - 1])
+            if comp_of[t] != idx
+        ]
         out.append(SccComponent(frozenset(comp), tuple(boundary)))
     return out
 
@@ -489,23 +484,25 @@ def check_assumptions(g: Game) -> AssumptionChecklist:
     t0, t1 = g.terminal0, g.terminal1
     stopping = g.stopping
 
+    code, arcs = g.code, g.arcs
     no_term_dec = True
     no_dup_self = True
     to_t0: set[int] = set()
     to_t1: set[int] = set()
     indeg = [0] * (g.n + 1)
     for i in range(1, g.n + 1):
-        kind = g.kind(i)
-        if kind.is_terminal:
+        c = code[i]
+        if c == TERM:
             continue
-        a, b = g.arcs_of(i)
+        a, b = arcs[i - 1]
         indeg[a] += 1
         indeg[b] += 1
-        if kind.is_decision and (a in (t0, t1) or b in (t0, t1)):
-            no_term_dec = False
         if a == b or a == i or b == i:
             no_dup_self = False
-        if kind is NodeKind.AVERAGE:
+        if c != AVG:
+            if a in (t0, t1) or b in (t0, t1):
+                no_term_dec = False
+        else:
             if t0 in (a, b):
                 to_t0.add(i)
             if t1 in (a, b):
@@ -524,9 +521,7 @@ def check_assumptions(g: Game) -> AssumptionChecklist:
     single = False
     if len(comps) == 1:
         nodes = comps[0].nodes
-        single = len(nodes) >= 2 or any(
-            v in g.arcs_of(v) for v in nodes
-        )
+        single = len(nodes) >= 2 or any(v in arcs[v - 1] for v in nodes)
 
     return AssumptionChecklist(
         stopping=stopping,

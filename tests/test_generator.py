@@ -221,9 +221,8 @@ def test_generator_bytes_pinned():
 def test_games_built_stopping_are_stopping(monkeypatch):
     """Every game built with its stopping flag set, by the generators
     (each frozen and each 0/1-merged game of every attempt) and by
-    ``reduce_game`` (the post-trivial snapshot and the result), has an
-    empty bad core: over the 144-cell grid and on reduced desk-scale
-    games."""
+    ``reduce_game`` (its result), has an empty bad core: over the
+    144-cell grid and on reduced desk-scale games."""
     import stopgames.game as game_module
     from stopgames import reduce as reduce_module
     from stopgames import reduce_game

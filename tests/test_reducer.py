@@ -1,26 +1,34 @@
+import functools
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from conftest import assert_value_preserving, build_game, oracle_values, random_stopping_game
+from conftest import assert_value_preserving, build_game, oracle_values, random_full_game, random_stopping_game
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stopgames import (
+    Game,
     NodeKind,
     NonStoppingGameError,
     Polarity,
+    ReductionReport,
     apply_trivial_reductions,
     check_assumptions,
     find_terminal_valued,
     game_from_json,
+    game_to_json,
     generate_fully_reduced,
     merge_terminal_valued,
     reduce_game,
     scc_condense,
     validate_structure,
 )
-from stopgames.generate import GenParams, RatioSpec, generate_basic
-from stopgames.reduce import find_terminal_valued_with_stats, replay_reduction
+from stopgames.generate import GenParams, RatioSpec, generate_basic, ratio_counts
+from stopgames.reduce import _Work, find_terminal_valued_with_stats, replay_reduction
+from stopgames.rng import Rng, derive_seed
 
 MINIMAL = build_game([("avg", (2, 3))])
 
@@ -273,3 +281,139 @@ def test_report_json_pinned():
         "one-valued",
         "zero-valued",
     }
+
+
+@functools.cache
+def _reduce_cases() -> tuple[tuple[str, Game], ...]:
+    """The fixed grid the reducer's outputs are pinned on: two basic games
+    per size and ratio, 64 to 1024 nodes, and four fully reduced games."""
+    cases = []
+    for size in (64, 128, 256, 512, 1024):
+        for ratio in (1, 4, 8):
+            a, b, c = ratio_counts(size, ratio)
+            for i in range(2):
+                seed = derive_seed(47, size, ratio, i)
+                cases.append((f"basic {size} {ratio} {i}", generate_basic(GenParams(a + b + c + 2, a, b, c, seed))))
+    for size, ratio in ((64, 1), (128, 4), (256, 8), (512, 4)):
+        g, _ = generate_fully_reduced(RatioSpec(size, ratio), derive_seed(48, size, ratio))
+        cases.append((f"full {size} {ratio}", g))
+    return tuple(cases)
+
+
+REDUCERS = {
+    "reduce": reduce_game,
+    "merge": merge_terminal_valued,
+    "trivial": apply_trivial_reductions,
+}
+
+
+def _reduce_hashes() -> dict[str, str]:
+    got = {}
+    for key, g in _reduce_cases():
+        for name, reducer in REDUCERS.items():
+            reduced, report = reducer(g)
+            text = game_to_json(reduced) + report.to_json()
+            got[f"{key} {name}"] = hashlib.sha256(text.encode()).hexdigest()
+    return got
+
+
+def test_reducer_outputs_pinned():
+    """Reduced game and report of each reducer on the grid, as recorded
+    from the reducer that ran the 0/1 search on a mid-pipeline snapshot
+    and rescanned every node after each rule (reduce_sha256.json)."""
+    pinned = json.loads((Path(__file__).parent / "reduce_sha256.json").read_text())
+    got = _reduce_hashes()
+    assert sorted(got) == sorted(pinned)
+    assert [key for key in pinned if got[key] != pinned[key]] == []
+
+
+def _apply(work, event) -> None:
+    if event[0] == "merge":
+        work.merge(*event[1:])
+    else:
+        work.delete(event[1])
+
+
+def test_live_count_and_work_view_search_along_every_reduction():
+    """Replaying each ``reduce_game`` report of the grid: after every event
+    the live count equals a recount of the alive non-terminals, and (at
+    every eighth event and at the end) the 0/1 search on the work view
+    finds the nodes ``find_terminal_valued`` finds on the materialized
+    game, whose bad core it also checks."""
+    compared = 0
+    for key, g in _reduce_cases():
+        _, report = reduce_game(g)
+        work = _Work(g)
+        for k, event in enumerate(report.events, start=1):
+            _apply(work, event)
+            assert work.live == len(work.alive_nonterminals()), (key, k)
+            if k % 8 and k < len(report.events):
+                continue
+            game, renumber = work.materialize()
+            for polarity, terminal in ((Polarity.ONE, game.terminal1), (Polarity.ZERO, game.terminal0)):
+                forced = {renumber[v] for v in work.forced(polarity)} | {terminal}
+                assert forced == find_terminal_valued(game, polarity), (key, k, polarity)
+            compared += 1
+    assert compared > 700
+
+
+def test_replay_of_a_mismatched_report_raises():
+    """The preconditions of each replayed event are checked as errors, so
+    a report from another game fails under ``python -O`` as well."""
+    source = build_game([("max", (2, 3)), ("avg", (4, 5)), ("avg", (4, 5))])
+    _, report = apply_trivial_reductions(source)
+    assert report.events[0] == ("delete", 1)
+    has_parent = build_game([("avg", (2, 3)), ("avg", (1, 5)), ("avg", (4, 5))])
+    with pytest.raises(ValueError, match="cannot delete node 1: it has parents"):
+        replay_reduction(has_parent, report)
+
+    with pytest.raises(ValueError, match="cannot merge node 3: not a live non-terminal"):
+        replay_reduction(MINIMAL, ReductionReport({}, {}, [("merge", 3, 1, "self-arc")]))
+    with pytest.raises(ValueError, match="cannot merge node 1 into node 1"):
+        replay_reduction(MINIMAL, ReductionReport({}, {}, [("merge", 1, 1, "self-arc")]))
+    with pytest.raises(ValueError, match="cannot merge node 1 into node 9"):
+        replay_reduction(MINIMAL, ReductionReport({}, {}, [("merge", 1, 9, "self-arc")]))
+    twice = ReductionReport({}, {}, [("merge", 1, 3, "one-valued"), ("merge", 1, 3, "one-valued")])
+    with pytest.raises(ValueError, match="cannot merge node 1: not a live non-terminal"):
+        replay_reduction(MINIMAL, twice)
+    larger = generate_basic(GenParams(n=62, a=20, b=20, c=20, seed=35))
+    with pytest.raises(ValueError, match="cannot (merge|delete) node"):
+        replay_reduction(MINIMAL, reduce_game(larger)[1])
+
+
+@st.composite
+def stopping_full_games(draw):
+    """Stopping games of 3..10 nodes with arc targets anywhere, self arcs
+    and duplicate arcs included: the first stopping draw of
+    ``conftest.random_full_game`` from a random seed."""
+    rng = Rng(draw(st.integers(0, 2**64 - 1)))
+    decision_nodes = draw(st.integers(1, 8))
+    while True:
+        g = random_full_game(rng, decision_nodes)
+        if g.stopping:
+            return g
+
+
+# average 1 with a self arc, max 2 with a 1-terminal arc, min 3 with a
+# duplicate arc on the 0-terminal
+@settings(max_examples=200, deadline=None)
+@given(stopping_full_games())
+@example(build_game([("avg", (1, 2)), ("max", (3, 5)), ("min", (4, 4))]))
+def test_reduce_game_keeps_brute_force_values(g):
+    reduced, report = reduce_game(g)
+    assert validate_structure(reduced) == []
+    assert_value_preserving(g, reduced, report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stopping_full_games())
+def test_scc_condense_reverse_topological(g):
+    comps = scc_condense(g)
+    seen: set[int] = set()
+    for comp in comps:
+        assert not comp.nodes & seen
+        for src, arc_idx, dst in comp.boundary:
+            assert src in comp.nodes and g.arcs_of(src)[arc_idx] == dst
+            assert g.kind(dst).is_terminal or dst in seen
+        seen |= comp.nodes
+    assert seen == {i for i in range(1, g.n + 1) if not g.kind(i).is_terminal}
