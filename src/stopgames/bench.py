@@ -15,6 +15,7 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -216,12 +217,20 @@ def run_benchmark(plan: BenchPlan, workers: int = 1) -> list[BenchRecord]:
     return records
 
 
+@contextmanager
+def _csv_writer(target):
+    """A CSV writer on ``target``: an open text file, left open, or a path,
+    opened here and closed on exit."""
+    if hasattr(target, "write"):
+        yield csv.writer(target)
+        return
+    with open(target, "w", encoding="utf-8", newline="") as fh:
+        yield csv.writer(fh)
+
+
 def write_records_csv(records, target) -> None:
     """Write records in the stable column order; target is a path or file."""
-    own = not hasattr(target, "write")
-    fh = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
-        writer = csv.writer(fh)
+    with _csv_writer(target) as writer:
         writer.writerow(CSV_HEADER)
         for r in records:
             writer.writerow(
@@ -234,9 +243,6 @@ def write_records_csv(records, target) -> None:
                     "true" if r.stable_check else "false",
                 ]
             )
-    finally:
-        if own:
-            fh.close()
 
 
 def records_csv_text(records) -> str:
@@ -301,10 +307,7 @@ def summarize(records) -> list[SummaryRow]:
 
 
 def write_summary_csv(rows, target) -> None:
-    own = not hasattr(target, "write")
-    fh = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
-        writer = csv.writer(fh)
+    with _csv_writer(target) as writer:
         writer.writerow(
             [
                 "size",
@@ -330,9 +333,6 @@ def write_summary_csv(rows, target) -> None:
                     f"{r.std_wall_time_ms:.6g}",
                 ]
             )
-    finally:
-        if own:
-            fh.close()
 
 
 def write_plot_csv(rows, target) -> None:
@@ -343,16 +343,10 @@ def write_plot_csv(rows, target) -> None:
     cells: dict[tuple[int, int], dict[str, float]] = {}
     for r in rows:
         cells.setdefault((r.size, r.ratio), {})[r.algorithm] = r.mean_iterations
-    own = not hasattr(target, "write")
-    fh = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
-        writer = csv.writer(fh)
+    with _csv_writer(target) as writer:
         writer.writerow(["size", "ratio"] + [f"{a}_mean_iterations" for a in algos])
         for (size, ratio), by_algo in sorted(cells.items()):
             writer.writerow(
                 [size, ratio]
                 + [f"{by_algo[a]:.6g}" if a in by_algo else "" for a in algos]
             )
-    finally:
-        if own:
-            fh.close()

@@ -11,8 +11,11 @@ An evaluation reads the game's cached layout (``Game.code``,
 ``Game.parents()`` and the node tuples of each kind) and builds, per
 strategy pair, one successor array, one breadth-first walk back from
 the terminals over the parent lists, and two per-node arrays: the column
-of the unknown average a node's value equals, or else its constant.
-Only the solved unknowns are range-checked, once each.
+of the unknown average a node's value equals, or else its 0/1 constant.
+From those it emits the system in the one format both ``linsolve``
+solvers take: an int right-hand side and integer COO triplets (the
+diagonal 2 and a -1 per child whose value is an unknown).  Only the
+solved unknowns are range-checked, once each.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import linsolve
-from .game import AVG, Game, NodeKind, require_stopping
+from .game import AVG, MAX, MIN, TERM, Game, require_stopping
 
 EXACT = "exact"
 FLOAT = "float"
@@ -125,17 +128,14 @@ def _reach_order(g: Game, succ: list[int], roots) -> list[int]:
     return order
 
 
-def evaluate_strategy_pair(
-    g: Game,
-    sp: StrategyPair,
-    mode: str = FLOAT,
-    fixed_values: dict | None = None,
-) -> ValueVector:
+def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> ValueVector:
     """Solve the value system for a fixed strategy pair.
 
-    ``fixed_values`` pins extra nodes to known constants (on top of the
-    terminals at 0 and 1), which is how strongly-connected components are
-    solved against already-solved boundary values.
+    The unknowns are the average nodes that reach a terminal.  Row i of
+    the system is the equation of the i-th of them in ascending id; its
+    right-hand side is an int, the number of its children whose value is
+    the constant 1, and its matrix entries are COO triplets: the diagonal 2
+    and a -1 for every child whose value is an unknown, duplicates summed.
 
     Exact mode returns Fractions; float mode guarantees every equation's
     residual is at most 1e-9.
@@ -146,15 +146,12 @@ def evaluate_strategy_pair(
     n, code, arcs = g.n, g.code, g.arcs
     # Every node's value is a constant or the value of one unknown average
     # node: col[i] is that average's column and -1 for a constant, which
-    # const[i] then holds (0 for nodes that cannot reach a fixed node).
+    # const[i] then holds (1 for the 1-terminal and the max/min nodes whose
+    # chosen arcs lead to it, 0 for the rest).
     col = [-1] * (n + 1)
-    const: list = [0] * (n + 1)
+    const = [0] * (n + 1)
     const[g.terminal1] = 1
-    fixed = {g.terminal0, g.terminal1}
-    for i, v in (fixed_values or {}).items():
-        const[i] = Fraction(v)
-        fixed.add(i)
-    reached = _reach_order(g, succ, fixed)[len(fixed):]
+    reached = _reach_order(g, succ, (g.terminal0, g.terminal1))[2:]
     unknown_avg = sorted([u for u in reached if code[u] == AVG])
     for pos, u in enumerate(unknown_avg):
         col[u] = pos
@@ -163,29 +160,30 @@ def evaluate_strategy_pair(
         if s:
             col[u], const[u] = col[s], const[s]
 
-    rows: list[dict[int, int]] = []
-    rhs: list = []
-    for u in unknown_avg:
-        row = {col[u]: 2}
+    a = len(unknown_avg)
+    rows, cols = list(range(a)), list(range(a))
+    rhs = []
+    for pos, u in enumerate(unknown_avg):
         b = 0
         for child in arcs[u - 1]:
             c = col[child]
             if c < 0:
                 b += const[child]
             else:
-                row[c] = row.get(c, 0) - 1
-        rows.append(row)
+                rows.append(pos)
+                cols.append(c)
         rhs.append(b)
+    coo = (rows, cols, [2] * a + [-1] * (len(rows) - a))
 
     # Only the solved unknowns can leave [0, 1]; every alias shares the
     # checked value.
     if mode == EXACT:
-        solution = linsolve.solve_exact(rows, rhs)
+        solution = linsolve.solve_exact(rhs, coo)
         for x in solution:
             if not 0 <= x <= 1:
                 raise EvaluationContractError(f"exact value {x} outside [0, 1]")
     else:
-        solution = linsolve.solve_float(rows, rhs).tolist()
+        solution = linsolve.solve_float(rhs, coo).tolist()
         for pos, f in enumerate(solution):
             if f < 0.0 or f > 1.0:
                 if f < -1e-9 or f > 1.0 + 1e-9:
@@ -196,26 +194,24 @@ def evaluate_strategy_pair(
     return ValueVector(tuple(values[1:]), mode)
 
 
-def _local_value(kind: NodeKind, a, b):
-    if kind is NodeKind.MAX:
-        return a if a >= b else b
-    if kind is NodeKind.MIN:
-        return a if a <= b else b
-    return (a + b) / 2
-
-
 def is_stable(g: Game, v: ValueVector, tol: float = DEFAULT_STABLE_TOL) -> bool:
     """True when every node satisfies its local equation within ``tol``.
 
     With tol=0 and exact values this is an exact stability check.
     """
-    vals = v.values
+    vals, code, arcs = v.values, g.code, g.arcs
     for i in range(1, g.n + 1):
-        kind = g.kind(i)
-        if kind.is_terminal:
+        c = code[i]
+        if c == TERM:
             continue
-        j, k = g.arcs_of(i)
-        want = _local_value(kind, vals[j - 1], vals[k - 1])
+        j, k = arcs[i - 1]
+        a, b = vals[j - 1], vals[k - 1]
+        if c == MAX:
+            want = a if a >= b else b
+        elif c == MIN:
+            want = a if a <= b else b
+        else:
+            want = (a + b) / 2
         diff = vals[i - 1] - want
         if diff < 0:
             diff = -diff

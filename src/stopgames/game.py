@@ -114,9 +114,12 @@ class Game:
 
     @cached_property
     def _parents(self) -> tuple[tuple[int, ...], ...]:
-        par: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for i in range(1, self.n + 1):
-            for t in self.arcs[i - 1]:
+        n = self.n
+        par: list[list[int]] = [[] for _ in range(n + 1)]
+        for i, out in enumerate(self.arcs, start=1):
+            for t in out:
+                if not 1 <= t <= n:
+                    raise ValueError(f"arc {i} -> {t} leaves the nodes 1..{n}")
                 par[t].append(i)
         return tuple(tuple(p) for p in par)
 
@@ -125,7 +128,9 @@ class Game:
 
         A parent appears once per arc, so duplicate arcs yield duplicate
         entries; that multiplicity is what the linear-cost propagation
-        passes rely on.
+        passes rely on.  A game built directly may hold an arc target
+        outside 1..n (``validate_structure`` reports it); this first use
+        of the layout raises ``ValueError`` naming the arc.
         """
         return self._parents
 
@@ -135,8 +140,8 @@ class PartialGame:
 
     Single-writer: one generation run owns the instance.  Its kinds are
     fixed at construction, so ``code`` is set once as on ``Game``; parent
-    lists and in-degrees are maintained incrementally because the
-    generator queries them constantly.
+    lists are maintained incrementally because the generator queries them
+    constantly.
     """
 
     def __init__(self, kinds: list[NodeKind]):
@@ -145,7 +150,6 @@ class PartialGame:
         self.code = _kind_codes(kinds)
         self.arcs: list[list[int]] = [[] for _ in range(self.n)]
         self._parents: list[list[int]] = [[] for _ in range(self.n + 1)]
-        self.indegree = [0] * (self.n + 1)
 
     def kind(self, i: int) -> NodeKind:
         return self.kinds[i - 1]
@@ -170,7 +174,6 @@ class PartialGame:
             raise ValueError(f"arc target {dst} out of range 1..{self.n}")
         self.arcs[src - 1].append(dst)
         self._parents[dst].append(src)
-        self.indegree[dst] += 1
 
     def parents(self) -> list[list[int]]:
         return self._parents
@@ -242,6 +245,7 @@ def find_bad_core(g) -> frozenset[int]:
     """
     n = g.n
     code = g.code
+    parents = g.parents()  # on a Game, checks every arc target first
     in_set = [False] * (n + 1)
     inside_count = [0] * (n + 1)  # arcs of i that currently stay in the set
     members = []
@@ -257,7 +261,6 @@ def find_bad_core(g) -> frozenset[int]:
             return inside_count[i] == 2
         return inside_count[i] >= 1
 
-    parents = g.parents()
     queue = [i for i in members if not survives(i)]
     while queue:
         i = queue.pop()

@@ -318,19 +318,20 @@ def _assign_second_arcs_decisions(pg: PartialGame, rng: Rng, prefer_zero_indegre
         if pg.kind(i).is_decision and len(pg.arcs_of(i)) == 1
     ]
     index = _RankIndex(pg)
-    zero = [q for q in range(1, n + 1) if pg.indegree[q] == 0]
+    parents = pg.parents()
+    zero = [q for q in range(1, n + 1) if not parents[q]]
     while pending:
         m = pending.pop(rng.randbelow(len(pending)))
         excluded = index.trapped(m).union(pg.arcs_of(m), terminals)
         q = None
         if prefer_zero_indegree:
-            skip = {bisect_left(zero, e) for e in excluded if pg.indegree[e] == 0}
+            skip = {bisect_left(zero, e) for e in excluded if not parents[e]}
             q = _draw(rng, zero, skip)
         if q is None:
             q = _draw(rng, range(1, n + 1), {e - 1 for e in excluded})
             if q is None:
                 return False
-        if pg.indegree[q] == 0:
+        if not parents[q]:
             del zero[bisect_left(zero, q)]
         index.add_arc(m, q)
     return True
@@ -413,7 +414,8 @@ def _build_modified(p: GenParams, rng: Rng) -> PartialGame | None:
             # max/min first arcs stay off the terminals
             pg.add_arc(v, v + 1 + rng.randbelow(n - 2 - v))
 
-    zero = [q for q in range(1, n + 1) if pg.indegree[q] == 0]
+    parents = pg.parents()
+    zero = [q for q in range(1, n + 1) if not parents[q]]
     single = [
         m
         for m in range(1, n + 1)
@@ -427,7 +429,7 @@ def _build_modified(p: GenParams, rng: Rng) -> PartialGame | None:
         if not eligible:
             break
         m = eligible[rng.randbelow(len(eligible))]
-        q = _draw(rng, zero, {bisect_left(zero, m)} if pg.indegree[m] == 0 else set())
+        q = _draw(rng, zero, {bisect_left(zero, m)} if not parents[m] else set())
         pg.add_arc(m, q)
         del zero[bisect_left(zero, q)]
         del single[bisect_left(single, m)]

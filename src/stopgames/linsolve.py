@@ -2,27 +2,27 @@
 
 Strategy-fixed game evaluation reduces to ``A v = b`` where row i reads
 ``2*v_i - v_j - v_k = const`` over the average nodes only, so A is sparse
-with tiny integer entries.  Two solvers share that input shape:
+with tiny integer entries.  Both solvers take the system as the evaluator
+builds it: ``rhs``, a list of ints of length a, and ``coo``, three
+equal-length int lists ``(rows, cols, coefs)`` of matrix entries.
+Entries at one position are summed, so two children aliasing one
+unknown, or a child aliasing the row's own unknown, need no merging.
 
 * ``solve_exact`` returns Fractions.  A system with more than eight
-  unknowns and an integer right-hand side is solved by Dixon's p-adic
-  lifting: A is inverted once modulo a prime p below 2**23, and each
-  lifting step then costs one matrix-vector product mod p and an update
-  of a small integer residual.  Every other step the p-adic approximation
-  is turned into numerators over one common denominator d, and the answer
-  is returned only once ``A·N == d·b`` holds exactly in integers.  Past
-  the Hadamard bound on Cramer's-rule numerators and denominators the
-  reconstruction cannot miss, so lifting that goes that far without a
-  verified answer raises ``SingularSystemError``.  A matrix singular
-  modulo both fixed primes, small systems and Fraction right-hand sides
-  go through dense rational elimination, which raises on a truly
-  singular system.
+  unknowns is solved by Dixon's p-adic lifting: A is inverted once
+  modulo a prime p below 2**23, and each lifting step then costs one
+  matrix-vector product mod p and an update of a small integer residual.
+  Every other step the p-adic approximation is turned into numerators
+  over one common denominator d, and the answer is returned only once
+  ``A·N == d·b`` holds exactly in integers.  Past the Hadamard bound on
+  Cramer's-rule numerators and denominators the reconstruction cannot
+  miss, so lifting that goes that far without a verified answer raises
+  ``SingularSystemError``.  Small systems and a matrix singular modulo
+  both fixed primes go through dense rational elimination, which raises
+  on a truly singular system.
 
 * ``solve_float`` returns float64 values with one step of iterative
   refinement and a residual guarantee.
-
-Rows are ``{column: coefficient}`` dicts with integer coefficients; the
-right-hand side may mix ints and Fractions.
 """
 
 from __future__ import annotations
@@ -40,13 +40,12 @@ class SingularSystemError(RuntimeError):
     stopping-game evaluations, so this signals a caller bug."""
 
 
-def _gauss_fractions(rows, rhs) -> list[Fraction]:
+def _gauss_fractions(rhs, coo) -> list[Fraction]:
     """Dense rational Gaussian elimination; the reference exact path."""
-    a = len(rows)
-    m = [[Fraction(0)] * a + [Fraction(rhs[i])] for i in range(a)]
-    for i, row in enumerate(rows):
-        for j, c in row.items():
-            m[i][j] = Fraction(c)
+    a = len(rhs)
+    m = [[Fraction(0)] * a + [Fraction(b)] for b in rhs]
+    for i, j, c in zip(*coo):
+        m[i][j] += c
     for k in range(a):
         piv = next((r for r in range(k, a) if m[r][k] != 0), None)
         if piv is None:
@@ -148,13 +147,18 @@ def _reconstruct(xs, modulus: int) -> tuple[list[int], int] | None:
     return nums, den
 
 
-def _solve_dixon(rows, rhs: list[int]) -> list[Fraction] | None:
+def _dense(a: int, coo, dtype) -> np.ndarray:
+    """The a x a matrix of the triplets, duplicates summed."""
+    dense = np.zeros((a, a), dtype=dtype)
+    rows, cols, coefs = coo
+    np.add.at(dense, (rows, cols), coefs)
+    return dense
+
+
+def _solve_dixon(rhs: list[int], coo) -> list[Fraction] | None:
     """Dixon p-adic lifting; None when A is singular modulo both primes."""
-    a = len(rows)
-    dense_a = np.zeros((a, a), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, c in row.items():
-            dense_a[i, j] = c
+    a = len(rhs)
+    dense_a = _dense(a, coo, np.int64)
     for p in _LIFT_PRIMES:
         inverse = _inverse_mod(dense_a, p)
         if inverse is not None:
@@ -184,39 +188,36 @@ def _solve_dixon(rows, rhs: list[int]) -> list[Fraction] | None:
             found = _reconstruct(xs, modulus)
             if found is not None:
                 nums, den = found
-                if all(
-                    sum(c * nums[j] for j, c in row.items()) == den * b
-                    for row, b in zip(rows, rhs)
-                ):
+                check = [-den * b for b in rhs]
+                for i, j, c in zip(*coo):
+                    check[i] += c * nums[j]
+                if not any(check):
                     return [Fraction(v, den) for v in nums]
             if past_bound:
                 raise SingularSystemError("no verified solution within the Hadamard bound")
 
 
-def solve_exact(rows, rhs) -> list[Fraction]:
-    """Exact solution of the sparse integer system ``rows * x = rhs``."""
-    a = len(rows)
+def solve_exact(rhs, coo) -> list[Fraction]:
+    """Exact solution of the sparse integer system ``A x = rhs``, A given
+    by the ``coo`` triplets."""
+    a = len(rhs)
     if a == 0:
         return []
-    integral = all(isinstance(b, int) or getattr(b, "denominator", 0) == 1 for b in rhs)
-    if a > 8 and integral:
-        x = _solve_dixon(rows, [int(b) for b in rhs])
+    if a > 8:
+        x = _solve_dixon(rhs, coo)
         if x is not None:
             return x
-    return _gauss_fractions(rows, rhs)
+    return _gauss_fractions(rhs, coo)
 
 
-def solve_float(rows, rhs, residual_bound: float = 1e-9) -> np.ndarray:
+def solve_float(rhs, coo, residual_bound: float = 1e-9) -> np.ndarray:
     """float64 solution with one refinement step and a residual check."""
-    a = len(rows)
+    a = len(rhs)
     if a == 0:
         return np.zeros(0)
-    b = np.array([float(v) for v in rhs])
+    b = np.array(rhs, dtype=float)
     if a <= 64:
-        dense = np.zeros((a, a))
-        for i, row in enumerate(rows):
-            for j, c in row.items():
-                dense[i, j] = c
+        dense = _dense(a, coo, float)
         try:
             x = np.linalg.solve(dense, b)
             x += np.linalg.solve(dense, b - dense @ x)
@@ -224,13 +225,8 @@ def solve_float(rows, rhs, residual_bound: float = 1e-9) -> np.ndarray:
             raise SingularSystemError(str(exc)) from exc
         residual = np.abs(dense @ x - b).max()
     else:
-        coo_i, coo_j, coo_v = [], [], []
-        for i, row in enumerate(rows):
-            for j, c in row.items():
-                coo_i.append(i)
-                coo_j.append(j)
-                coo_v.append(float(c))
-        sparse = csc_matrix((coo_v, (coo_i, coo_j)), shape=(a, a))
+        rows, cols, coefs = coo
+        sparse = csc_matrix((coefs, (rows, cols)), shape=(a, a), dtype=float)
         try:
             lu = splu(sparse)
         except RuntimeError as exc:

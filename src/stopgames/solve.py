@@ -43,7 +43,7 @@ from .evaluate import (
     switchable_set,
     value_strings,
 )
-from .game import AVG, MAX, MIN, Game, NodeKind, require_stopping
+from .game import AVG, MAX, MIN, Game, require_stopping
 from .rng import Rng
 
 
@@ -368,53 +368,42 @@ def solve_value_iteration(
 
 
 def solve_by_components(g: Game, max_decision_nodes_per_component: int = 12) -> ValueVector:
-    """Exact solution by solving strongly connected components in order.
+    """Exact solution by settling strongly connected components in order.
 
-    Components are processed sinks-first with their boundary arcs pinned
-    to already-solved constants; inside a component every strategy
-    assignment is tried until the stable one is found.
+    Components are taken sinks first.  Each evaluation covers the whole
+    game, with every component settled so far held at its stable
+    strategies; inside the current component every strategy assignment
+    is tried until none of its nodes can switch for either player.  A
+    component's values depend only on its own strategies and on the
+    components below it, so the rest of the pair does not matter, and on
+    a stopping game every pair's system is nonsingular.
     """
-    from fractions import Fraction
-
     from .reduce import scc_condense
 
     require_stopping(g, "component-wise solving")
-    solved: dict[int, Fraction] = {}
-    base_sigma = {i: 0 for i in g.max_nodes}
-    base_tau = {i: 0 for i in g.min_nodes}
+    code = g.code
+    pair = StrategyPair(
+        Strategy(Player.MAX, {i: 0 for i in g.max_nodes}),
+        Strategy(Player.MIN, {i: 0 for i in g.min_nodes}),
+    )
+    sigma, tau = pair.sigma.choice, pair.tau.choice  # updated in place below
     for comp in scc_condense(g):
-        comp_max = sorted(i for i in comp.nodes if g.kind(i) is NodeKind.MAX)
-        comp_min = sorted(i for i in comp.nodes if g.kind(i) is NodeKind.MIN)
+        comp_max = sorted(i for i in comp.nodes if code[i] == MAX)
+        comp_min = sorted(i for i in comp.nodes if code[i] == MIN)
         if len(comp_max) + len(comp_min) > max_decision_nodes_per_component:
             raise ValueError("component exceeds the enumeration cap")
-        fixed = dict(solved)
-        for v in comp.nodes:
-            fixed.pop(v, None)
-        found = False
-        for sigma_bits in itertools.product((0, 1), repeat=len(comp_max)):
-            for tau_bits in itertools.product((0, 1), repeat=len(comp_min)):
-                sigma = dict(base_sigma)
-                sigma.update(zip(comp_max, sigma_bits))
-                tau = dict(base_tau)
-                tau.update(zip(comp_min, tau_bits))
-                pair = StrategyPair(
-                    Strategy(Player.MAX, sigma), Strategy(Player.MIN, tau)
-                )
-                v = evaluate_strategy_pair(g, pair, EXACT, fixed_values=fixed)
-                if _component_stable(g, comp.nodes, v):
-                    for node in comp.nodes:
-                        solved[node] = v.value(node)
-                    found = True
-                    break
-            if found:
+        if not comp_max and not comp_min:
+            continue
+        for bits in itertools.product((0, 1), repeat=len(comp_max) + len(comp_min)):
+            sigma.update(zip(comp_max, bits))
+            tau.update(zip(comp_min, bits[len(comp_max) :]))
+            v = evaluate_strategy_pair(g, pair, EXACT)
+            switchable = switchable_set(g, v, Player.MAX) | switchable_set(g, v, Player.MIN)
+            if switchable.isdisjoint(comp.nodes):
                 break
-        if not found:
+        else:
             raise EvaluationContractError("component has no stable assignment")
-    values = [Fraction(0)] * g.n
-    values[g.terminal1 - 1] = Fraction(1)
-    for node, val in solved.items():
-        values[node - 1] = val
-    return ValueVector(tuple(values), EXACT)
+    return evaluate_strategy_pair(g, pair, EXACT)
 
 
 # Entries look their solver up when called, so a module attribute rebound
@@ -427,15 +416,3 @@ SOLVERS: dict[str, Callable[[Game, int, str], SolveResult]] = {
 }
 ALGORITHMS = tuple(SOLVERS)
 
-
-def _component_stable(g: Game, nodes: frozenset[int], v: ValueVector) -> bool:
-    for i in nodes:
-        kind = g.kind(i)
-        if not kind.is_decision:
-            continue
-        j, k = g.arcs_of(i)
-        vj, vk = v.value(j), v.value(k)
-        want = max(vj, vk) if kind is NodeKind.MAX else min(vj, vk)
-        if v.value(i) != want:
-            return False
-    return True

@@ -27,6 +27,7 @@ from stopgames import (
     evaluate_strategy_pair,
     is_stable,
     reachable_to_terminal,
+    solve_brute_force,
     switchable_set,
 )
 from stopgames import linsolve
@@ -240,16 +241,42 @@ ALIASED_PAIR = pair(ALIASED, sigma_bits=[0], tau_bits=[0])
     ],
 )
 def test_evaluate_rejects_solution_outside_unit_interval(monkeypatch, mode, solver, bad):
-    monkeypatch.setattr(linsolve, solver, lambda rows, rhs: bad)
+    monkeypatch.setattr(linsolve, solver, lambda rhs, coo: bad)
     with pytest.raises(EvaluationContractError, match=r"outside \[0, 1\]"):
         evaluate_strategy_pair(ALIASED, ALIASED_PAIR, mode)
 
 
 def test_evaluate_clamps_float_roundoff_on_aliases(monkeypatch):
-    monkeypatch.setattr(linsolve, "solve_float", lambda rows, rhs: np.array([-1e-12]))
+    monkeypatch.setattr(linsolve, "solve_float", lambda rhs, coo: np.array([-1e-12]))
     v = evaluate_strategy_pair(ALIASED, ALIASED_PAIR, FLOAT)
     assert [repr(v.value(i)) for i in (1, 2, 3)] == ["0.0", "0.0", "0.0"]
     assert all(type(x) is float for x in v.values)
+
+
+# under the stable pair max node 2 and min node 3 both move to average 4,
+# so both children of average 1 alias one unknown: row 0 (node 1) of the
+# value system holds two -1 entries in column 1 (node 4)
+TWIN_ALIAS = build_game([("avg", (2, 3)), ("max", (5, 4)), ("min", (6, 4)), ("avg", (5, 6))])
+
+
+def test_evaluate_children_aliasing_one_unknown(monkeypatch):
+    systems = []
+    solve_exact = linsolve.solve_exact
+
+    def recording(rhs, coo):
+        systems.append(coo)
+        return solve_exact(rhs, coo)
+
+    monkeypatch.setattr(linsolve, "solve_exact", recording)
+    bf = solve_brute_force(TWIN_ALIAS)
+    assert bf.strategies == pair(TWIN_ALIAS, sigma_bits=[1], tau_bits=[1])
+    v = evaluate_strategy_pair(TWIN_ALIAS, bf.strategies, EXACT)
+    assert v == bf.values
+    assert list(v.values) == [Fraction(1, 2)] * 4 + [0, 1]
+    rows, cols, _ = systems[-1]
+    assert [(0, 1)] * 2 == [e for e in zip(rows, cols) if e == (0, 1)]
+    vf = evaluate_strategy_pair(TWIN_ALIAS, bf.strategies, FLOAT)
+    assert list(vf.values) == [float(x) for x in v.values]
 
 
 @st.composite

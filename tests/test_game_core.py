@@ -13,6 +13,8 @@ from stopgames import (
     game_from_json,
     game_to_json,
     is_stopping,
+    reduce_game,
+    solve_hoffman_karp,
     validate_structure,
 )
 from stopgames.game import AVG, MAX, MIN, TERM
@@ -36,6 +38,32 @@ def test_arc_range_violation_reported():
     g = Game(3, MINIMAL.kinds, ((2, 7), (), ()))
     problems = validate_structure(g)
     assert any("out of range" in p for p in problems)
+
+
+@pytest.mark.parametrize(
+    "entries,arc",
+    [([("avg", (3, 4))], "1 -> 4"), ([("avg", (-1, 2))], "1 -> -1")],
+    ids=["past-n", "negative"],
+)
+@pytest.mark.parametrize(
+    "use",
+    [
+        Game.parents,
+        find_bad_core,
+        reduce_game,
+        lambda g: solve_hoffman_karp(g, 0),
+    ],
+    ids=["parents", "find_bad_core", "reduce_game", "hk"],
+)
+def test_arc_out_of_range_fails_at_first_use(entries, arc, use):
+    """A directly built game may hold an arc outside 1..n (construction
+    stays permissive for ``validate_structure``); its first use raises a
+    ValueError naming the arc instead of indexing past, or from the end
+    of, the parent lists."""
+    g = build_game(entries)
+    assert any("out of range" in p for p in validate_structure(g))
+    with pytest.raises(ValueError, match=f"^arc {arc} leaves the nodes 1..3$"):
+        use(g)
 
 
 def test_terminal_placement_enforced():

@@ -57,101 +57,134 @@ def test_derive_seed_varies_with_parts():
     assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
 
 
+def coo(entries):
+    """COO triplets ``(rows, cols, coefs)`` from ``(row, col, coef)`` entries."""
+    rows, cols, coefs = [], [], []
+    for i, j, c in entries:
+        rows.append(i)
+        cols.append(j)
+        coefs.append(c)
+    return rows, cols, coefs
+
+
+def dense_of(size, system_coo, dtype=float):
+    """The matrix of the triplets, duplicates summed, by a plain loop."""
+    dense = np.zeros((size, size), dtype=dtype)
+    for i, j, c in zip(*system_coo):
+        dense[i, j] += c
+    return dense
+
+
 def random_system(rng: Rng, size: int):
-    """Rows shaped like real average-node systems: diagonal 2, children
-    either another unknown or a constant.  Regenerates until comfortably
-    nonsingular, mirroring how reachability pruning keeps real systems
-    invertible."""
+    """``(rhs, coo)`` shaped like real average-node systems: diagonal 2,
+    children either another unknown or a constant.  Regenerates until
+    comfortably nonsingular, mirroring how reachability pruning keeps real
+    systems invertible."""
     while True:
-        rows = []
+        entries = []
         rhs = []
         for i in range(size):
-            row = {i: 2}
+            entries.append((i, i, 2))
             const = 0
             for _ in range(2):
                 j = rng.randbelow(size + max(2, size // 4))
                 if j < size and j != i:
-                    row[j] = row.get(j, 0) - 1
+                    entries.append((i, j, -1))
                 else:
                     const += rng.randbelow(2)
-            rows.append(row)
             rhs.append(const)
-        dense = np.zeros((size, size))
-        for i, row in enumerate(rows):
-            for j, c in row.items():
-                dense[i, j] = c
-        if abs(np.linalg.slogdet(dense)[0]) == 1.0:
-            return rows, rhs
+        system = coo(entries)
+        if abs(np.linalg.slogdet(dense_of(size, system))[0]) == 1.0:
+            return rhs, system
 
 
 def test_exact_modular_path_matches_fraction_elimination():
     for seed in range(30):
         rng = Rng(seed)
         size = 9 + rng.randbelow(40)  # forces the modular path
-        rows, rhs = random_system(rng, size)
-        assert solve_exact(rows, rhs) == _gauss_fractions(rows, rhs)
-
-
-def test_exact_handles_fraction_rhs():
-    rows = [{0: 2, 1: -1}, {1: 2}]
-    rhs = [Fraction(1, 3), Fraction(1, 2)]
-    x = solve_exact(rows, rhs)
-    assert 2 * x[0] - x[1] == Fraction(1, 3)
-    assert 2 * x[1] == Fraction(1, 2)
+        rhs, system = random_system(rng, size)
+        assert solve_exact(rhs, system) == _gauss_fractions(rhs, system)
 
 
 def test_float_residual_contract():
     for seed in range(10):
         rng = Rng(seed + 50)
         for size in (5, 90):  # dense and sparse-LU paths
-            rows, rhs = random_system(rng, size)
-            x = solve_float(rows, rhs)
-            dense = np.zeros((size, size))
-            for i, row in enumerate(rows):
-                for j, c in row.items():
-                    dense[i, j] = c
+            rhs, system = random_system(rng, size)
+            x = solve_float(rhs, system)
+            dense = dense_of(size, system)
             assert np.abs(dense @ x - np.array(rhs, float)).max() <= 1e-9
 
 
 def test_singular_system_raises():
-    rows = [{0: 1, 1: 1}, {0: 1, 1: 1}]
+    system = coo([(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)])
     with pytest.raises(SingularSystemError):
-        solve_float(rows, [1, 2])
+        solve_float([1, 2], system)
 
 
-def _dense(rows):
-    dense = np.zeros((len(rows), len(rows)), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, c in row.items():
-            dense[i, j] = c
-    return dense
+@pytest.mark.parametrize("size", [5, 40, 90], ids=["dense-gauss", "dense-dixon", "sparse-dixon"])
+def test_duplicate_triplets_are_summed(size):
+    """Row 0 holds two -1 entries in column 1 (two children aliasing one
+    unknown), row 1 a -1 on its own diagonal (a child aliasing the row's
+    own unknown); the rest is a chain of averages.  The system is upper
+    triangular, so back substitution gives the exact answer.  The sizes
+    cover dense float with Gauss, dense float with Dixon lifting and
+    sparse LU with Dixon lifting."""
+    entries = [(0, 0, 2), (0, 1, -1), (0, 1, -1), (1, 1, 2), (1, 1, -1), (1, 2, -1)]
+    for i in range(2, size - 1):
+        entries += [(i, i, 2), (i, i + 1, -1)]
+    entries.append((size - 1, size - 1, 2))
+    system = coo(entries)
+    rhs = [0, 1] + [i % 2 for i in range(2, size)]
+
+    expected = [Fraction(0)] * size
+    expected[-1] = Fraction(rhs[-1], 2)
+    for i in range(size - 2, 1, -1):
+        expected[i] = (rhs[i] + expected[i + 1]) / 2
+    expected[1] = rhs[1] + expected[2]
+    expected[0] = (rhs[0] + 2 * expected[1]) / 2
+
+    assert solve_exact(rhs, system) == expected
+    if size > 8:
+        assert linsolve._solve_dixon(rhs, system) == expected
+    else:
+        assert _gauss_fractions(rhs, system) == expected
+    x = solve_float(rhs, system)
+    assert np.abs(x - np.array([float(v) for v in expected])).max() <= 1e-12
+    merged: dict[tuple[int, int], int] = {}
+    for i, j, c in entries:
+        merged[i, j] = merged.get((i, j), 0) + c
+    merged_system = coo((i, j, c) for (i, j), c in merged.items())
+    assert solve_float(rhs, merged_system).tobytes() == x.tobytes()
 
 
-def _with_blocks(blocks, rows, rhs):
+def _with_blocks(blocks, rhs, system):
     """Block-diagonal system: 2x2 blocks [[q+1, 1], [1, 1]] of determinant
-    q, one per entry of ``blocks``, then ``rows`` shifted past them."""
-    out_rows, out_rhs = [], []
+    q, one per entry of ``blocks``, then the ``(rhs, system)`` shifted past
+    them."""
+    entries, out_rhs = [], []
     for q in blocks:
-        k = len(out_rows)
-        out_rows += [{k: q + 1, k + 1: 1}, {k: 1, k + 1: 1}]
+        k = len(out_rhs)
+        entries += [(k, k, q + 1), (k, k + 1, 1), (k + 1, k, 1), (k + 1, k + 1, 1)]
         out_rhs += [1, 2]
-    k = len(out_rows)
-    out_rows += [{j + k: c for j, c in row.items()} for row in rows]
-    return out_rows, out_rhs + list(rhs)
+    k = len(out_rhs)
+    entries += [(i + k, j + k, c) for i, j, c in zip(*system)]
+    return out_rhs + list(rhs), coo(entries)
 
 
 def test_exact_lifting_retries_second_prime_then_rational_elimination():
     """A determinant divisible by the first prime makes the lifting use the
     second; divisible by both, the system goes to rational elimination."""
     first, second = _LIFT_PRIMES
-    rows, rhs = random_system(Rng(77), 12)
-    one_bad = _with_blocks([first], rows, rhs)
-    assert linsolve._inverse_mod(_dense(one_bad[0]), first) is None
-    assert linsolve._inverse_mod(_dense(one_bad[0]), second) is not None
+    rhs, system = random_system(Rng(77), 12)
+    one_bad = _with_blocks([first], rhs, system)
+    one_bad_dense = dense_of(len(one_bad[0]), one_bad[1], np.int64)
+    assert linsolve._inverse_mod(one_bad_dense, first) is None
+    assert linsolve._inverse_mod(one_bad_dense, second) is not None
     assert linsolve._solve_dixon(*one_bad) is not None
     assert solve_exact(*one_bad) == _gauss_fractions(*one_bad)
 
-    both_bad = _with_blocks([first, second], rows, rhs)
+    both_bad = _with_blocks([first, second], rhs, system)
     assert linsolve._solve_dixon(*both_bad) is None
     assert solve_exact(*both_bad) == _gauss_fractions(*both_bad)
 
@@ -165,18 +198,20 @@ def test_exact_lifting_long_chain_of_averages(scale):
     rng = Rng(78)
     a = 320
     consts = [scale * rng.randbelow(2) for _ in range(a)]
-    rows = [{i: 2, i + 1: -1} for i in range(a - 1)] + [{a - 1: 2}]
+    entries = [(i, i, 2) for i in range(a)] + [(i, i + 1, -1) for i in range(a - 1)]
     expected = [Fraction(0)] * a
     nxt = Fraction(0)
     for i in range(a - 1, -1, -1):
         nxt = expected[i] = (nxt + consts[i]) / 2
-    x = solve_exact(rows, consts)
+    x = solve_exact(consts, coo(entries))
     assert x == expected
     assert max(v.denominator for v in x).bit_length() > 300
 
 
 def test_exact_singular_system_raises():
-    rows, rhs = random_system(Rng(79), 12)
-    rows[1], rhs[1] = dict(rows[0]), rhs[0]
+    rhs, system = random_system(Rng(79), 12)
+    entries = [e for e in zip(*system) if e[0] != 1]
+    entries += [(1, j, c) for i, j, c in zip(*system) if i == 0]  # row 1 := row 0
+    rhs[1] = rhs[0]
     with pytest.raises(SingularSystemError):
-        solve_exact(rows, rhs)
+        solve_exact(rhs, coo(entries))
