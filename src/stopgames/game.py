@@ -180,9 +180,11 @@ class PartialGame:
 
     def freeze(self, stopping: bool = False) -> Game:
         """The finished game; ``stopping=True`` builds it with the stopping
-        flag set, for a builder that kept the bad core empty."""
+        flag set, for a builder that kept the bad core empty.  Arc targets
+        share one int object per node id."""
         make = stopping_game if stopping else Game
-        g = make(self.n, tuple(self.kinds), tuple(tuple(a) for a in self.arcs))
+        ids = list(range(self.n + 1))
+        g = make(self.n, tuple(self.kinds), tuple(tuple([ids[t] for t in a]) for a in self.arcs))
         problems = validate_structure(g)
         if problems:
             raise ValueError("incomplete game: " + "; ".join(problems))

@@ -9,25 +9,27 @@ controlled terminal-free trap (``find_valid_arcs``).  The result is
 always a stopping game, and any stopping game without max/min arcs to
 terminals can be produced under some seed.
 
-Valid targets come from an attractor-rank index (``_RankIndex``) over the
+Valid targets come from a witness index (``_WitnessIndex``) over the
 partial game, which must have an empty bad core; the phase-1 game has
-one, and every arc the loop adds keeps it so.  A node's rank is the round
-in which it is shown safe, i.e. unable to sit in a player-controlled
-terminal-free set: terminals, averages with fewer than two arcs and
-max/min nodes without arcs have rank 0, an average one more than its
-lowest-ranked successor (its witness), a max/min node one more than its
-highest.  The nodes whose recorded derivation passes through a node m
-form m's dependency region; only inside it can an arc out of m trap a
-node, so the search and the re-ranking after each added arc touch that
-region alone (delete and rederive, as in Gupta, Mumick & Subrahmanian,
-"Maintaining views incrementally", SIGMOD 1993), never all of m's
-ancestors.
+one, and every arc the loop adds keeps it so.  The index records one
+well-founded derivation of every node's safety, i.e. of its inability to
+sit in a player-controlled terminal-free set: terminals, averages with
+fewer than two arcs and max/min nodes without arcs are safe outright, an
+average through one arc to a node whose derivation avoids it (its
+witness), a max/min node through all of its arcs.  The nodes whose
+derivation passes through a node m form m's dependency region; only
+inside it can an arc out of m trap a node, so the search and the
+witness updates after each added arc touch that region alone (delete and
+rederive, as in Gupta, Mumick & Subrahmanian, "Maintaining views
+incrementally", SIGMOD 1993), never all of m's ancestors.
 
 The modified variant additionally plants average nodes next to both
 terminals, keeps max/min arcs off the terminals, steers second arcs
 toward in-degree-zero nodes, and merges provably 0/1-valued nodes into
 the terminals, so that its output usually satisfies the full reduction
-checklist out of the box.
+checklist out of the box.  The fully reduced generator skips the merge:
+it runs the checklist on each attempt's partial game, which fails when a
+node is forced to 0 or 1, and freezes only the attempt it accepts.
 
 Draw order (fixed for reproducibility): kind labels are shuffled first;
 first arcs are drawn in ascending node order; each phase-2 loop picks the
@@ -40,7 +42,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heapify, heappop, heappush
 
 from .game import AVG, TERM, Game, NodeKind, PartialGame
 from .reduce import check_assumptions, merge_terminal_valued
@@ -128,14 +129,16 @@ class GenMeta:
         }
 
 
-class _RankIndex:
-    """Attractor ranks of a partial game with an empty bad core, kept up
-    to date while max/min arcs are added through ``add_arc``.
+class _WitnessIndex:
+    """One derivation of safety for every node of a partial game with an
+    empty bad core, kept well-founded while max/min arcs are added through
+    ``add_arc``.
 
-    ``rank[v]`` and, for averages, ``witness[v]`` record one derivation of
-    v's safety (module docstring).  Kind codes, arc and parent lists are
-    the game's own, read live; parents are never terminals, so a parent
-    that is not an average is a max/min node.
+    ``witness[v]`` is, for an average v with two arcs, one of its arcs
+    whose derivation does not pass through v; a max/min node's derivation
+    uses all of its arcs (module docstring).  Kind codes, arc and parent
+    lists are the game's own, read live; parents are never terminals, so
+    a parent that is not an average is a max/min node.
     """
 
     def __init__(self, g):
@@ -145,129 +148,108 @@ class _RankIndex:
         self.parents = g.parents()
         self.code = g.code
         code, arcs = self.code, self.arcs
-        rank = [-1] * (n + 1)
+        safe = [False] * (n + 1)
         witness = [0] * (n + 1)
-        waiting = [0] * (n + 1)  # unranked arcs of a max/min node
+        waiting = [0] * (n + 1)  # underived arcs of a max/min node
         queue = []
         for v in range(1, n + 1):
             if code[v] == TERM or len(arcs[v - 1]) < (2 if code[v] == AVG else 1):
-                rank[v] = 0
+                safe[v] = True
                 queue.append(v)
             elif code[v] != AVG:
                 waiting[v] = len(arcs[v - 1])
-        for u in queue:  # FIFO: every push is one rank above the node popped
-            r = rank[u] + 1
+        for u in queue:  # FIFO: a node derives only from nodes queued before it
             for par in self.parents[u]:
-                if rank[par] >= 0:
+                if safe[par]:
                     continue
                 if code[par] == AVG:
                     witness[par] = u
                 elif waiting[par] > 1:
                     waiting[par] -= 1
                     continue
-                rank[par] = r
+                safe[par] = True
                 queue.append(par)
         if len(queue) < n:
-            stuck = next(v for v in range(1, n + 1) if rank[v] < 0)
             raise ValueError(
-                f"partial game has a non-empty bad core (node {stuck} can avoid the terminals)"
+                f"partial game has a non-empty bad core (node {safe.index(False, 1)} can avoid the terminals)"
             )
-        self.rank, self.witness = rank, witness
-        self._last = (0, None)  # the last region computed, as (m, region)
-
-    def _region(self, m: int) -> set[int]:
-        """m and every node whose recorded derivation passes through m."""
-        if self._last[0] == m:
-            return self._last[1]
-        code, witness, parents = self.code, self.witness, self.parents
-        region = {m}
-        stack = [m]
-        while stack:
-            u = stack.pop()
-            for par in parents[u]:
-                if par not in region and (code[par] != AVG or witness[par] == u):
-                    region.add(par)
-                    stack.append(par)
-        self._last = (m, region)
-        return region
+        self.witness = witness
+        self._state = [0] * (n + 1)  # per ``trapped`` call; 1: in m's region, 2: freed
+        self._inside = [0] * (n + 1)  # per ``trapped`` call: a max/min region node's arcs into the region
+        self._region = []
+        self._found = (0, None)  # m and the new witnesses of the last ``trapped``
 
     def trapped(self, m: int) -> set[int]:
         """Nodes that an added arc out of max/min node m could trap: those
-        with no derivation of safety that avoids m (m included)."""
-        region = self._region(m)
-        code, arcs, parents = self.code, self.arcs, self.parents
-        waiting = {}
-        freed = []
-        for v in region:
-            if v == m:
-                continue
-            out = arcs[v - 1]
-            if code[v] == AVG:  # an average with a witness has both arcs
-                if out[0] not in region or out[1] not in region:
-                    freed.append(v)
-            else:
-                waiting[v] = len([t for t in out if t in region])
-        safe = set(freed)
-        while freed:
-            u = freed.pop()
-            for par in parents[u]:
-                if par in safe or par not in region or par == m:
-                    continue
-                if code[par] != AVG:
-                    waiting[par] -= 1
-                    if waiting[par]:
-                        continue
-                safe.add(par)
-                freed.append(par)
-        return region - safe
+        with no derivation of safety that avoids m (m included).
 
-    def add_arc(self, m: int, q: int) -> None:
-        """Add arc (m, q), q outside ``trapped(m)``, and re-rank m's region.
-
-        Ranks only rise, so nodes outside the region keep their rank and
-        their derivation; the region is re-ranked in rank order.
+        One upward walk collects m's region, the nodes whose derivation
+        passes through m (every max/min parent of a region node, an
+        average only through its witness), and counts each max/min region
+        node's arcs into it.  Averages with an arc out of the region are
+        freed, and freedom spreads upward inside it; the rest is
+        trapped.  The new witness of each freed average is kept for
+        ``add_arc``.  The node marks are cleared on the next call, so a
+        call touches the last region and its own alone.
         """
-        region = self._region(m)
-        self._last = (0, None)
-        self.game.add_arc(m, q)
-        code, arcs, parents = self.code, self.arcs, self.parents
-        rank, witness = self.rank, self.witness
-        if q not in region and rank[q] < rank[m]:
-            return  # m keeps its rank, so every other node keeps its own
-        heap = []
-        waiting = {}
-        high = {}  # highest rank among a max/min node's ranked arcs
+        code, arcs, parents, witness = self.code, self.arcs, self.parents, self.witness
+        state, inside = self._state, self._inside
+        for v in self._region:
+            state[v] = 0
+        state[m] = 1
+        inside[m] = 0
+        region = self._region = [m]
+        for u in region:
+            for par in parents[u]:
+                if code[par] == AVG:
+                    if not state[par] and witness[par] == u:
+                        state[par] = 1
+                        region.append(par)
+                elif state[par]:
+                    inside[par] += 1
+                else:
+                    state[par] = 1
+                    inside[par] = 1
+                    region.append(par)
+        new = {}  # freed average -> its new witness
         for v in region:
-            out = arcs[v - 1]
-            outside = [t for t in out if t not in region]
             if code[v] == AVG:
-                if outside:
-                    w = min(outside, key=rank.__getitem__)
-                    heap.append((rank[w] + 1, v, w))
-                continue
-            high[v] = max([rank[t] for t in outside], default=-1)
-            waiting[v] = len(out) - len(outside)
-            if not waiting[v]:
-                heap.append((high[v] + 1, v, 0))
-        heapify(heap)
-        # ``region`` keeps the nodes not yet re-ranked
-        while heap:
-            r, v, w = heappop(heap)
-            if v not in region:
-                continue
-            region.discard(v)
-            rank[v], witness[v] = r, w
-            for par in parents[v]:
-                if par not in region:
+                a, b = arcs[v - 1]
+                if not (state[a] and state[b]):
+                    new[v] = b if state[a] else a
+                    state[v] = 2
+        freed = list(new)
+        for u in freed:
+            for par in parents[u]:
+                if state[par] != 1:
                     continue
                 if code[par] == AVG:
-                    heappush(heap, (r + 1, par, v))
-                    continue
-                waiting[par] -= 1
-                if r > high[par]:
-                    high[par] = r
-                if not waiting[par]:
-                    heappush(heap, (high[par] + 1, par, 0))
+                    new[par] = u
+                else:
+                    inside[par] -= 1
+                    if inside[par]:
+                        continue
+                state[par] = 2
+                freed.append(par)
+        self._found = (m, new)
+        return {v for v in region if state[v] == 1}
+
+    def add_arc(self, m: int, q: int) -> None:
+        """Add arc (m, q), q outside ``trapped(m)``.
+
+        Only a q in m's region has a derivation through m, which the new
+        arc would close into a cycle; then every freed node takes the
+        derivation found for it by ``trapped(m)``, which avoids m.
+        """
+        if self._found[0] != m:
+            self.trapped(m)
+        new = self._found[1]
+        self._found = (0, None)
+        self.game.add_arc(m, q)
+        if self._state[q]:
+            witness = self.witness
+            for v, w in new.items():
+                witness[v] = w
 
 
 def find_valid_arcs(g, m: int) -> set[int]:
@@ -276,11 +258,11 @@ def find_valid_arcs(g, m: int) -> set[int]:
     ``g`` must be a partial game with an empty bad core, the generator's
     invariant; otherwise ``ValueError``.  ``m`` must be a max or min node
     with exactly one out-arc.  A target is valid unless it lies in m's
-    trapped set (``_RankIndex.trapped``): the nodes that, with m unsafe,
-    have no derivation of safety (an average node with a missing arc or
-    an arc to a safe node, a max/min node whose every present arc leads to
-    one).  Terminals are always valid targets and are left in the result;
-    generators strip them.
+    trapped set (``_WitnessIndex.trapped``): the nodes that, with m
+    unsafe, have no derivation of safety (an average node with a missing
+    arc or an arc to a safe node, a max/min node whose every present arc
+    leads to one).  Terminals are always valid targets and are left in the
+    result; generators strip them.
 
     The returned set excludes m and m's current target.
     """
@@ -289,7 +271,7 @@ def find_valid_arcs(g, m: int) -> set[int]:
     out_m = g.arcs_of(m)
     if len(out_m) != 1:
         raise ValueError(f"node {m} must have exactly one out-arc, has {len(out_m)}")
-    valid = set(range(1, g.n + 1)) - _RankIndex(g).trapped(m)
+    valid = set(range(1, g.n + 1)) - _WitnessIndex(g).trapped(m)
     valid.discard(out_m[0])
     return valid
 
@@ -317,7 +299,7 @@ def _assign_second_arcs_decisions(pg: PartialGame, rng: Rng, prefer_zero_indegre
         for i in range(1, n + 1)
         if pg.kind(i).is_decision and len(pg.arcs_of(i)) == 1
     ]
-    index = _RankIndex(pg)
+    index = _WitnessIndex(pg)
     parents = pg.parents()
     zero = [q for q in range(1, n + 1) if not parents[q]]
     while pending:
@@ -348,7 +330,7 @@ def _complete_average_arcs(pg: PartialGame, rng: Rng):
         pg.add_arc(m, _draw(rng, range(1, pg.n + 1), {m - 1, pg.arcs_of(m)[0] - 1}))
 
 
-def _build_basic(p: GenParams, rng: Rng) -> Game | None:
+def _build_basic(p: GenParams, rng: Rng) -> PartialGame | None:
     n = p.n
     kinds: list[NodeKind] = [NodeKind.MAX] * n
     kinds[n - 2] = NodeKind.TERMINAL0
@@ -368,24 +350,30 @@ def _build_basic(p: GenParams, rng: Rng) -> Game | None:
     _complete_average_arcs(pg, rng)
     if not _assign_second_arcs_decisions(pg, rng, prefer_zero_indegree=False):
         return None
-    return pg.freeze(stopping=True)  # valid second arcs keep the bad core empty
+    return pg
 
 
-def generate_basic(p: GenParams) -> Game:
-    """Basic generator; deterministic in ``p.seed``.
+def _first_build(build, p: GenParams) -> PartialGame:
+    """The first of 256 sub-attempts of ``build`` that does not dead-end.
 
     A tiny fraction of attempts can dead-end when the only valid second
     arc left for some max/min node is its own current target; those
-    attempts restart on a derived sub-seed, keeping the overall function
-    a pure map from parameters to a stopping game.
+    attempts restart on a derived sub-seed, keeping generation a pure map
+    from parameters to a game.  Every arc the builders add is a valid
+    one, so the result is complete and its bad core empty: stopping.
     """
+    for attempt in range(256):
+        pg = build(p, Rng(derive_seed(p.seed, attempt)))
+        if pg is not None:
+            return pg
+    raise GenerationError(f"{p.variant.value} generation dead-ended 256 times (seed {p.seed})")
+
+
+def generate_basic(p: GenParams) -> Game:
+    """Basic generator; deterministic in ``p.seed``."""
     if p.variant is not Variant.BASIC:
         raise ValueError("generate_basic needs variant=Variant.BASIC")
-    for attempt in range(256):
-        g = _build_basic(p, Rng(derive_seed(p.seed, attempt)))
-        if g is not None:
-            return g
-    raise GenerationError(f"basic generation dead-ended 256 times (seed {p.seed})")
+    return _first_build(_build_basic, p).freeze(stopping=True)
 
 
 def _build_modified(p: GenParams, rng: Rng) -> PartialGame | None:
@@ -444,15 +432,8 @@ def generate_reduced(p: GenParams, merge: bool = True) -> Game:
     """Modified generator; merges 0/1-valued nodes unless ``merge=False``."""
     if p.variant is not Variant.MODIFIED:
         raise ValueError("generate_reduced needs variant=Variant.MODIFIED")
-    for attempt in range(256):
-        pg = _build_modified(p, Rng(derive_seed(p.seed, attempt)))
-        if pg is not None:
-            g = pg.freeze(stopping=True)  # valid second arcs keep the bad core empty
-            if not merge:
-                return g
-            reduced, _ = merge_terminal_valued(g)
-            return reduced
-    raise GenerationError(f"modified generation dead-ended 256 times (seed {p.seed})")
+    g = _first_build(_build_modified, p).freeze(stopping=True)
+    return merge_terminal_valued(g)[0] if merge else g
 
 
 def generate_fully_reduced(
@@ -461,9 +442,10 @@ def generate_fully_reduced(
     """Generate until an instance satisfies the whole reduction checklist
     (including the single-component form); returns it with its metadata.
 
-    An attempt whose 0/1-valued merge removed nodes is rejected like a
-    checklist failure, so the returned game always has the a + b + c + 2
-    nodes its metadata records.
+    Each attempt is the modified generator's partial game, checked before
+    it is frozen.  A node forced to 0 or 1, which the 0/1-valued merge of
+    ``generate_reduced`` would remove, fails the checklist, so the
+    returned game always has the a + b + c + 2 nodes its metadata records.
     """
     a, b, c = ratio_counts(spec.size, spec.ratio_num)
     for k in range(retry_cap):
@@ -475,10 +457,8 @@ def generate_fully_reduced(
             seed=derive_seed(seed, k),
             variant=Variant.MODIFIED,
         )
-        g = generate_reduced(params)
-        if g.n < params.n:
-            continue
-        checklist = check_assumptions(g)
+        pg = _first_build(_build_modified, params)
+        checklist = check_assumptions(pg)
         if checklist.fully_reduced and checklist.single_nonterminal_scc:
             meta = GenMeta(
                 seed=seed,
@@ -487,9 +467,9 @@ def generate_fully_reduced(
                 b=b,
                 c=c,
                 retries=k,
-                realized_n=g.n,
+                realized_n=pg.n,
             )
-            return g, meta
+            return pg.freeze(stopping=True), meta
     raise GenerationError(
         f"no fully reduced instance within {retry_cap} attempts "
         f"(size {spec.size}, ratio {spec.ratio_num}:4, seed {seed})"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .game import AVG, MAX, MIN, TERM, Game, require_stopping, stopping_game
+from .game import AVG, MAX, MIN, TERM, Game, is_stopping, require_stopping, stopping_game
 
 
 class Polarity(Enum):
@@ -32,17 +32,18 @@ class Polarity(Enum):
 
 @dataclass
 class ReductionReport:
-    """Audit log of one reduction run, in original node ids.
+    """Audit log of one reduction run of an n-node game, in original
+    node ids.
 
     ``events`` is the log: ``("merge", removed node, absorbed-into node,
     rule name)`` and ``("delete", node)`` in application order, so the
-    run can be replayed exactly.  ``merges`` and ``removed_zero_indegree``
-    are views of it.  ``renumbering`` maps surviving original ids to their
-    ids in the reduced game.
+    run can be replayed exactly.  ``merges``, ``removed_zero_indegree``,
+    ``constant_nodes`` (each node merged into a terminal, with that
+    terminal's value) and ``renumbering`` (each surviving original id to
+    its id in the reduced game) are views of it, computed on each read.
     """
 
-    constant_nodes: dict[int, Fraction]
-    renumbering: dict[int, int]
+    n: int
     events: list[tuple]
 
     @property
@@ -52,6 +53,17 @@ class ReductionReport:
     @property
     def removed_zero_indegree(self) -> list[int]:
         return [e[1] for e in self.events if e[0] == "delete"]
+
+    @property
+    def constant_nodes(self) -> dict[int, Fraction]:
+        t0 = self.n - 1  # terminals: n - 1 valued 0, n valued 1
+        return {v: Fraction(w - t0) for v, w, _ in self.merges if w >= t0}
+
+    @property
+    def renumbering(self) -> dict[int, int]:
+        removed = {e[1] for e in self.events}
+        survivors = [i for i in range(1, self.n + 1) if i not in removed]
+        return {old: new for new, old in enumerate(survivors, start=1)}
 
     def to_json(self) -> str:
         payload = {
@@ -84,7 +96,6 @@ class _Work:
         self.live = len(g.code) - g.code.count(TERM)
         self.arcs: list[list[int]] = [list(a) for a in g.arcs]
         self.parents: list[list[int]] = [list(p) for p in g.parents()]
-        self.constants: dict[int, Fraction] = {}
         self.events: list[tuple] = []
 
     def alive_nonterminals(self) -> list[int]:
@@ -120,8 +131,6 @@ class _Work:
         for u in set(plist):
             self.arcs[u - 1] = [w if t == v else t for t in self.arcs[u - 1]]
         self.events.append(("merge", v, w, rule))
-        if self.code[w] == TERM:
-            self.constants[v] = Fraction(1) if w == self.t1 else Fraction(0)
         return plist, old_targets
 
     def delete(self, v: int) -> list[int]:
@@ -216,13 +225,7 @@ class _Work:
         return make(len(survivors), kinds, arcs), renumber
 
     def finish(self) -> tuple[Game, ReductionReport]:
-        game, renumber = self.materialize()
-        report = ReductionReport(
-            constant_nodes=self.constants,
-            renumbering=renumber,
-            events=self.events,
-        )
-        return game, report
+        return self.materialize()[0], ReductionReport(self.n, self.events)
 
 
 def apply_trivial_reductions(g: Game) -> tuple[Game, ReductionReport]:
@@ -479,10 +482,15 @@ class AssumptionChecklist:
         ]
 
 
-def check_assumptions(g: Game) -> AssumptionChecklist:
-    """Evaluate the full reduction checklist on a well-formed game."""
+def check_assumptions(g) -> AssumptionChecklist:
+    """Evaluate the full reduction checklist on a well-formed game.
+
+    ``g`` is a ``Game`` or a complete ``PartialGame`` (``is_stopping``
+    checks the latter afresh): the fully reduced generator checks each
+    attempt's partial game and freezes only the one it accepts.
+    """
     t0, t1 = g.terminal0, g.terminal1
-    stopping = g.stopping
+    stopping = is_stopping(g)
 
     code, arcs = g.code, g.arcs
     no_term_dec = True
@@ -511,9 +519,12 @@ def check_assumptions(g: Game) -> AssumptionChecklist:
     adjacent_pair = bool(to_t0) and bool(to_t1) and len(to_t0 | to_t1) >= 2
 
     if stopping:
-        one = find_terminal_valued(g, Polarity.ONE)
-        zero = find_terminal_valued(g, Polarity.ZERO)
-        no_solved = one == frozenset({t1}) and zero == frozenset({t0})
+        parents = g.parents()
+        # left unmarked: entry 0, the matching terminal and forced nodes
+        no_solved = all(
+            _mark_unforced(code, arcs, parents, polarity, t0, t1)[0].count(False) == 2
+            for polarity in Polarity
+        )
     else:
         no_solved = False
 

@@ -22,6 +22,7 @@ from stopgames import (
     generate_fully_reduced,
     generate_reduced,
     is_stopping,
+    merge_terminal_valued,
     ratio_counts,
     scc_condense,
 )
@@ -140,7 +141,7 @@ def partial_games(draw):
 def test_valid_arcs_property_matches_add_and_check(pg, pick):
     if find_bad_core(pg):
         with pytest.raises(ValueError):
-            generate._RankIndex(pg)
+            generate._WitnessIndex(pg)
         return
     singles = [i for i in range(1, pg.n - 1) if pg.kind(i).is_decision and len(pg.arcs_of(i)) == 1]
     if not singles:
@@ -149,11 +150,43 @@ def test_valid_arcs_property_matches_add_and_check(pg, pick):
     assert find_valid_arcs(pg, m) == brute_force_valid_arcs(pg, m)
 
 
-class CheckedRankIndex(generate._RankIndex):
-    """The generator's rank index, checked at every step of the decision
-    loop against the ancestor-peel reference and a from-scratch build."""
+def assert_well_founded(index):
+    """Every witness is one of its average's arcs, and the derivation
+    graph (an average to its witness, a max/min node to each of its arcs)
+    is acyclic, so every node's safety derives from the outright safe."""
+    g, witness = index.game, index.witness
+    n = g.n
+    succ = [[] for _ in range(n + 1)]
+    for v in range(1, n + 1):
+        out = list(g.arcs_of(v))
+        if g.kind(v) is NodeKind.AVERAGE and len(out) == 2:
+            assert witness[v] in out
+            succ[v] = [witness[v]]
+        elif g.kind(v).is_decision:
+            succ[v] = out
+    indeg = [0] * (n + 1)
+    for v in range(1, n + 1):
+        for t in succ[v]:
+            indeg[t] += 1
+    ready = [v for v in range(1, n + 1) if not indeg[v]]
+    for v in ready:
+        for t in succ[v]:
+            indeg[t] -= 1
+            if not indeg[t]:
+                ready.append(t)
+    assert len(ready) == n
+
+
+class CheckedWitnessIndex(generate._WitnessIndex):
+    """The generator's witness index, checked at every step of the
+    decision loop against the ancestor-peel reference and for
+    well-founded derivations."""
 
     steps = 0
+
+    def __init__(self, g):
+        super().__init__(g)
+        assert_well_founded(self)
 
     def trapped(self, m):
         u = super().trapped(m)
@@ -163,26 +196,26 @@ class CheckedRankIndex(generate._RankIndex):
 
     def add_arc(self, m, q):
         super().add_arc(m, q)
-        assert self.rank == generate._RankIndex(self.game).rank
-        CheckedRankIndex.steps += 1
+        assert_well_founded(self)
+        CheckedWitnessIndex.steps += 1
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_rank_index_matches_peel_and_rebuild_at_every_step(monkeypatch, variant):
+def test_witness_index_matches_peel_and_stays_acyclic_at_every_step(monkeypatch, variant):
     cells = ((64, 1), (128, 8), (256, 4), (512, 1), (512, 8))
     plain = []
     for size, ratio in cells:
         a, b, c = ratio_counts(size, ratio)
         params = GenParams(a + b + c + 2, a, b, c, derive_seed(44, size, ratio), variant)
         plain.append(game_to_json(generate_basic(params) if variant is Variant.BASIC else generate_reduced(params, merge=False)))
-    monkeypatch.setattr(generate, "_RankIndex", CheckedRankIndex)
-    CheckedRankIndex.steps = 0
+    monkeypatch.setattr(generate, "_WitnessIndex", CheckedWitnessIndex)
+    CheckedWitnessIndex.steps = 0
     for (size, ratio), text in zip(cells, plain):
         a, b, c = ratio_counts(size, ratio)
         params = GenParams(a + b + c + 2, a, b, c, derive_seed(44, size, ratio), variant)
         g = generate_basic(params) if variant is Variant.BASIC else generate_reduced(params, merge=False)
         assert game_to_json(g) == text
-    assert CheckedRankIndex.steps >= sum(2 * ratio_counts(*cell)[1] for cell in cells)
+    assert CheckedWitnessIndex.steps >= sum(2 * ratio_counts(*cell)[1] for cell in cells)
 
 
 def _sha256(text: str) -> str:
@@ -220,9 +253,10 @@ def test_generator_bytes_pinned():
 
 def test_games_built_stopping_are_stopping(monkeypatch):
     """Every game built with its stopping flag set, by the generators
-    (each frozen and each 0/1-merged game of every attempt) and by
-    ``reduce_game`` (its result), has an empty bad core: over the
-    144-cell grid and on reduced desk-scale games."""
+    (each frozen game and each 0/1-merged one) and by ``reduce_game``
+    (its result), and every attempt's partial game that the fully reduced
+    generator checks, which the checklist finds stopping, has an empty bad
+    core: over the 144-cell grid and on reduced desk-scale games."""
     import stopgames.game as game_module
     from stopgames import reduce as reduce_module
     from stopgames import reduce_game
@@ -235,9 +269,21 @@ def test_games_built_stopping_are_stopping(monkeypatch):
         built.append(g)
         return g
 
+    checked = []
+    original_check = generate.check_assumptions
+
+    def recording_check(g):
+        checklist = original_check(g)
+        checked.append((checklist.stopping, find_bad_core(g)))
+        return checklist
+
     monkeypatch.setattr(game_module, "stopping_game", recording)
     monkeypatch.setattr(reduce_module, "stopping_game", recording)
-    _grid_texts()
+    monkeypatch.setattr(generate, "check_assumptions", recording_check)
+    texts = _grid_texts()
+    # at least one checked attempt per fully reduced game of the grid
+    assert len(checked) >= sum(key.startswith("full") for key in texts)
+    assert set(checked) == {(True, frozenset())}
     grid_built = len(built)
     for ratio in (1, 8):
         a, b, c = ratio_counts(128, ratio)
@@ -249,6 +295,29 @@ def test_games_built_stopping_are_stopping(monkeypatch):
     assert grid_built >= 144 and len(built) > grid_built + 12
     assert all(g.stopping is True for g in built)
     assert [g for g in built if find_bad_core(g)] == []
+
+
+def test_fully_reduced_decisions_match_freeze_merge_check_pipeline():
+    """Each attempt of ``generate_fully_reduced`` is accepted or rejected
+    as by the generator that froze every attempt, merged its 0/1-valued
+    nodes, rejected a merge that removed nodes and then ran the checklist
+    on the merged game; the accepted game is that pipeline's."""
+    cases = [(RatioSpec(size, ratio), derive_seed(47, size, ratio, i)) for size in (16, 32, 64, 128, 256) for ratio in (1, 4, 8) for i in range(2)]
+    cases += [(RatioSpec(128, 1), derive_seed(*parts)) for parts in ((7, 128, 1), (7, 128, 1, 233))]
+    attempts = shrunk = 0
+    for spec, seed in cases:
+        g, meta = generate_fully_reduced(spec, seed)
+        a, b, c = ratio_counts(spec.size, spec.ratio_num)
+        for k in range(meta.retries + 1):
+            params = GenParams(a + b + c + 2, a, b, c, derive_seed(seed, k), Variant.MODIFIED)
+            merged, _ = merge_terminal_valued(generate_reduced(params, merge=False))
+            checklist = check_assumptions(merged)
+            accepted = merged.n == params.n and checklist.fully_reduced and checklist.single_nonterminal_scc
+            assert accepted == (k == meta.retries), (spec, seed, k)
+            attempts += 1
+            shrunk += merged.n < params.n
+        assert game_to_json(g) == game_to_json(merged)
+    assert attempts > len(cases) and shrunk >= 2
 
 
 @pytest.mark.parametrize("parts, collapsed_attempt, retries", [((7, 128, 1), 1, 2), ((7, 128, 1, 233), 4, 10)])

@@ -368,12 +368,12 @@ def test_replay_of_a_mismatched_report_raises():
         replay_reduction(has_parent, report)
 
     with pytest.raises(ValueError, match="cannot merge node 3: not a live non-terminal"):
-        replay_reduction(MINIMAL, ReductionReport({}, {}, [("merge", 3, 1, "self-arc")]))
+        replay_reduction(MINIMAL, ReductionReport(MINIMAL.n, [("merge", 3, 1, "self-arc")]))
     with pytest.raises(ValueError, match="cannot merge node 1 into node 1"):
-        replay_reduction(MINIMAL, ReductionReport({}, {}, [("merge", 1, 1, "self-arc")]))
+        replay_reduction(MINIMAL, ReductionReport(MINIMAL.n, [("merge", 1, 1, "self-arc")]))
     with pytest.raises(ValueError, match="cannot merge node 1 into node 9"):
-        replay_reduction(MINIMAL, ReductionReport({}, {}, [("merge", 1, 9, "self-arc")]))
-    twice = ReductionReport({}, {}, [("merge", 1, 3, "one-valued"), ("merge", 1, 3, "one-valued")])
+        replay_reduction(MINIMAL, ReductionReport(MINIMAL.n, [("merge", 1, 9, "self-arc")]))
+    twice = ReductionReport(MINIMAL.n, [("merge", 1, 3, "one-valued"), ("merge", 1, 3, "one-valued")])
     with pytest.raises(ValueError, match="cannot merge node 1: not a live non-terminal"):
         replay_reduction(MINIMAL, twice)
     larger = generate_basic(GenParams(n=62, a=20, b=20, c=20, seed=35))
