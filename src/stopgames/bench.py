@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .evaluate import EXACT, FLOAT, EvaluationContractError, is_stable
-from .game import Game, load_game, save_game
+from .game import Game, json_object, load_game, save_game
 from .generate import GenMeta, RatioSpec, generate_fully_reduced, ratio_counts
 from .rng import derive_seed
 from .solve import ALGORITHMS, SOLVERS
@@ -81,12 +81,10 @@ class BenchPlan:
     def from_json(text: str) -> "BenchPlan":
         """Parse a plan file; unknown keys and mistyped values are a
         ``ValueError``, as is a plan that fails ``validate``."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("plan must be a JSON object")
+        data = json_object(text, "plan")
         unknown = sorted(set(data) - {f.name for f in fields(BenchPlan)})
         if unknown:
-            raise ValueError(f"unknown plan keys: {', '.join(unknown)}")
+            raise ValueError(f"unknown plan keys: {', '.join(map(repr, unknown))}")
         for key, value in data.items():
             if key in ("sizes", "ratios", "algorithms"):
                 item = str if key == "algorithms" else int

@@ -64,14 +64,32 @@ class StrategyPair:
 
 @dataclass(frozen=True)
 class ValueVector:
-    """Per-node values, index 1..n via ``value``.  ``mode`` is "exact"
-    (Fractions) or "float" (binary64)."""
+    """Per-node values, index 1..n via ``value``.
 
-    values: tuple
+    ``mode`` is "float" (binary64) or "exact".  ``scaled`` holds the values
+    times ``den``: in exact mode one int numerator per node over one
+    positive common denominator ``den``, in lowest terms; in float mode the
+    floats themselves, with ``den`` 1.  Comparisons inside one vector are
+    comparisons of ``scaled`` entries, ints in exact mode.  ``values`` is
+    the tuple of per-node values, Fractions in exact mode, built on each
+    use rather than kept beside the numerators.
+    """
+
+    scaled: tuple
     mode: str
+    den: int = 1
+
+    @property
+    def values(self) -> tuple:
+        if self.mode == EXACT:
+            den = self.den
+            return tuple(Fraction(x, den) for x in self.scaled)
+        return self.scaled
 
     def value(self, i: int):
-        return self.values[i - 1]
+        if self.mode == EXACT:
+            return Fraction(self.scaled[i - 1], self.den)
+        return self.scaled[i - 1]
 
 
 def _owned(g: Game, player: Player) -> tuple[int, ...]:
@@ -92,9 +110,9 @@ def _successors(g: Game, sp: StrategyPair) -> list[int]:
     ``ValueError`` unless each strategy covers exactly its player's nodes
     with 0/1 choices."""
     succ = [0] * (g.n + 1)
-    for name, strat, owned in (("max", sp.sigma, g.max_nodes), ("min", sp.tau, g.min_nodes)):
-        if set(strat.choice) != set(owned):
-            raise ValueError(f"{name} strategy must cover exactly {list(owned)}")
+    for name, strat, owned in (("max", sp.sigma, g.max_node_set), ("min", sp.tau, g.min_node_set)):
+        if strat.choice.keys() != owned:
+            raise ValueError(f"{name} strategy must cover exactly {sorted(owned)}")
         for i, c in strat.choice.items():
             if c not in (0, 1):
                 raise ValueError(f"choice for node {i} must be 0 or 1, got {c}")
@@ -137,8 +155,9 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
     the constant 1, and its matrix entries are COO triplets: the diagonal 2
     and a -1 for every child whose value is an unknown, duplicates summed.
 
-    Exact mode returns Fractions; float mode guarantees every equation's
-    residual is at most 1e-9.
+    Exact mode returns the solver's numerators over its denominator, the
+    terminals reading 0 and d and every alias its unknown's numerator;
+    float mode guarantees every equation's residual is at most 1e-9.
     """
     if mode not in (EXACT, FLOAT):
         raise ValueError(f"unknown mode {mode!r}")
@@ -178,10 +197,11 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
     # Only the solved unknowns can leave [0, 1]; every alias shares the
     # checked value.
     if mode == EXACT:
-        solution = linsolve.solve_exact(rhs, coo)
+        solution, den = linsolve.solve_exact(rhs, coo)
         for x in solution:
-            if not 0 <= x <= 1:
-                raise EvaluationContractError(f"exact value {x} outside [0, 1]")
+            if not 0 <= x <= den:
+                raise EvaluationContractError(f"exact value {Fraction(x, den)} outside [0, 1]")
+        constants = (0, den)
     else:
         solution = linsolve.solve_float(rhs, coo).tolist()
         for pos, f in enumerate(solution):
@@ -189,17 +209,21 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
                 if f < -1e-9 or f > 1.0 + 1e-9:
                     raise EvaluationContractError(f"float value {f} outside [0, 1]")
                 solution[pos] = min(max(f, 0.0), 1.0)
-    as_value = Fraction if mode == EXACT else float
-    values = [solution[c] if c >= 0 else as_value(k) for c, k in zip(col, const)]
-    return ValueVector(tuple(values[1:]), mode)
+        constants, den = (0.0, 1.0), 1
+    values = tuple([solution[c] if c >= 0 else constants[k] for c, k in zip(col, const)][1:])
+    return ValueVector(values, mode, den)
 
 
 def is_stable(g: Game, v: ValueVector, tol: float = DEFAULT_STABLE_TOL) -> bool:
     """True when every node satisfies its local equation within ``tol``.
 
-    With tol=0 and exact values this is an exact stability check.
+    With tol=0 and exact values this is an exact stability check.  An
+    exact vector is checked in integers, against the exact ratio of
+    ``tol``.
     """
-    vals, code, arcs = v.values, g.code, g.arcs
+    if v.mode == EXACT:
+        return _is_stable_exact(g, v, tol)
+    vals, code, arcs = v.scaled, g.code, g.arcs
     for i in range(1, g.n + 1):
         c = code[i]
         if c == TERM:
@@ -220,9 +244,31 @@ def is_stable(g: Game, v: ValueVector, tol: float = DEFAULT_STABLE_TOL) -> bool:
     return True
 
 
-def switchable_set(
-    g: Game, v: ValueVector, player: Player, margin: float | None = None
-) -> set[int]:
+def _is_stable_exact(g: Game, v: ValueVector, tol) -> bool:
+    """``is_stable`` on numerators, at twice their scale so that an
+    average's wanted value stays an int: with tol = p/q, a node fails when
+    its doubled gap times q exceeds 2·p·den."""
+    p, q = Fraction(tol).as_integer_ratio()
+    limit = 2 * p * v.den
+    nums, code, arcs = v.scaled, g.code, g.arcs
+    for i in range(1, g.n + 1):
+        c = code[i]
+        if c == TERM:
+            continue
+        j, k = arcs[i - 1]
+        a, b = nums[j - 1], nums[k - 1]
+        if c == MAX:
+            twice_want = 2 * (a if a >= b else b)
+        elif c == MIN:
+            twice_want = 2 * (a if a <= b else b)
+        else:
+            twice_want = a + b
+        if abs(2 * nums[i - 1] - twice_want) * q > limit:
+            return False
+    return True
+
+
+def switchable_set(g: Game, v: ValueVector, player: Player) -> set[int]:
     """The player's nodes whose other arc is strictly better than their
     current value.
 
@@ -231,12 +277,11 @@ def switchable_set(
     to the strategy itself.  Strictness uses exact comparison on exact
     vectors and a small margin on float vectors.
     """
-    if margin is None:
-        margin = 0 if v.mode == EXACT else DEFAULT_SWITCH_MARGIN
-    vals = v.values
+    margin = 0 if v.mode == EXACT else DEFAULT_SWITCH_MARGIN
+    vals, arcs = v.scaled, g.arcs
     out = set()
     for i in _owned(g, player):
-        j, k = g.arcs_of(i)
+        j, k = arcs[i - 1]
         if player is Player.MAX:
             if max(vals[j - 1], vals[k - 1]) > vals[i - 1] + margin:
                 out.add(i)
@@ -245,18 +290,15 @@ def switchable_set(
     return out
 
 
-def _improve_all(
-    g: Game, strat: Strategy, v: ValueVector, margin: float | None
-) -> Strategy | None:
+def _improve_all(g: Game, strat: Strategy, v: ValueVector) -> Strategy | None:
     """Switch every strictly improving node; None when already optimal."""
-    if margin is None:
-        margin = 0 if v.mode == EXACT else DEFAULT_SWITCH_MARGIN
-    vals = v.values
+    margin = 0 if v.mode == EXACT else DEFAULT_SWITCH_MARGIN
+    vals, arcs = v.scaled, g.arcs
     better_sign = 1 if strat.player is Player.MAX else -1
     new_choice = dict(strat.choice)
     switched = False
     for i, c in strat.choice.items():
-        j, k = g.arcs_of(i)
+        j, k = arcs[i - 1]
         cur, other = (j, k) if c == 0 else (k, j)
         gain = (vals[other - 1] - vals[cur - 1]) * better_sign
         if gain > margin:
@@ -285,7 +327,7 @@ def best_response(
         raise ValueError("fixed strategy must belong to the opposite player")
     require_stopping(g, "best response")
     resp = initial if initial is not None else first_arc_strategy(g, player)
-    if set(resp.choice) != set(_owned(g, player)):
+    if resp.choice.keys() != (g.max_node_set if player is Player.MAX else g.min_node_set):
         raise ValueError("initial strategy does not cover the responder's nodes")
 
     cap = 10 * len(resp.choice) + 20
@@ -295,7 +337,7 @@ def best_response(
 
     for _ in range(cap):
         v = evaluate_strategy_pair(g, pair_for(resp), FLOAT)
-        improved = _improve_all(g, resp, v, None)
+        improved = _improve_all(g, resp, v)
         if improved is None:
             break
         resp = improved
@@ -307,7 +349,7 @@ def best_response(
 
     for _ in range(cap):
         v = evaluate_strategy_pair(g, pair_for(resp), EXACT)
-        improved = _improve_all(g, resp, v, None)
+        improved = _improve_all(g, resp, v)
         if improved is None:
             return resp, v
         resp = improved
@@ -320,7 +362,7 @@ def best_response(
 def value_strings(v: ValueVector) -> list[str]:
     """One string per node: ``num/den`` in exact mode, ``repr`` in float."""
     if v.mode == EXACT:
-        return [str(Fraction(x)) for x in v.values]
+        return [str(x) for x in v.values]
     return [repr(float(x)) for x in v.values]
 
 
@@ -332,9 +374,8 @@ def value_vector_from_json(text: str) -> ValueVector:
     data = json.loads(text)
     mode = data["mode"]
     if mode == EXACT:
-        values = tuple(Fraction(s) for s in data["values"])
-    elif mode == FLOAT:
-        values = tuple(float(s) for s in data["values"])
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return ValueVector(values, mode)
+        nums, den = linsolve.common_denominator([Fraction(s) for s in data["values"]])
+        return ValueVector(tuple(nums), EXACT, den)
+    if mode == FLOAT:
+        return ValueVector(tuple(float(s) for s in data["values"]), FLOAT)
+    raise ValueError(f"unknown mode {mode!r}")

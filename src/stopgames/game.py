@@ -66,8 +66,9 @@ class Game:
     out-arc pair (empty tuple for terminals).  Instances are hashable and
     safe to share between threads.  Being immutable, a game derives its
     layout once, on first use: whether it is stopping (``stopping``), the
-    kind codes (``code``), the parent lists (``parents()``) and the nodes
-    of each kind (``max_nodes``, ``min_nodes``, ``average_nodes``).
+    kind codes (``code``), the parent lists (``parents()``), the nodes
+    of each kind (``max_nodes``, ``min_nodes``, ``average_nodes``) and
+    the sets of the players' nodes (``max_node_set``, ``min_node_set``).
     """
 
     n: int
@@ -104,6 +105,14 @@ class Game:
     @cached_property
     def min_nodes(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.code) if c == MIN)
+
+    @cached_property
+    def max_node_set(self) -> frozenset[int]:
+        return frozenset(self.max_nodes)
+
+    @cached_property
+    def min_node_set(self) -> frozenset[int]:
+        return frozenset(self.min_nodes)
 
     @cached_property
     def average_nodes(self) -> tuple[int, ...]:
@@ -323,11 +332,21 @@ def game_to_json(g: Game) -> str:
     return json.dumps({"n": g.n, "nodes": nodes}, separators=(",", ":")) + "\n"
 
 
+def json_object(text: str, what: str) -> dict:
+    """``text`` parsed as a JSON object.  Anything else is a ``ValueError``
+    naming ``what``, nesting too deep for the parser's recursion included."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} nests too deeply to parse") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return data
+
+
 def game_from_json(text: str) -> Game:
     """Parse an instance file; every schema violation is a ``ValueError``."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("instance must be a JSON object")
+    data = json_object(text, "instance")
     n = data.get("n")
     nodes = data.get("nodes")
     if type(n) is not int:

@@ -113,7 +113,9 @@ def solve_hoffman_karp(
             raise EvaluationContractError(f"Hoffman-Karp exceeded {cap} iterations")
         tau, v = best_response(g, sigma, Player.MIN, mode, initial=tau)
         if mode == EXACT and prev_values is not None:
-            if any(a < b for a, b in zip(v.values, prev_values.values)):
+            # v.scaled / v.den against prev.scaled / prev.den, cross-multiplied
+            den, prev_den = v.den, prev_values.den
+            if any(a * prev_den < b * den for a, b in zip(v.scaled, prev_values.scaled)):
                 raise EvaluationContractError(
                     "max values decreased between improvement rounds"
                 )
@@ -265,7 +267,8 @@ def solve_permutation_improvement(
         v = evaluate_strategy_pair(g, sp, mode)
         # re-sorting first makes the order consistent with these values;
         # stability of the assignment is then the binding condition
-        order.sort(key=lambda node: v.value(node))
+        scaled = v.scaled
+        order.sort(key=lambda node: scaled[node - 1])
         if not switchable_set(g, v, Player.MAX) and not switchable_set(
             g, v, Player.MIN
         ):

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from stopgames import load_game
+from stopgames import cli, game_from_json, load_game
 
 from stopgames.bench import (
     BenchPlan,
@@ -276,6 +279,74 @@ def test_cli_malformed_plan_exits_1_with_one_line(tmp_path, capsys, change):
     assert main(["bench", "--plan", str(path), "--out", str(tmp_path / "r.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def one_line_error(code: int, err: str) -> bool:
+    return code == 1 and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_cli_deeply_nested_json_exits_1_with_one_line(tmp_path, capsys, command):
+    """Nesting past the JSON parser's recursion limit is a malformed file,
+    not a RecursionError traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    argv = ["verify", str(path)] if command == "verify" else ["bench", "--plan", str(path), "--out", str(tmp_path / "r.csv")]
+    assert one_line_error(main(argv), capsys.readouterr().err)
+
+
+def json_documents(keys, words):
+    """Encoded JSON values of every type, with object keys and strings
+    often drawn from the schema's own names so that fields get past the
+    first checks; mixed with arbitrary bytes."""
+    leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.sampled_from(words)
+    values = st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(keys) | st.text(), inner, max_size=5),
+        max_leaves=20,
+    )
+    return values.map(lambda v: json.dumps(v).encode()) | st.binary()
+
+
+def parses(parse, data: bytes) -> bool:
+    """Whether the parser accepts the file; any exception but
+    ``ValueError`` escapes and fails the test."""
+    try:
+        parse(data.decode("utf-8"))
+    except ValueError:
+        return False
+    return True
+
+
+FUZZ = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(json_documents(["n", "nodes", "id", "kind", "arcs"], ["max", "min", "avg", "t0", "t1"]))
+def test_cli_fuzzed_instance_file_exits_1_with_one_line(tmp_path, capsys, data):
+    path = tmp_path / "fuzz.json"
+    path.write_bytes(data)
+    code = main(["verify", str(path)])
+    err = capsys.readouterr().err
+    if parses(game_from_json, data):  # a well-formed game: verify reports on stdout
+        assert code in (0, 1) and not err
+    else:
+        assert one_line_error(code, err)
+
+
+@FUZZ
+@given(json_documents([f.name for f in fields(BenchPlan)], ["hk", "perm", "bf", "vi", "exact", "float"]))
+@example(b'{"line\\nbreak": 1}')  # an unknown key is quoted, so its message stays one line
+def test_cli_fuzzed_plan_file_exits_1_with_one_line(tmp_path, capsys, monkeypatch, data):
+    monkeypatch.setattr(cli, "run_benchmark", lambda plan, workers: [])  # an accepted plan runs nothing
+    path = tmp_path / "fuzz.json"
+    path.write_bytes(data)
+    code = main(["bench", "--plan", str(path), "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    if parses(BenchPlan.from_json, data):
+        assert code == 0
+    else:
+        assert one_line_error(code, err)
 
 
 # A fully reduced 17-node game (generate_instance(16, 4, 0, 5)) with ten

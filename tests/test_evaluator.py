@@ -125,10 +125,15 @@ def test_evaluate_rejects_incomplete_strategy():
 
 
 def test_is_stable_examples():
-    good = ValueVector((Fraction(1, 2), Fraction(0), Fraction(1)), EXACT)
+    good = ValueVector((1, 0, 2), EXACT, 2)
     bad = ValueVector((0.4, 0.0, 1.0), FLOAT)
     assert is_stable(MINIMAL, good, 0)
     assert not is_stable(MINIMAL, bad, 1e-9)
+    # an exact vector meets a float tol at the float's exact binary ratio
+    for extra, stable in ((0, True), (Fraction(1, 10**30), False)):
+        x = Fraction(1, 2) + Fraction(1e-9) + extra
+        off = ValueVector((x.numerator, 0, x.denominator), EXACT, x.denominator)
+        assert is_stable(MINIMAL, off, 1e-9) is stable
 
 
 def test_switchable_empty_iff_stable():
@@ -146,7 +151,7 @@ def test_switchable_empty_iff_stable():
 def test_switchable_detects_better_arc():
     # max node choosing a 0-valued child with a 1-valued alternative
     g = build_game([("max", (3, 4)), ("avg", (3, 4))])
-    v = ValueVector((Fraction(0), Fraction(1, 2), Fraction(0), Fraction(1)), EXACT)
+    v = ValueVector((0, 1, 0, 2), EXACT, 2)
     assert switchable_set(g, v, Player.MAX) == {1}
 
 
@@ -234,8 +239,8 @@ ALIASED_PAIR = pair(ALIASED, sigma_bits=[0], tau_bits=[0])
 @pytest.mark.parametrize(
     "mode,solver,bad",
     [
-        (EXACT, "solve_exact", [Fraction(3, 2)]),
-        (EXACT, "solve_exact", [Fraction(-1, 10**12)]),
+        (EXACT, "solve_exact", ([3], 2)),
+        (EXACT, "solve_exact", ([-1], 10**12)),
         (FLOAT, "solve_float", np.array([1.5])),
         (FLOAT, "solve_float", np.array([-1e-6])),
     ],

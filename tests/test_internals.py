@@ -2,12 +2,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import random_pair, random_stopping_game
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stopgames import linsolve
+from stopgames import EXACT, evaluate_strategy_pair, linsolve
 from stopgames.linsolve import (
     _LIFT_PRIMES,
     SingularSystemError,
     _gauss_fractions,
+    common_denominator,
     solve_exact,
     solve_float,
 )
@@ -98,12 +102,81 @@ def random_system(rng: Rng, size: int):
             return rhs, system
 
 
+def gauss(rhs, system):
+    """The reference answer in ``solve_exact``'s form: numerators over the
+    least common denominator of the rational elimination."""
+    return common_denominator(_gauss_fractions(rhs, system))
+
+
+def fractions(solution):
+    nums, den = solution
+    return [Fraction(v, den) for v in nums]
+
+
 def test_exact_modular_path_matches_fraction_elimination():
+    """Past eight unknowns, the numeric lift (through ``solve_exact``) and
+    Dixon's p-adic lifting both give the least common denominator form of
+    rational elimination."""
     for seed in range(30):
         rng = Rng(seed)
-        size = 9 + rng.randbelow(40)  # forces the modular path
+        size = 9 + rng.randbelow(40)  # past the rational-elimination size
         rhs, system = random_system(rng, size)
-        assert solve_exact(rhs, system) == _gauss_fractions(rhs, system)
+        expected = gauss(rhs, system)
+        assert solve_exact(rhs, system) == expected
+        assert linsolve._solve_dixon(rhs, system) == expected
+
+
+def game_system(g, pair):
+    """The value system ``evaluate_strategy_pair`` builds for the pair."""
+    systems = []
+
+    def record(rhs, system):
+        systems.append((rhs, system))
+        return gauss(rhs, system)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linsolve, "solve_exact", record)
+        evaluate_strategy_pair(g, pair, EXACT)
+    (found,) = systems
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.sampled_from([12, 40, 160]))
+def test_numeric_lift_matches_rational_elimination_on_game_systems(game_seed, pair_seed, max_nodes):
+    """The lift solves the value system of a random stopping game under a
+    random strategy pair, at every size from one unknown up, on a dense
+    factor and past 64 unknowns on a sparse LU, and its answer is the
+    least common denominator form of rational elimination."""
+    g = random_stopping_game(game_seed, max_nodes)
+    rhs, system = game_system(g, random_pair(g, Rng(pair_seed)))
+    if rhs:
+        assert linsolve._solve_numeric(rhs, system) == gauss(rhs, system)
+
+
+@pytest.mark.parametrize("defect", ["too-many-bits", "no-fit"])
+def test_exact_lift_gives_up_to_dixon(monkeypatch, defect):
+    """Where the lift gives up, Dixon lifting answers.  Asked for more bits
+    per step than float64 holds, the lift stops on its residual bound or
+    its int64 cap; with no rational fit to accept, it runs past the
+    Hadamard bound."""
+    if defect == "too-many-bits":
+        monkeypatch.setattr(linsolve, "_LIFT_BITS", 58)
+    else:
+        monkeypatch.setattr(linsolve, "_approximate", lambda approx, scale: None)
+    dixon, sizes = linsolve._solve_dixon, []
+
+    def recording(rhs, system):
+        sizes.append(len(rhs))
+        return dixon(rhs, system)
+
+    monkeypatch.setattr(linsolve, "_solve_dixon", recording)
+    for seed in range(6):
+        rng = Rng(seed + 90)
+        rhs, system = random_system(rng, 9 + rng.randbelow(80))
+        assert linsolve._solve_numeric(rhs, system) is None
+        assert solve_exact(rhs, system) == gauss(rhs, system)
+    assert len(sizes) == 6
 
 
 def test_float_residual_contract():
@@ -128,8 +201,8 @@ def test_duplicate_triplets_are_summed(size):
     unknown), row 1 a -1 on its own diagonal (a child aliasing the row's
     own unknown); the rest is a chain of averages.  The system is upper
     triangular, so back substitution gives the exact answer.  The sizes
-    cover dense float with Gauss, dense float with Dixon lifting and
-    sparse LU with Dixon lifting."""
+    cover rational elimination, the numeric lift on a dense float factor
+    and on a sparse LU, and Dixon lifting at both lifting sizes."""
     entries = [(0, 0, 2), (0, 1, -1), (0, 1, -1), (1, 1, 2), (1, 1, -1), (1, 2, -1)]
     for i in range(2, size - 1):
         entries += [(i, i, 2), (i, i + 1, -1)]
@@ -144,9 +217,10 @@ def test_duplicate_triplets_are_summed(size):
     expected[1] = rhs[1] + expected[2]
     expected[0] = (rhs[0] + 2 * expected[1]) / 2
 
-    assert solve_exact(rhs, system) == expected
+    assert fractions(solve_exact(rhs, system)) == expected
     if size > 8:
-        assert linsolve._solve_dixon(rhs, system) == expected
+        assert fractions(linsolve._solve_numeric(rhs, system)) == expected
+        assert fractions(linsolve._solve_dixon(rhs, system)) == expected
     else:
         assert _gauss_fractions(rhs, system) == expected
     x = solve_float(rhs, system)
@@ -172,29 +246,34 @@ def _with_blocks(blocks, rhs, system):
     return out_rhs + list(rhs), coo(entries)
 
 
-def test_exact_lifting_retries_second_prime_then_rational_elimination():
-    """A determinant divisible by the first prime makes the lifting use the
-    second; divisible by both, the system goes to rational elimination."""
+def test_exact_lifting_retries_second_prime_then_rational_elimination(monkeypatch):
+    """With the numeric lift giving up, a determinant divisible by the
+    first prime makes Dixon lifting use the second; divisible by both, the
+    system goes to rational elimination."""
+    monkeypatch.setattr(linsolve, "_solve_numeric", lambda rhs, system: None)
     first, second = _LIFT_PRIMES
     rhs, system = random_system(Rng(77), 12)
     one_bad = _with_blocks([first], rhs, system)
     one_bad_dense = dense_of(len(one_bad[0]), one_bad[1], np.int64)
     assert linsolve._inverse_mod(one_bad_dense, first) is None
     assert linsolve._inverse_mod(one_bad_dense, second) is not None
-    assert linsolve._solve_dixon(*one_bad) is not None
-    assert solve_exact(*one_bad) == _gauss_fractions(*one_bad)
+    assert linsolve._solve_dixon(*one_bad) == gauss(*one_bad)
+    assert solve_exact(*one_bad) == gauss(*one_bad)
 
     both_bad = _with_blocks([first, second], rhs, system)
     assert linsolve._solve_dixon(*both_bad) is None
-    assert solve_exact(*both_bad) == _gauss_fractions(*both_bad)
+    assert solve_exact(*both_bad) == gauss(*both_bad)
 
 
 @pytest.mark.parametrize("scale", [1, _LIFT_PRIMES[0] ** 2], ids=["unit", "p-squared"])
 def test_exact_lifting_long_chain_of_averages(scale):
     """x_i = (x_{i+1} + c_i) / 2 down a chain of 320 averages: the common
-    denominator is 2**320, so lifting runs for about 28 steps.  Scaled by
-    p**2, the first two p-adic digits are zero, so the reconstruction after
-    two steps is the zero vector, which the integer check must reject."""
+    denominator is 2**320, so the numeric lift runs for 17 steps of 40
+    bits.  Scaled by p**2, the right-hand sides reach 2**46, so the first
+    scaled residual would overflow int64: the lift gives up and Dixon
+    lifting takes over.  There the first two p-adic digits are zero, so the
+    reconstruction after two steps is the zero vector, which the integer
+    check must reject."""
     rng = Rng(78)
     a = 320
     consts = [scale * rng.randbelow(2) for _ in range(a)]
@@ -203,9 +282,12 @@ def test_exact_lifting_long_chain_of_averages(scale):
     nxt = Fraction(0)
     for i in range(a - 1, -1, -1):
         nxt = expected[i] = (nxt + consts[i]) / 2
-    x = solve_exact(consts, coo(entries))
-    assert x == expected
-    assert max(v.denominator for v in x).bit_length() > 300
+    system = coo(entries)
+    nums, den = solve_exact(consts, system)
+    assert fractions((nums, den)) == expected
+    assert den.bit_length() > 300
+    lifted = linsolve._solve_numeric(consts, system)
+    assert (lifted is None) == (scale > 1)
 
 
 def test_exact_singular_system_raises():
