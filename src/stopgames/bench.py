@@ -16,7 +16,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +44,13 @@ class BenchRecord:
 
 @dataclass
 class BenchPlan:
-    """One benchmark campaign; serializes to/from a JSON plan file."""
+    """One benchmark campaign; serializes to/from a JSON plan file.  The
+    fields without a default are required, in the file too."""
 
-    sizes: list[int] = field(default_factory=lambda: [2**k for k in range(5, 13)])
-    ratios: list[int] = field(default_factory=lambda: list(range(1, 9)))
-    instances_per_cell: int = 100
-    runs_per_instance: int = 100
+    sizes: list[int]
+    ratios: list[int]
+    instances_per_cell: int
+    runs_per_instance: int
     algorithms: list[str] = field(default_factory=lambda: ["hk", "perm"])
     master_seed: int = 0
     mode: str = FLOAT
@@ -79,12 +80,19 @@ class BenchPlan:
 
     @staticmethod
     def from_json(text: str) -> "BenchPlan":
-        """Parse a plan file; unknown keys and mistyped values are a
-        ``ValueError``, as is a plan that fails ``validate``."""
+        """Parse a plan file; unknown or missing keys and mistyped values
+        are a ``ValueError``, as is a plan that fails ``validate``."""
         data = json_object(text, "plan")
         unknown = sorted(set(data) - {f.name for f in fields(BenchPlan)})
         if unknown:
             raise ValueError(f"unknown plan keys: {', '.join(map(repr, unknown))}")
+        missing = [
+            f.name
+            for f in fields(BenchPlan)
+            if f.name not in data and f.default is MISSING and f.default_factory is MISSING
+        ]
+        if missing:
+            raise ValueError(f"plan misses required keys: {', '.join(map(repr, missing))}")
         for key, value in data.items():
             if key in ("sizes", "ratios", "algorithms"):
                 item = str if key == "algorithms" else int

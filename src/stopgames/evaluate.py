@@ -2,20 +2,30 @@
 
 With both players' choices pinned, every node's value is the probability
 that the random walk reaches the 1-terminal.  Nodes that cannot reach a
-terminal at all are set to zero; the remaining max/min nodes just copy
-their chosen successor, so the whole system collapses to a small linear
-system over the average nodes.  Both the exact-rational and the float64
-paths share that reduction.
+terminal at all are set to zero.  Every other max/min node takes the
+value of its anchor, the first average or terminal its chosen arcs
+reach, so the whole system collapses to a small linear system over the
+average nodes.  The exact and the float64 paths share that reduction.
 
-An evaluation reads the game's cached layout (``Game.code``,
-``Game.parents()`` and the node tuples of each kind) and builds, per
-strategy pair, one successor array, one breadth-first walk back from
-the terminals over the parent lists, and two per-node arrays: the column
-of the unknown average a node's value equals, or else its 0/1 constant.
-From those it emits the system in the one format both ``linsolve``
+An evaluation works on the game's cached arrays (``Game.layout``).  It
+scatters both strategies into one successor array and resolves every
+node to its anchor by pointer jumping, ``t = t[t]`` until each node sits
+on an average or a terminal.  Each node then reads its anchor's slot:
+the column of an average, or one of two slots past the columns for the
+constants 0 and 1.  A few NumPy operations gather the system from the
+slots of the averages' children, in the one format both ``linsolve``
 solvers take: an int right-hand side and integer COO triplets (the
-diagonal 2 and a -1 per child whose value is an unknown).  Only the
-solved unknowns are range-checked, once each.
+diagonal 2 and a -1 per child whose value is an unknown).  The values
+come back with one gather through the slots, and only the solved
+unknowns are range-checked, once each.
+
+On a stopping game every node reaches a terminal under every strategy
+pair, so no reachability walk runs; hk, perm, best responses, brute
+force and component-wise solving establish that with
+``require_stopping`` before they evaluate.  On any other game one walk
+back from the terminals over the cached parents marks the nodes that
+reach one; the rest anchor at the 0-terminal, and only the reached
+averages are unknowns.
 """
 
 from __future__ import annotations
@@ -24,6 +34,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+
+import numpy as np
 
 from . import linsolve
 from .game import AVG, MAX, MIN, TERM, Game, require_stopping
@@ -105,19 +117,45 @@ def first_arc_strategy(g: Game, player: Player) -> Strategy:
     return Strategy(player, {i: 0 for i in _owned(g, player)})
 
 
-def _successors(g: Game, sp: StrategyPair) -> list[int]:
-    """``succ[i]`` is the chosen target of max/min node i, 0 elsewhere;
-    ``ValueError`` unless each strategy covers exactly its player's nodes
-    with 0/1 choices."""
-    succ = [0] * (g.n + 1)
-    for name, strat, owned in (("max", sp.sigma, g.max_node_set), ("min", sp.tau, g.min_node_set)):
-        if strat.choice.keys() != owned:
+def _successors(g: Game, sp: StrategyPair) -> np.ndarray:
+    """``succ[i]`` is the chosen target of max/min node i and i itself
+    elsewhere, entry 0 included; ``ValueError`` unless each strategy
+    covers exactly its player's nodes with 0/1 choices."""
+    bits = []
+    for name, strat, owned, owned_set in (
+        ("max", sp.sigma, g.max_nodes, g.max_node_set),
+        ("min", sp.tau, g.min_nodes, g.min_node_set),
+    ):
+        choice = strat.choice
+        if choice.keys() != owned_set:
             raise ValueError(f"{name} strategy must cover exactly {sorted(owned)}")
-        for i, c in strat.choice.items():
-            if c not in (0, 1):
-                raise ValueError(f"choice for node {i} must be 0 or 1, got {c}")
-            succ[i] = g.arcs[i - 1][c]
+        chosen = list(map(choice.__getitem__, owned))
+        if not set(chosen) <= {0, 1}:
+            i, c = next((i, c) for i, c in choice.items() if c not in (0, 1))
+            raise ValueError(f"choice for node {i} must be 0 or 1, got {c}")
+        bits += chosen
+    lay = g.layout
+    succ = np.arange(g.n + 1)
+    succ[lay.decision_nodes] = lay.arcs[lay.decision_nodes, np.array(bits, dtype=np.intp)]
     return succ
+
+
+def _reached(g: Game, succ: np.ndarray) -> list[bool]:
+    """Per node id, whether it has a path to a terminal in the strategy
+    subgraph: a walk back from the terminals over the game's parents, in
+    which a max/min node is reached only through its chosen successor."""
+    code, parents, succ = g.code, g.parents(), succ.tolist()
+    seen = [False] * (g.n + 1)
+    stack = [g.terminal0, g.terminal1]
+    for u in stack:
+        seen[u] = True
+    while stack:
+        u = stack.pop()
+        for p in parents[u]:
+            if not seen[p] and (code[p] == AVG or succ[p] == u):
+                seen[p] = True
+                stack.append(p)
+    return seen
 
 
 def reachable_to_terminal(g: Game, sp: StrategyPair) -> set[int]:
@@ -126,24 +164,23 @@ def reachable_to_terminal(g: Game, sp: StrategyPair) -> set[int]:
     Max/min nodes follow their single chosen arc, average nodes keep both.
     Computed by backward reachability from the terminals.
     """
-    return set(_reach_order(g, _successors(g, sp), (g.terminal0, g.terminal1)))
+    seen = _reached(g, _successors(g, sp))
+    return {i for i in range(1, g.n + 1) if seen[i]}
 
 
-def _reach_order(g: Game, succ: list[int], roots) -> list[int]:
-    """The roots and every node with a path to one in the strategy
-    subgraph, breadth first over the game's parents: a max/min node comes
-    after its chosen successor, through which it was reached."""
-    code, parents = g.code, g.parents()
-    seen = [False] * (g.n + 1)
-    order = list(roots)
-    for u in order:
-        seen[u] = True
-    for u in order:  # FIFO: the list grows while it is walked
-        for p in parents[u]:
-            if not seen[p] and (code[p] == AVG or succ[p] == u):
-                seen[p] = True
-                order.append(p)
-    return order
+def _anchor_slots(succ: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """Per node id, the slot of its anchor: the first average or terminal
+    that its chosen arcs reach.  Pointer jumping on the successor array
+    doubles the distance followed each round, so a chain of k max/min
+    nodes settles within log2(k) + 1 rounds; one that never settles is a
+    cycle of max/min nodes, which neither a stopping game nor the reached
+    part of any game holds."""
+    for _ in range(len(succ).bit_length() + 1):
+        node_slot = slot[succ]
+        if node_slot[1:].min() >= 0:
+            return node_slot
+        succ = succ[succ]
+    raise EvaluationContractError("the chosen arcs of max/min nodes close a cycle")
 
 
 def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> ValueVector:
@@ -153,49 +190,46 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
     the system is the equation of the i-th of them in ascending id; its
     right-hand side is an int, the number of its children whose value is
     the constant 1, and its matrix entries are COO triplets: the diagonal 2
-    and a -1 for every child whose value is an unknown, duplicates summed.
+    of every row first, then per row a -1 for its first and then its
+    second child when that child's value is an unknown, duplicates summed.
 
     Exact mode returns the solver's numerators over its denominator, the
-    terminals reading 0 and d and every alias its unknown's numerator;
+    terminals reading 0 and d and every other node its anchor's numerator;
     float mode guarantees every equation's residual is at most 1e-9.
     """
     if mode not in (EXACT, FLOAT):
         raise ValueError(f"unknown mode {mode!r}")
     succ = _successors(g, sp)
-    n, code, arcs = g.n, g.code, g.arcs
-    # Every node's value is a constant or the value of one unknown average
-    # node: col[i] is that average's column and -1 for a constant, which
-    # const[i] then holds (1 for the 1-terminal and the max/min nodes whose
-    # chosen arcs lead to it, 0 for the rest).
-    col = [-1] * (n + 1)
-    const = [0] * (n + 1)
-    const[g.terminal1] = 1
-    reached = _reach_order(g, succ, (g.terminal0, g.terminal1))[2:]
-    unknown_avg = sorted([u for u in reached if code[u] == AVG])
-    for pos, u in enumerate(unknown_avg):
-        col[u] = pos
-    for u in reached:  # each max/min node after the successor it copies
-        s = succ[u]
-        if s:
-            col[u], const[u] = col[s], const[s]
+    lay = g.layout
+    if g.stopping:
+        rows, slot = lay.average_nodes, lay.slot
+    else:
+        # The nodes without a path to a terminal are worth 0: they anchor
+        # at the 0-terminal, and only the reached averages are unknowns.
+        reached = np.array(_reached(g, succ))
+        succ[~reached] = g.terminal0
+        rows = lay.average_nodes[reached[lay.average_nodes]]
+        slot = np.full(g.n + 1, -1, dtype=np.intp)
+        slot[rows] = np.arange(len(rows))
+        slot[g.terminal0], slot[g.terminal1] = len(rows), len(rows) + 1
+    node_slot = _anchor_slots(succ, slot)
 
-    a = len(unknown_avg)
-    rows, cols = list(range(a)), list(range(a))
-    rhs = []
-    for pos, u in enumerate(unknown_avg):
-        b = 0
-        for child in arcs[u - 1]:
-            c = col[child]
-            if c < 0:
-                b += const[child]
-            else:
-                rows.append(pos)
-                cols.append(c)
-        rhs.append(b)
-    coo = (rows, cols, [2] * a + [-1] * (len(rows) - a))
+    # child[r] holds the slots of row r's two children: a column below a,
+    # a for the constant 0 and a + 1 for the constant 1.
+    a = len(rows)
+    child = node_slot[lay.arcs[rows]]
+    rhs = (child == a + 1).sum(axis=1)
+    unknown = child < a
+    unknown_rows, _ = np.nonzero(unknown)
+    diagonal = np.arange(a)
+    coo = (
+        np.concatenate((diagonal, unknown_rows)),
+        np.concatenate((diagonal, child[unknown])),
+        np.repeat((2, -1), (a, len(unknown_rows))),
+    )
 
-    # Only the solved unknowns can leave [0, 1]; every alias shares the
-    # checked value.
+    # Only the solved unknowns can leave [0, 1]; every other node shares
+    # a checked value or a constant.
     if mode == EXACT:
         solution, den = linsolve.solve_exact(rhs, coo)
         for x in solution:
@@ -203,15 +237,15 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
                 raise EvaluationContractError(f"exact value {Fraction(x, den)} outside [0, 1]")
         constants = (0, den)
     else:
-        solution = linsolve.solve_float(rhs, coo).tolist()
-        for pos, f in enumerate(solution):
-            if f < 0.0 or f > 1.0:
-                if f < -1e-9 or f > 1.0 + 1e-9:
-                    raise EvaluationContractError(f"float value {f} outside [0, 1]")
-                solution[pos] = min(max(f, 0.0), 1.0)
-        constants, den = (0.0, 1.0), 1
-    values = tuple([solution[c] if c >= 0 else constants[k] for c, k in zip(col, const)][1:])
-    return ValueVector(values, mode, den)
+        solution = linsolve.solve_float(rhs, coo)
+        if a and (solution.min() < 0.0 or solution.max() > 1.0):
+            wild = solution[(solution < -1e-9) | (solution > 1.0 + 1e-9)]
+            if wild.size:
+                raise EvaluationContractError(f"float value {float(wild[0])} outside [0, 1]")
+            solution = np.where(solution < 0.0, 0.0, np.where(solution > 1.0, 1.0, solution))
+        solution, constants, den = solution.tolist(), (0.0, 1.0), 1
+    by_slot = [*solution, *constants]
+    return ValueVector(tuple(map(by_slot.__getitem__, node_slot[1:].tolist())), mode, den)
 
 
 def is_stable(g: Game, v: ValueVector, tol: float = DEFAULT_STABLE_TOL) -> bool:

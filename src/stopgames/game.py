@@ -16,6 +16,9 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 
 class NonStoppingGameError(ValueError):
@@ -67,8 +70,9 @@ class Game:
     safe to share between threads.  Being immutable, a game derives its
     layout once, on first use: whether it is stopping (``stopping``), the
     kind codes (``code``), the parent lists (``parents()``), the nodes
-    of each kind (``max_nodes``, ``min_nodes``, ``average_nodes``) and
-    the sets of the players' nodes (``max_node_set``, ``min_node_set``).
+    of each kind (``max_nodes``, ``min_nodes``, ``average_nodes``), the
+    sets of the players' nodes (``max_node_set``, ``min_node_set``) and
+    the same graph as NumPy arrays (``layout``).
     """
 
     n: int
@@ -142,6 +146,39 @@ class Game:
         of the layout raises ``ValueError`` naming the arc.
         """
         return self._parents
+
+    @cached_property
+    def layout(self) -> ArcLayout:
+        """The arcs and node kinds as int arrays, for array-native strategy
+        evaluation; built after ``parents()``, so an arc target outside
+        1..n raises the same ``ValueError`` naming the arc."""
+        self.parents()
+        n = self.n
+        arcs = np.array([(0, 0)] + [out or (i, i) for i, out in enumerate(self.arcs, 1)], dtype=np.intp)
+        average_nodes = np.array(self.average_nodes, dtype=np.intp)
+        a = len(average_nodes)
+        slot = np.full(n + 1, -1, dtype=np.intp)
+        slot[average_nodes] = np.arange(a)
+        slot[self.terminal0], slot[self.terminal1] = a, a + 1
+        decision_nodes = np.array(self.max_nodes + self.min_nodes, dtype=np.intp)
+        return ArcLayout(arcs, slot, decision_nodes, average_nodes)
+
+
+class ArcLayout(NamedTuple):
+    """``Game.layout``: one game's graph as NumPy int arrays.
+
+    ``arcs`` is (n+1)×2: row i holds node i's ordered arc pair, and the
+    terminals and row 0 point to themselves.  ``slot[i]`` is average i's
+    column among the averages in ascending id, a (the average count) for
+    the 0-terminal, a+1 for the 1-terminal and -1 for the max/min nodes
+    and entry 0.  ``decision_nodes`` holds the max nodes and then the min
+    nodes, ``average_nodes`` the averages, each in ascending id.
+    """
+
+    arcs: np.ndarray
+    slot: np.ndarray
+    decision_nodes: np.ndarray
+    average_nodes: np.ndarray
 
 
 class PartialGame:

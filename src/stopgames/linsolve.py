@@ -3,30 +3,31 @@
 Strategy-fixed game evaluation reduces to ``A v = b`` where row i reads
 ``2*v_i - v_j - v_k = const`` over the average nodes only, so A is sparse
 with tiny integer entries.  Both solvers take the system as the evaluator
-builds it: ``rhs``, a list of ints of length a, and ``coo``, three
-equal-length int lists ``(rows, cols, coefs)`` of matrix entries.
+builds it: ``rhs``, an int array of length a, and ``coo``, three
+equal-length int arrays ``(rows, cols, coefs)`` of matrix entries.
 Entries at one position are summed, so two children aliasing one
 unknown, or a child aliasing the row's own unknown, need no merging.
 
 * ``solve_exact`` returns ``(nums, d)``: one int numerator per unknown
-  over one positive common denominator d, in lowest terms.  A system
-  with more than eight unknowns is first solved by numeric lifting
-  (Z. Wan, J. Symbolic Computation 41, 2006): A is factored once in
-  float64, dense or sparse as ``solve_float`` picks, and each step solves
-  for the residual scaled by 2**40, rounds to integers and updates the
-  residual exactly in int64.  After every step the approximation is
-  turned into numerators over one common denominator, and the answer is
-  returned only once ``A·N == d·b`` holds exactly in integers.  The lift
-  gives up when the float factor is singular, when a step gains too few
-  bits, when a scaled residual would overflow int64, or when it passes
-  the Hadamard bound on Cramer's-rule numerators and denominators
-  without a verified answer.  The system then goes to Dixon's p-adic
-  lifting: A is inverted once modulo a prime p below 2**23, each step
-  costs one matrix-vector product mod p, the same integer check ends
-  it, and lifting past the Hadamard bound without a verified answer
-  raises ``SingularSystemError``.  Small systems and a matrix singular
-  modulo both fixed primes go through dense rational elimination, which
-  raises on a truly singular system.
+  over one positive common denominator d, in lowest terms; a system
+  without unknowns is ``([], 1)``.  Every other system, whatever its
+  size, is first solved by numeric lifting (Z. Wan, J. Symbolic
+  Computation 41, 2006): A is factored once in float64, dense or sparse
+  as ``solve_float`` picks, and each step solves for the residual scaled
+  by 2**40, rounds to integers and updates the residual exactly in
+  int64.  After every step the approximation is turned into numerators
+  over one common denominator, and the answer is returned only once
+  ``A·N == d·b`` holds exactly in integers.  The lift gives up when the
+  float factor is singular, when a step gains too few bits, when a
+  scaled residual would overflow int64, or when it passes the Hadamard
+  bound on Cramer's-rule numerators and denominators without a verified
+  answer.  The system then goes to Dixon's p-adic lifting: A is inverted
+  once modulo a prime p below 2**23, each step costs one matrix-vector
+  product mod p, the same integer check ends it, and lifting past the
+  Hadamard bound without a verified answer raises
+  ``SingularSystemError``.  A matrix singular modulo both fixed primes
+  goes through dense rational elimination, which raises on a truly
+  singular system.
 
 * ``solve_float`` returns float64 values with one step of iterative
   refinement and a residual guarantee.
@@ -48,11 +49,16 @@ class SingularSystemError(RuntimeError):
     stopping-game evaluations, so this signals a caller bug."""
 
 
+def _ints(xs) -> list[int]:
+    """An int array, or list, as Python ints, for arithmetic past int64."""
+    return np.asarray(xs).tolist()
+
+
 def _gauss_fractions(rhs, coo) -> list[Fraction]:
     """Dense rational Gaussian elimination; the reference exact path."""
     a = len(rhs)
-    m = [[Fraction(0)] * a + [Fraction(b)] for b in rhs]
-    for i, j, c in zip(*coo):
+    m = [[Fraction(0)] * a + [Fraction(b)] for b in _ints(rhs)]
+    for i, j, c in zip(*map(_ints, coo)):
         m[i][j] += c
     for k in range(a):
         piv = next((r for r in range(k, a) if m[r][k] != 0), None)
@@ -167,18 +173,18 @@ def _hadamard_sq(row_norms_sq, rhs) -> int:
     """The product of the squared row norms of [A | b].  It bounds the
     square of the determinant of A and of every Cramer's-rule numerator,
     so past a modulus or scale of twice it reconstruction cannot miss."""
-    return prod(n + b * b for n, b in zip(row_norms_sq, rhs))
+    return prod(n + b * b for n, b in zip(_ints(row_norms_sq), _ints(rhs)))
 
 
 def _certified(rhs, coo, nums, den) -> bool:
     """Whether ``A·nums == den·rhs`` holds exactly, row by row."""
-    check = [-den * b for b in rhs]
-    for i, j, c in zip(*coo):
+    check = [-den * b for b in _ints(rhs)]
+    for i, j, c in zip(*map(_ints, coo)):
         check[i] += c * nums[j]
     return not any(check)
 
 
-def _solve_dixon(rhs: list[int], coo) -> tuple[list[int], int] | None:
+def _solve_dixon(rhs, coo) -> tuple[list[int], int] | None:
     """Dixon p-adic lifting; None when A is singular modulo both primes."""
     a = len(rhs)
     dense_a = _dense(a, coo, np.int64)
@@ -189,7 +195,7 @@ def _solve_dixon(rhs: list[int], coo) -> tuple[list[int], int] | None:
     else:
         return None
 
-    ceiling = 2 * _hadamard_sq((dense_a * dense_a).sum(axis=1).tolist(), rhs)
+    ceiling = 2 * _hadamard_sq((dense_a * dense_a).sum(axis=1), rhs)
     residual = np.array(rhs, dtype=np.int64)
     xs = np.zeros(a, dtype=object)
     modulus = 1
@@ -255,7 +261,7 @@ def _approximate(approx: list[int], scale: int) -> tuple[list[int], int] | None:
     return nums, den
 
 
-def _solve_numeric(rhs: list[int], coo) -> tuple[list[int], int] | None:
+def _solve_numeric(rhs, coo) -> tuple[list[int], int] | None:
     """Numeric lifting on one float factor of A (Wan 2006); None when the
     lift gives up.
 
@@ -286,7 +292,7 @@ def _solve_numeric(rhs: list[int], coo) -> tuple[list[int], int] | None:
         except RuntimeError:
             return None
     norm = int(abs(matrix).sum(axis=1).max())
-    ceiling = 2 * _hadamard_sq(norms_sq.tolist(), rhs)
+    ceiling = 2 * _hadamard_sq(norms_sq, rhs)
     z_cap = _INT64_HALF // norm
     r_cap = _INT64_HALF >> _LIFT_BITS
     r = np.array(rhs, dtype=np.int64)
@@ -322,10 +328,11 @@ def solve_exact(rhs, coo) -> tuple[list[int], int]:
     """Exact solution of the sparse integer system ``A x = rhs``, A given
     by the ``coo`` triplets: ``(nums, d)`` with ``x_i = nums[i] / d``, d
     positive and in lowest terms with the numerators."""
-    if len(rhs) > 8:
-        found = _solve_numeric(rhs, coo) or _solve_dixon(rhs, coo)
-        if found is not None:
-            return found
+    if len(rhs) == 0:
+        return [], 1
+    found = _solve_numeric(rhs, coo) or _solve_dixon(rhs, coo)
+    if found is not None:
+        return found
     return common_denominator(_gauss_fractions(rhs, coo))
 
 
@@ -334,7 +341,7 @@ def solve_float(rhs, coo, residual_bound: float = 1e-9) -> np.ndarray:
     a = len(rhs)
     if a == 0:
         return np.zeros(0)
-    b = np.array(rhs, dtype=float)
+    b = np.asarray(rhs, dtype=float)
     if a <= 64:
         dense = _dense(a, coo, float)
         try:

@@ -12,13 +12,17 @@ import itertools
 from fractions import Fraction
 
 from stopgames import (
+    EXACT,
     Game,
     NodeKind,
     PartialGame,
     Player,
     Strategy,
     StrategyPair,
+    ValueVector,
+    linsolve,
 )
+from stopgames.game import AVG
 from stopgames.generate import GenParams, Variant, generate_basic
 from stopgames.rng import Rng
 
@@ -115,6 +119,87 @@ def oracle_reaching_nodes(g: Game, sp: StrategyPair) -> set[int]:
         if found:
             reaching.add(start)
     return reaching
+
+
+def oracle_successors(g: Game, sp: StrategyPair) -> list[int]:
+    """``succ[i]`` is the chosen target of max/min node i, 0 elsewhere, by
+    a per-node loop; ``ValueError`` unless each strategy covers exactly
+    its player's nodes with 0/1 choices."""
+    succ = [0] * (g.n + 1)
+    for name, strat, owned in (("max", sp.sigma, g.max_node_set), ("min", sp.tau, g.min_node_set)):
+        if strat.choice.keys() != owned:
+            raise ValueError(f"{name} strategy must cover exactly {sorted(owned)}")
+        for i, c in strat.choice.items():
+            if c not in (0, 1):
+                raise ValueError(f"choice for node {i} must be 0 or 1, got {c}")
+            succ[i] = g.arcs[i - 1][c]
+    return succ
+
+
+def reach_order(g: Game, succ: list[int]) -> list[int]:
+    """The terminals and every node with a path to one in the strategy
+    subgraph, breadth first over the game's parents: a max/min node comes
+    after its chosen successor, through which it was reached."""
+    code, parents = g.code, g.parents()
+    seen = [False] * (g.n + 1)
+    order = [g.terminal0, g.terminal1]
+    for u in order:
+        seen[u] = True
+    for u in order:  # FIFO: the list grows while it is walked
+        for p in parents[u]:
+            if not seen[p] and (code[p] == AVG or succ[p] == u):
+                seen[p] = True
+                order.append(p)
+    return order
+
+
+def oracle_value_system(g: Game, sp: StrategyPair):
+    """The value system of a strategy pair, built node by node: ``(rhs,
+    coo, col, const)`` with ``rhs`` and the COO triplets as int lists in
+    ``evaluate_strategy_pair``'s order, and per node id the column of the
+    unknown its value equals (-1 for a constant) and its 0/1 constant.
+
+    The unknowns are the averages of the reach walk in ascending id; each
+    max/min node copies its successor's column and constant after the walk
+    reached that successor.
+    """
+    succ = oracle_successors(g, sp)
+    col = [-1] * (g.n + 1)
+    const = [0] * (g.n + 1)
+    const[g.terminal1] = 1
+    reached = reach_order(g, succ)[2:]
+    unknown_avg = sorted(u for u in reached if g.code[u] == AVG)
+    for pos, u in enumerate(unknown_avg):
+        col[u] = pos
+    for u in reached:
+        s = succ[u]
+        if s:
+            col[u], const[u] = col[s], const[s]
+    a = len(unknown_avg)
+    rows, cols, rhs = list(range(a)), list(range(a)), []
+    for pos, u in enumerate(unknown_avg):
+        b = 0
+        for child in g.arcs[u - 1]:
+            if col[child] < 0:
+                b += const[child]
+            else:
+                rows.append(pos)
+                cols.append(col[child])
+        rhs.append(b)
+    return rhs, (rows, cols, [2] * a + [-1] * (len(rows) - a)), col, const
+
+
+def oracle_evaluate(g: Game, sp: StrategyPair, mode: str) -> ValueVector:
+    """``evaluate_strategy_pair`` on ``oracle_value_system``: the same
+    solvers, then every node's value read through its column or constant."""
+    rhs, coo, col, const = oracle_value_system(g, sp)
+    if mode == EXACT:
+        solution, den = linsolve.solve_exact(rhs, coo)
+        constants = (0, den)
+    else:
+        solution = [min(max(f, 0.0), 1.0) if f < 0.0 or f > 1.0 else f for f in linsolve.solve_float(rhs, coo).tolist()]
+        constants, den = (0.0, 1.0), 1
+    return ValueVector(tuple([solution[c] if c >= 0 else constants[k] for c, k in zip(col, const)][1:]), mode, den)
 
 
 def subgraph_reaches_terminal(g: Game, sp: StrategyPair) -> bool:

@@ -281,6 +281,24 @@ def test_cli_malformed_plan_exits_1_with_one_line(tmp_path, capsys, change):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "plan,missing",
+    [
+        ({}, "'sizes', 'ratios', 'instances_per_cell', 'runs_per_instance'"),
+        ({"sizes": [32], "ratios": [4], "instances_per_cell": 2}, "'runs_per_instance'"),
+    ],
+    ids=["empty", "no-runs"],
+)
+def test_cli_plan_without_required_keys_exits_1_naming_them(tmp_path, capsys, monkeypatch, plan, missing):
+    """A plan file must name its sizes, ratios and counts; without them
+    the CLI starts no campaign and names the missing keys."""
+    monkeypatch.setattr(cli, "run_benchmark", lambda plan, workers: pytest.fail("a campaign started"))
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    assert main(["bench", "--plan", str(path), "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err == f"error: plan misses required keys: {missing}\n"
+
+
 def one_line_error(code: int, err: str) -> bool:
     return code == 1 and err.startswith("error: ") and err.count("\n") == 1
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -5,8 +6,11 @@ import pytest
 from conftest import (
     all_strategy_pairs,
     build_game,
+    oracle_evaluate,
     oracle_pair_values,
     oracle_reaching_nodes,
+    oracle_successors,
+    oracle_value_system,
     random_full_game,
     random_pair,
     random_stopping_game,
@@ -32,11 +36,14 @@ from stopgames import (
 )
 from stopgames import linsolve
 from stopgames.evaluate import value_vector_from_json, value_vector_to_json
+from stopgames.game import stopping_game
+from stopgames.generate import RatioSpec, generate_fully_reduced
 from stopgames.rng import Rng
 
 MINIMAL = build_game([("avg", (2, 3))])
 CHAIN = build_game([("avg", (2, 4)), ("avg", (3, 4))])
-CYCLE4 = build_game([("max", (2, 4)), ("min", (1, 4))])
+CYCLE4_ENTRIES = [("max", (2, 4)), ("min", (1, 4))]
+CYCLE4 = build_game(CYCLE4_ENTRIES)
 SELF_ARCS = build_game([("max", (2, 2)), ("avg", (2, 5)), ("min", (3, 4))])
 
 EMPTY_PAIR = StrategyPair(Strategy(Player.MAX, {}), Strategy(Player.MIN, {}))
@@ -108,8 +115,6 @@ def test_exact_and_float_agree():
 
 def test_exact_and_float_agree_midsize():
     # a few hundred nodes, enough averages for the p-adic lifting path
-    from stopgames.generate import RatioSpec, generate_fully_reduced
-
     for size, ratio in ((256, 8), (500, 4)):
         g, _ = generate_fully_reduced(RatioSpec(size, ratio), seed=size + ratio)
         sp = random_pair(g, Rng(size * 7 + ratio))
@@ -117,6 +122,20 @@ def test_exact_and_float_agree_midsize():
         fl = evaluate_strategy_pair(g, sp, FLOAT)
         for i in range(1, g.n + 1):
             assert abs(float(exact.value(i)) - fl.value(i)) <= 1e-9
+
+
+@pytest.mark.parametrize("entries", [CYCLE4_ENTRIES, [("max", (2, 5)), ("min", (3, 5)), ("max", (1, 4))]], ids=["two", "three"])
+def test_evaluate_rejects_max_min_cycle_on_game_flagged_stopping(entries):
+    """A cycle of max/min nodes under the chosen arcs cannot occur on a
+    stopping game; on a game wrongly built as stopping, pointer jumping
+    gives up with an error instead of cycling or reading a wrong slot."""
+    g = build_game(entries)
+    flagged = stopping_game(g.n, g.kinds, g.arcs)
+    sp = pair(g, sigma_bits=[0] * len(g.max_nodes), tau_bits=[0] * len(g.min_nodes))
+    assert evaluate_strategy_pair(g, sp, EXACT).values[:len(entries)] == (0,) * len(entries)
+    for mode in (EXACT, FLOAT):
+        with pytest.raises(EvaluationContractError, match="close a cycle"):
+            evaluate_strategy_pair(flagged, sp, mode)
 
 
 def test_evaluate_rejects_incomplete_strategy():
@@ -301,3 +320,80 @@ def full_games_with_pairs(draw):
 def test_reachability_matches_forward_closure(case):
     g, sp = case
     assert reachable_to_terminal(g, sp) == oracle_reaching_nodes(g, sp)
+
+
+def shuffled_pair(g, rng: Rng) -> StrategyPair:
+    """A random strategy pair whose dicts list their nodes in shuffled
+    order, each choice an int or a bool at random."""
+
+    def choice(nodes):
+        order = list(nodes)
+        rng.shuffle(order)
+        return {i: (int, bool)[rng.randbelow(2)](rng.randbelow(2)) for i in order}
+
+    return StrategyPair(Strategy(Player.MAX, choice(g.max_nodes)), Strategy(Player.MIN, choice(g.min_nodes)))
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A game and a shuffled strategy pair: a small random stopping game, a
+    fully reduced generated game of 64 to 512 nodes, or a small game with
+    arc targets anywhere, often non-stopping."""
+    source = draw(st.sampled_from(["stopping", "generated", "full"]))
+    seed = draw(st.integers(0, 2**64 - 1))
+    if source == "stopping":
+        g = random_stopping_game(seed, draw(st.sampled_from([12, 40])))
+    elif source == "generated":
+        g, _ = generate_fully_reduced(RatioSpec(draw(st.sampled_from([64, 128, 256, 512])), draw(st.integers(1, 8))), seed)
+    else:
+        g = random_full_game(Rng(seed), draw(st.integers(1, 12)))
+    return g, shuffled_pair(g, Rng(draw(st.integers(0, 2**64 - 1))))
+
+
+def broken_pairs(sp: StrategyPair):
+    """The pair with one node left out of a strategy, and with one choice
+    set to 2, for each strategy that has a node."""
+    for which in ("sigma", "tau"):
+        strat = getattr(sp, which)
+        if strat.choice:
+            first = next(iter(strat.choice))
+            for choice in ({i: c for i, c in strat.choice.items() if i != first}, {**strat.choice, first: 2}):
+                other = sp.tau if which == "sigma" else sp.sigma
+                broken = Strategy(strat.player, choice)
+                yield StrategyPair(broken, other) if which == "sigma" else StrategyPair(other, broken)
+
+
+@settings(max_examples=120, deadline=None)
+@given(evaluation_cases())
+@example((CYCLE4, pair(CYCLE4, sigma_bits=[0], tau_bits=[0])))
+@example((SELF_ARCS, pair(SELF_ARCS, sigma_bits=[1], tau_bits=[0])))
+@example((TWIN_ALIAS, pair(TWIN_ALIAS, sigma_bits=[1], tau_bits=[1])))
+def test_array_evaluator_matches_per_node_oracle(case):
+    """The array evaluator hands both solvers the system the per-node
+    oracle builds, triplet for triplet, and returns equal exact and
+    bit-identical float vectors; a bad strategy fails with the oracle's
+    message."""
+    g, sp = case
+    want_rhs, want_coo, _, _ = oracle_value_system(g, sp)
+    for mode, solver in ((EXACT, "solve_exact"), (FLOAT, "solve_float")):
+        systems, real = [], getattr(linsolve, solver)
+
+        def recording(rhs, coo):
+            systems.append((np.asarray(rhs).tolist(), tuple(np.asarray(x).tolist() for x in coo)))
+            return real(rhs, coo)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linsolve, solver, recording)
+            got = evaluate_strategy_pair(g, sp, mode)
+        assert systems == [(want_rhs, want_coo)]
+        want = oracle_evaluate(g, sp, mode)
+        assert got.den == want.den
+        if mode == EXACT:
+            assert got.scaled == want.scaled
+        else:
+            assert [x.hex() for x in got.scaled] == [x.hex() for x in want.scaled]
+    for broken in broken_pairs(sp):
+        with pytest.raises(ValueError) as expected:
+            oracle_successors(g, broken)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            evaluate_strategy_pair(g, broken)

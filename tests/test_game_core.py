@@ -9,6 +9,10 @@ from stopgames import (
     Game,
     NodeKind,
     PartialGame,
+    Player,
+    Strategy,
+    StrategyPair,
+    evaluate_strategy_pair,
     find_bad_core,
     game_from_json,
     game_to_json,
@@ -52,8 +56,9 @@ def test_arc_range_violation_reported():
         find_bad_core,
         reduce_game,
         lambda g: solve_hoffman_karp(g, 0),
+        lambda g: evaluate_strategy_pair(g, StrategyPair(Strategy(Player.MAX, {}), Strategy(Player.MIN, {}))),
     ],
-    ids=["parents", "find_bad_core", "reduce_game", "hk"],
+    ids=["parents", "find_bad_core", "reduce_game", "hk", "evaluate"],
 )
 def test_arc_out_of_range_fails_at_first_use(entries, arc, use):
     """A directly built game may hold an arc outside 1..n (construction

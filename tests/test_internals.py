@@ -83,7 +83,8 @@ def random_system(rng: Rng, size: int):
     """``(rhs, coo)`` shaped like real average-node systems: diagonal 2,
     children either another unknown or a constant.  Regenerates until
     comfortably nonsingular, mirroring how reachability pruning keeps real
-    systems invertible."""
+    systems invertible: a singular integer matrix can keep a determinant
+    sign in float, so its condition number must be small too."""
     while True:
         entries = []
         rhs = []
@@ -98,7 +99,8 @@ def random_system(rng: Rng, size: int):
                     const += rng.randbelow(2)
             rhs.append(const)
         system = coo(entries)
-        if abs(np.linalg.slogdet(dense_of(size, system))[0]) == 1.0:
+        dense = dense_of(size, system)
+        if abs(np.linalg.slogdet(dense)[0]) == 1.0 and np.linalg.cond(dense) < 1e8:
             return rhs, system
 
 
@@ -114,16 +116,17 @@ def fractions(solution):
 
 
 def test_exact_modular_path_matches_fraction_elimination():
-    """Past eight unknowns, the numeric lift (through ``solve_exact``) and
-    Dixon's p-adic lifting both give the least common denominator form of
-    rational elimination."""
+    """At every size from one unknown, the numeric lift (through
+    ``solve_exact``) and Dixon's p-adic lifting both give the least common
+    denominator form of rational elimination."""
     for seed in range(30):
         rng = Rng(seed)
-        size = 9 + rng.randbelow(40)  # past the rational-elimination size
+        size = 1 + rng.randbelow(48)
         rhs, system = random_system(rng, size)
         expected = gauss(rhs, system)
         assert solve_exact(rhs, system) == expected
         assert linsolve._solve_dixon(rhs, system) == expected
+    assert solve_exact([], ([], [], [])) == ([], 1)
 
 
 def game_system(g, pair):
@@ -150,8 +153,19 @@ def test_numeric_lift_matches_rational_elimination_on_game_systems(game_seed, pa
     least common denominator form of rational elimination."""
     g = random_stopping_game(game_seed, max_nodes)
     rhs, system = game_system(g, random_pair(g, Rng(pair_seed)))
-    if rhs:
+    if len(rhs):
         assert linsolve._solve_numeric(rhs, system) == gauss(rhs, system)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 8))
+def test_numeric_lift_matches_rational_elimination_on_small_systems(seed, size):
+    """``solve_exact`` answers systems of one to eight unknowns by the
+    numeric lift too, with rational elimination's answer."""
+    rhs, system = random_system(Rng(seed), size)
+    expected = gauss(rhs, system)
+    assert linsolve._solve_numeric(rhs, system) == expected
+    assert solve_exact(rhs, system) == expected
 
 
 @pytest.mark.parametrize("defect", ["too-many-bits", "no-fit"])
@@ -200,9 +214,9 @@ def test_duplicate_triplets_are_summed(size):
     """Row 0 holds two -1 entries in column 1 (two children aliasing one
     unknown), row 1 a -1 on its own diagonal (a child aliasing the row's
     own unknown); the rest is a chain of averages.  The system is upper
-    triangular, so back substitution gives the exact answer.  The sizes
-    cover rational elimination, the numeric lift on a dense float factor
-    and on a sparse LU, and Dixon lifting at both lifting sizes."""
+    triangular, so back substitution gives the exact answer.  Every size
+    goes through rational elimination, the numeric lift and Dixon lifting;
+    the sizes cover the lift on a dense float factor and on a sparse LU."""
     entries = [(0, 0, 2), (0, 1, -1), (0, 1, -1), (1, 1, 2), (1, 1, -1), (1, 2, -1)]
     for i in range(2, size - 1):
         entries += [(i, i, 2), (i, i + 1, -1)]
@@ -218,11 +232,9 @@ def test_duplicate_triplets_are_summed(size):
     expected[0] = (rhs[0] + 2 * expected[1]) / 2
 
     assert fractions(solve_exact(rhs, system)) == expected
-    if size > 8:
-        assert fractions(linsolve._solve_numeric(rhs, system)) == expected
-        assert fractions(linsolve._solve_dixon(rhs, system)) == expected
-    else:
-        assert _gauss_fractions(rhs, system) == expected
+    assert fractions(linsolve._solve_numeric(rhs, system)) == expected
+    assert fractions(linsolve._solve_dixon(rhs, system)) == expected
+    assert _gauss_fractions(rhs, system) == expected
     x = solve_float(rhs, system)
     assert np.abs(x - np.array([float(v) for v in expected])).max() <= 1e-12
     merged: dict[tuple[int, int], int] = {}
