@@ -25,11 +25,9 @@ from .evaluate import EXACT, FLOAT, EvaluationContractError, is_stable
 from .game import Game, json_object, load_game, save_game
 from .generate import GenMeta, RatioSpec, generate_fully_reduced, ratio_counts
 from .rng import derive_seed
-from .solve import ALGORITHMS, SOLVERS
+from .solve import ALGORITHMS, BRUTE_FORCE_DECISION_CAP, SOLVERS
 
 CSV_HEADER = ["instance_id", "algorithm", "seed", "iterations", "wall_time_ms", "stable_check"]
-
-BRUTE_FORCE_DECISION_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -188,7 +186,7 @@ def _execute_job(job) -> BenchRecord:
     start = time.perf_counter()
     res = SOLVERS[algo](game, seed, mode)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    stable = is_stable(game, res.values, 1e-9)
+    stable = is_stable(game, res.values)
     return BenchRecord(iid, algo, seed, res.iterations, wall_ms, stable)
 
 

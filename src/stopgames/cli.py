@@ -42,29 +42,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1, help="instances to generate")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("reduce", help="apply the full reduction pipeline")
     p.add_argument("input", help="instance file")
     p.add_argument("output", help="reduced instance file")
+    p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("verify", help="validate structure, stoppingness, and assumptions")
     p.add_argument("input", help="instance file")
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("solve", help="solve one instance")
     p.add_argument("--algo", choices=list(SOLVERS), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=[EXACT, FLOAT], default=FLOAT)
     p.add_argument("input", help="instance file")
+    p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("bench", help="run a benchmark plan")
     p.add_argument("--plan", required=True, help="plan JSON file")
     p.add_argument("--out", required=True, help="records CSV path")
     p.add_argument("--workers", type=int, default=1)
+    p.set_defaults(handler=_cmd_bench)
 
     p = sub.add_parser("summarize", help="summarize a records CSV")
     p.add_argument("input", help="records CSV")
     p.add_argument("--out", required=True, help="summary CSV path")
     p.add_argument("--plot", default=None, help="plot-data CSV path (default: <out stem>_plot.csv)")
+    p.set_defaults(handler=_cmd_summarize)
     return parser
 
 
@@ -76,6 +82,7 @@ def _cmd_generate(args) -> int:
         runs_per_instance=1,
         master_seed=args.seed,
     )
+    plan.validate()
     ids = write_instance_files(plan, args.out)
     for iid in ids:
         print(iid)
@@ -116,7 +123,7 @@ def _cmd_solve(args) -> int:
     game = load_game(args.input)
     res = SOLVERS[args.algo](game, args.seed, args.mode)
     payload = json.loads(res.to_json())
-    stable = is_stable(game, res.values, 1e-9)
+    stable = is_stable(game, res.values)
     payload["stable"] = stable
     print(json.dumps(payload))
     if not stable:
@@ -146,20 +153,10 @@ def _cmd_summarize(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "reduce": _cmd_reduce,
-    "verify": _cmd_verify,
-    "solve": _cmd_solve,
-    "bench": _cmd_bench,
-    "summarize": _cmd_summarize,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (EvaluationContractError, GenerationError, SingularSystemError) as exc:
         print(f"contract failure: {exc}", file=sys.stderr)
         return 2

@@ -122,14 +122,16 @@ def _successors(g: Game, sp: StrategyPair) -> np.ndarray:
     elsewhere, entry 0 included; ``ValueError`` unless each strategy
     covers exactly its player's nodes with 0/1 choices."""
     bits = []
-    for name, strat, owned, owned_set in (
-        ("max", sp.sigma, g.max_nodes, g.max_node_set),
-        ("min", sp.tau, g.min_nodes, g.min_node_set),
+    for name, choice, owned in (
+        ("max", sp.sigma.choice, g.max_nodes),
+        ("min", sp.tau.choice, g.min_nodes),
     ):
-        choice = strat.choice
-        if choice.keys() != owned_set:
-            raise ValueError(f"{name} strategy must cover exactly {sorted(owned)}")
-        chosen = list(map(choice.__getitem__, owned))
+        try:
+            chosen = list(map(choice.__getitem__, owned))
+        except KeyError:
+            chosen = None
+        if chosen is None or len(choice) != len(owned):
+            raise ValueError(f"{name} strategy must cover exactly {list(owned)}")
         if not set(chosen) <= {0, 1}:
             i, c = next((i, c) for i, c in choice.items() if c not in (0, 1))
             raise ValueError(f"choice for node {i} must be 0 or 1, got {c}")
@@ -251,12 +253,17 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
 def is_stable(g: Game, v: ValueVector, tol: float = DEFAULT_STABLE_TOL) -> bool:
     """True when every node satisfies its local equation within ``tol``.
 
-    With tol=0 and exact values this is an exact stability check.  An
-    exact vector is checked in integers, against the exact ratio of
-    ``tol``.
+    With tol=0 and exact values this is an exact stability check.  Gaps
+    are taken at twice their scale, so that an average's wanted value
+    stays an int on exact numerators.  An exact vector is checked in
+    integers against the exact ratio tol = p/q: an int gap exceeds
+    2·p·den // q exactly when it times q exceeds 2·p·den.
     """
     if v.mode == EXACT:
-        return _is_stable_exact(g, v, tol)
+        p, q = Fraction(tol).as_integer_ratio()
+        limit = 2 * p * v.den // q
+    else:
+        limit = 2 * tol
     vals, code, arcs = v.scaled, g.code, g.arcs
     for i in range(1, g.n + 1):
         c = code[i]
@@ -265,39 +272,12 @@ def is_stable(g: Game, v: ValueVector, tol: float = DEFAULT_STABLE_TOL) -> bool:
         j, k = arcs[i - 1]
         a, b = vals[j - 1], vals[k - 1]
         if c == MAX:
-            want = a if a >= b else b
-        elif c == MIN:
-            want = a if a <= b else b
-        else:
-            want = (a + b) / 2
-        diff = vals[i - 1] - want
-        if diff < 0:
-            diff = -diff
-        if diff > tol:
-            return False
-    return True
-
-
-def _is_stable_exact(g: Game, v: ValueVector, tol) -> bool:
-    """``is_stable`` on numerators, at twice their scale so that an
-    average's wanted value stays an int: with tol = p/q, a node fails when
-    its doubled gap times q exceeds 2·p·den."""
-    p, q = Fraction(tol).as_integer_ratio()
-    limit = 2 * p * v.den
-    nums, code, arcs = v.scaled, g.code, g.arcs
-    for i in range(1, g.n + 1):
-        c = code[i]
-        if c == TERM:
-            continue
-        j, k = arcs[i - 1]
-        a, b = nums[j - 1], nums[k - 1]
-        if c == MAX:
             twice_want = 2 * (a if a >= b else b)
         elif c == MIN:
             twice_want = 2 * (a if a <= b else b)
         else:
             twice_want = a + b
-        if abs(2 * nums[i - 1] - twice_want) * q > limit:
+        if abs(2 * vals[i - 1] - twice_want) > limit:
             return False
     return True
 
@@ -361,33 +341,21 @@ def best_response(
         raise ValueError("fixed strategy must belong to the opposite player")
     require_stopping(g, "best response")
     resp = initial if initial is not None else first_arc_strategy(g, player)
-    if resp.choice.keys() != (g.max_node_set if player is Player.MAX else g.min_node_set):
-        raise ValueError("initial strategy does not cover the responder's nodes")
-
     cap = 10 * len(resp.choice) + 20
 
     def pair_for(r: Strategy) -> StrategyPair:
         return StrategyPair(r, fixed) if player is Player.MAX else StrategyPair(fixed, r)
 
-    for _ in range(cap):
-        v = evaluate_strategy_pair(g, pair_for(resp), FLOAT)
-        improved = _improve_all(g, resp, v)
-        if improved is None:
-            break
-        resp = improved
-    else:
-        raise EvaluationContractError("float policy iteration hit its cap")
-
-    if mode == FLOAT:
-        return resp, v
-
-    for _ in range(cap):
-        v = evaluate_strategy_pair(g, pair_for(resp), EXACT)
-        improved = _improve_all(g, resp, v)
-        if improved is None:
-            return resp, v
-        resp = improved
-    raise EvaluationContractError("exact policy iteration hit its cap")
+    for phase in (FLOAT,) if mode == FLOAT else (FLOAT, EXACT):
+        for _ in range(cap):
+            v = evaluate_strategy_pair(g, pair_for(resp), phase)
+            improved = _improve_all(g, resp, v)
+            if improved is None:
+                break
+            resp = improved
+        else:
+            raise EvaluationContractError(f"{phase} policy iteration hit its cap")
+    return resp, v
 
 
 # --- value vector JSON ------------------------------------------------------

@@ -70,9 +70,8 @@ class Game:
     safe to share between threads.  Being immutable, a game derives its
     layout once, on first use: whether it is stopping (``stopping``), the
     kind codes (``code``), the parent lists (``parents()``), the nodes
-    of each kind (``max_nodes``, ``min_nodes``, ``average_nodes``), the
-    sets of the players' nodes (``max_node_set``, ``min_node_set``) and
-    the same graph as NumPy arrays (``layout``).
+    of each kind in ascending id (``max_nodes``, ``min_nodes``,
+    ``average_nodes``) and the same graph as NumPy arrays (``layout``).
     """
 
     n: int
@@ -109,14 +108,6 @@ class Game:
     @cached_property
     def min_nodes(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.code) if c == MIN)
-
-    @cached_property
-    def max_node_set(self) -> frozenset[int]:
-        return frozenset(self.max_nodes)
-
-    @cached_property
-    def min_node_set(self) -> frozenset[int]:
-        return frozenset(self.min_nodes)
 
     @cached_property
     def average_nodes(self) -> tuple[int, ...]:

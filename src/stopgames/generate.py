@@ -47,6 +47,9 @@ from .game import AVG, TERM, Game, NodeKind, PartialGame
 from .reduce import check_assumptions, merge_terminal_valued
 from .rng import Rng, derive_seed
 
+# Attempts ``generate_fully_reduced`` makes before it gives up.
+RETRY_CAP = 10000
+
 
 class GenerationError(RuntimeError):
     pass
@@ -436,11 +439,10 @@ def generate_reduced(p: GenParams, merge: bool = True) -> Game:
     return merge_terminal_valued(g)[0] if merge else g
 
 
-def generate_fully_reduced(
-    spec: RatioSpec, seed: int, retry_cap: int = 10000
-) -> tuple[Game, GenMeta]:
+def generate_fully_reduced(spec: RatioSpec, seed: int) -> tuple[Game, GenMeta]:
     """Generate until an instance satisfies the whole reduction checklist
-    (including the single-component form); returns it with its metadata.
+    (including the single-component form), within ``RETRY_CAP`` attempts;
+    returns it with its metadata.
 
     Each attempt is the modified generator's partial game, checked before
     it is frozen.  A node forced to 0 or 1, which the 0/1-valued merge of
@@ -448,7 +450,7 @@ def generate_fully_reduced(
     returned game always has the a + b + c + 2 nodes its metadata records.
     """
     a, b, c = ratio_counts(spec.size, spec.ratio_num)
-    for k in range(retry_cap):
+    for k in range(RETRY_CAP):
         params = GenParams(
             n=a + b + c + 2,
             a=a,
@@ -471,6 +473,6 @@ def generate_fully_reduced(
             )
             return pg.freeze(stopping=True), meta
     raise GenerationError(
-        f"no fully reduced instance within {retry_cap} attempts "
+        f"no fully reduced instance within {RETRY_CAP} attempts "
         f"(size {spec.size}, ratio {spec.ratio_num}:4, seed {seed})"
     )

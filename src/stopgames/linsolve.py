@@ -44,6 +44,9 @@ from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 
+RESIDUAL_BOUND = 1e-9
+
+
 class SingularSystemError(RuntimeError):
     """The value system had no unique solution; impossible for well-formed
     stopping-game evaluations, so this signals a caller bug."""
@@ -336,8 +339,9 @@ def solve_exact(rhs, coo) -> tuple[list[int], int]:
     return common_denominator(_gauss_fractions(rhs, coo))
 
 
-def solve_float(rhs, coo, residual_bound: float = 1e-9) -> np.ndarray:
-    """float64 solution with one refinement step and a residual check."""
+def solve_float(rhs, coo) -> np.ndarray:
+    """float64 solution with one refinement step; ``SingularSystemError``
+    unless every equation's residual is at most ``RESIDUAL_BOUND``."""
     a = len(rhs)
     if a == 0:
         return np.zeros(0)
@@ -360,6 +364,6 @@ def solve_float(rhs, coo, residual_bound: float = 1e-9) -> np.ndarray:
         x = lu.solve(b)
         x += lu.solve(b - sparse @ x)
         residual = np.abs(sparse @ x - b).max()
-    if not residual <= residual_bound:
-        raise SingularSystemError(f"residual {residual:.3e} above {residual_bound:.1e}")
+    if not residual <= RESIDUAL_BOUND:
+        raise SingularSystemError(f"residual {residual:.3e} above {RESIDUAL_BOUND:.1e}")
     return x

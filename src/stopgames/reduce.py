@@ -203,7 +203,7 @@ class _Work:
         """The alive non-terminals whose value is forced to exactly 1 (or
         0), in id order; the search of ``find_terminal_valued`` run on
         this view."""
-        marked, _ = _mark_unforced(self.code, self.arcs, self.parents, polarity, self.t0, self.t1)
+        marked = _mark_unforced(self.code, self.arcs, self.parents, polarity, self.t0, self.t1)
         return [v for v in self.alive_nonterminals() if not marked[v]]
 
     def merge_forced(self) -> None:
@@ -235,22 +235,19 @@ def apply_trivial_reductions(g: Game) -> tuple[Game, ReductionReport]:
     return work.finish()
 
 
-def _mark_unforced(code, arcs, parents, polarity: Polarity, t0: int, t1: int) -> tuple[list[bool], int]:
+def _mark_unforced(code, arcs, parents, polarity: Polarity, t0: int, t1: int) -> list[bool]:
     """Mark every node whose value can provably stay below 1 (above 0 for
     ``Polarity.ZERO``), on any view of a stopping game: ``code`` and
-    ``parents`` indexed by node id, ``arcs`` by id - 1.
-
-    Returns the marks and the number of parent examinations.
+    ``parents`` indexed by node id, ``arcs`` by id - 1.  Each node is
+    queued once, so at most one examination per arc: 2n in all.
     """
     seed, gated = (t0, MAX) if polarity is Polarity.ONE else (t1, MIN)
     marked = [False] * len(code)
     marked[seed] = True
     queue = [seed]
-    examined = 0
     while queue:
         u = queue.pop()
         for p in parents[u]:
-            examined += 1
             if marked[p]:
                 continue
             if code[p] == gated:
@@ -259,15 +256,7 @@ def _mark_unforced(code, arcs, parents, polarity: Polarity, t0: int, t1: int) ->
                     continue
             marked[p] = True
             queue.append(p)
-    return marked, examined
-
-
-def find_terminal_valued_with_stats(g: Game, polarity: Polarity) -> tuple[frozenset[int], int]:
-    """``find_terminal_valued`` plus the number of parent examinations
-    (at most 2n)."""
-    require_stopping(g, "terminal-valued search")
-    marked, examined = _mark_unforced(g.code, g.arcs, g.parents(), polarity, g.terminal0, g.terminal1)
-    return frozenset(i for i in range(1, g.n + 1) if not marked[i]), examined
+    return marked
 
 
 def find_terminal_valued(g: Game, polarity: Polarity) -> frozenset[int]:
@@ -280,7 +269,9 @@ def find_terminal_valued(g: Game, polarity: Polarity) -> frozenset[int]:
     image, propagating above-0 from the 1-terminal.  The matching
     terminal is always part of the returned set.
     """
-    return find_terminal_valued_with_stats(g, polarity)[0]
+    require_stopping(g, "terminal-valued search")
+    marked = _mark_unforced(g.code, g.arcs, g.parents(), polarity, g.terminal0, g.terminal1)
+    return frozenset(i for i in range(1, g.n + 1) if not marked[i])
 
 
 def merge_terminal_valued(g: Game) -> tuple[Game, ReductionReport]:
@@ -462,14 +453,7 @@ class AssumptionChecklist:
 
     @property
     def fully_reduced(self) -> bool:
-        return (
-            self.stopping
-            and self.no_terminal_decision_arcs
-            and self.no_duplicate_or_self_arcs
-            and self.no_zero_indegree
-            and self.terminal_adjacent_average_pair
-            and self.no_solved_nodes
-        )
+        return all(ok for _, ok in self.items())
 
     def items(self) -> list[tuple[str, bool]]:
         return [
@@ -522,7 +506,7 @@ def check_assumptions(g) -> AssumptionChecklist:
         parents = g.parents()
         # left unmarked: entry 0, the matching terminal and forced nodes
         no_solved = all(
-            _mark_unforced(code, arcs, parents, polarity, t0, t1)[0].count(False) == 2
+            _mark_unforced(code, arcs, parents, polarity, t0, t1).count(False) == 2
             for polarity in Polarity
         )
     else:

@@ -65,11 +65,6 @@ class Rng:
             raise ValueError(f"empty range [{lo}, {hi}]")
         return lo + self.randbelow(hi - lo + 1)
 
-    def choice(self, seq):
-        if not seq:
-            raise ValueError("choice from empty sequence")
-        return seq[self.randbelow(len(seq))]
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates, descending index."""
         for i in range(len(items) - 1, 0, -1):

@@ -29,6 +29,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .evaluate import (
+    DEFAULT_STABLE_TOL,
     EXACT,
     FLOAT,
     EvaluationContractError,
@@ -45,6 +46,10 @@ from .evaluate import (
 )
 from .game import AVG, MAX, MIN, Game, require_stopping
 from .rng import Rng
+
+# Brute force and component-wise solving enumerate 2^d strategy
+# assignments; both refuse more than this many decision nodes d.
+BRUTE_FORCE_DECISION_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,7 @@ class SolveResult:
 
 
 def _check_result(g: Game, v: ValueVector) -> None:
-    tol = 0 if v.mode == EXACT else 1e-9
+    tol = 0 if v.mode == EXACT else DEFAULT_STABLE_TOL
     if not is_stable(g, v, tol):
         raise EvaluationContractError("solver produced an unstable assignment")
 
@@ -286,19 +291,20 @@ def solve_permutation_improvement(
     )
 
 
-def solve_brute_force(g: Game, max_decision_nodes: int = 12) -> SolveResult:
+def solve_brute_force(g: Game) -> SolveResult:
     """Enumerate every strategy pair and return a mutually optimal one.
 
     Exact arithmetic throughout; the independent ground truth for small
-    games.  Refuses games with too many decision nodes.
+    games.  Refuses games with more than ``BRUTE_FORCE_DECISION_CAP``
+    decision nodes.
     """
     require_stopping(g, "brute force")
     max_nodes = g.max_nodes
     min_nodes = g.min_nodes
     d = len(max_nodes) + len(min_nodes)
-    if d > max_decision_nodes:
+    if d > BRUTE_FORCE_DECISION_CAP:
         raise ValueError(
-            f"{d} decision nodes exceed the brute-force cap {max_decision_nodes}"
+            f"{d} decision nodes exceed the brute-force cap {BRUTE_FORCE_DECISION_CAP}"
         )
     examined = 0
     for sigma_bits in itertools.product((0, 1), repeat=len(max_nodes)):
@@ -370,7 +376,7 @@ def solve_value_iteration(
     raise EvaluationContractError(f"value iteration did not converge in {max_sweeps} sweeps")
 
 
-def solve_by_components(g: Game, max_decision_nodes_per_component: int = 12) -> ValueVector:
+def solve_by_components(g: Game) -> ValueVector:
     """Exact solution by settling strongly connected components in order.
 
     Components are taken sinks first.  Each evaluation covers the whole
@@ -393,7 +399,7 @@ def solve_by_components(g: Game, max_decision_nodes_per_component: int = 12) -> 
     for comp in scc_condense(g):
         comp_max = sorted(i for i in comp.nodes if code[i] == MAX)
         comp_min = sorted(i for i in comp.nodes if code[i] == MIN)
-        if len(comp_max) + len(comp_min) > max_decision_nodes_per_component:
+        if len(comp_max) + len(comp_min) > BRUTE_FORCE_DECISION_CAP:
             raise ValueError("component exceeds the enumeration cap")
         if not comp_max and not comp_min:
             continue

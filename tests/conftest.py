@@ -126,7 +126,8 @@ def oracle_successors(g: Game, sp: StrategyPair) -> list[int]:
     a per-node loop; ``ValueError`` unless each strategy covers exactly
     its player's nodes with 0/1 choices."""
     succ = [0] * (g.n + 1)
-    for name, strat, owned in (("max", sp.sigma, g.max_node_set), ("min", sp.tau, g.min_node_set)):
+    max_set, min_set = frozenset(g.max_nodes), frozenset(g.min_nodes)
+    for name, strat, owned in (("max", sp.sigma, max_set), ("min", sp.tau, min_set)):
         if strat.choice.keys() != owned:
             raise ValueError(f"{name} strategy must cover exactly {sorted(owned)}")
         for i, c in strat.choice.items():
@@ -238,6 +239,40 @@ def oracle_pair_values(g: Game, sp: StrategyPair, sweeps: int = 200000, tol: flo
         if delta < tol:
             break
     return v
+
+
+class _CountingParents(tuple):
+    """A parent list that counts, in a shared one-cell list, every entry
+    a loop over it reads."""
+
+    def __new__(cls, entries, counter: list[int]):
+        self = super().__new__(cls, entries)
+        self.counter = counter
+        return self
+
+    def __iter__(self):
+        for p in tuple.__iter__(self):
+            self.counter[0] += 1
+            yield p
+
+
+def terminal_valued_and_examinations(g: Game, polarity) -> tuple[frozenset[int], int]:
+    """``find_terminal_valued(g, polarity)`` and the number of parent
+    entries it examined, counted from outside: the game's cached parent
+    lists are swapped for counting ones around the call.  The stopping
+    flag is settled first, so that the bad-core check a first
+    ``require_stopping`` runs over the same lists is not counted."""
+    from stopgames import find_terminal_valued
+
+    assert g.stopping
+    parents = g.parents()
+    counter = [0]
+    g.__dict__["_parents"] = tuple(_CountingParents(p, counter) for p in parents)
+    try:
+        found = find_terminal_valued(g, polarity)
+    finally:
+        g.__dict__["_parents"] = parents
+    return found, counter[0]
 
 
 def brute_force_valid_arcs(pg: PartialGame, m: int) -> set[int]:

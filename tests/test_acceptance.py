@@ -14,6 +14,7 @@ from conftest import (
     deep_partial,
     oracle_values,
     random_stopping_game,
+    terminal_valued_and_examinations,
 )
 
 from stopgames import (
@@ -46,7 +47,6 @@ from stopgames.bench import (
     write_instance_files,
 )
 from stopgames.generate import GenParams, Variant
-from stopgames.reduce import find_terminal_valued_with_stats
 from stopgames.rng import Rng, derive_seed
 
 MASTER = 20240806
@@ -231,8 +231,8 @@ def test_criterion_5_terminal_valued_correctness_and_cost():
     for index in range(200):
         g = random_stopping_game(derive_seed(MASTER, 5, index), max_nodes=11)
         truth = oracle_values(g)
-        one, cost_one = find_terminal_valued_with_stats(g, Polarity.ONE)
-        zero, cost_zero = find_terminal_valued_with_stats(g, Polarity.ZERO)
+        one, cost_one = terminal_valued_and_examinations(g, Polarity.ONE)
+        zero, cost_zero = terminal_valued_and_examinations(g, Polarity.ZERO)
         assert one == {i for i, v in truth.items() if v == 1}
         assert zero == {i for i, v in truth.items() if v == 0}
         assert cost_one <= 2 * g.n and cost_zero <= 2 * g.n

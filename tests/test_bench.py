@@ -303,6 +303,19 @@ def one_line_error(code: int, err: str) -> bool:
     return code == 1 and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_cli_generate_rejects_non_positive_count(tmp_path, capsys, count):
+    """A count below 1 is an invalid plan: exit 1 before any file or
+    directory is written."""
+    out = tmp_path / "inst"
+    argv = ["generate", "--size", "32", "--ratio", "4", "--count", str(count), "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: instance and run counts must be positive\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "bench"])
 def test_cli_deeply_nested_json_exits_1_with_one_line(tmp_path, capsys, command):
     """Nesting past the JSON parser's recursion limit is a malformed file,

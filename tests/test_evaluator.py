@@ -22,6 +22,7 @@ from stopgames import (
     EXACT,
     FLOAT,
     EvaluationContractError,
+    NodeKind,
     NonStoppingGameError,
     Player,
     Strategy,
@@ -143,6 +144,24 @@ def test_evaluate_rejects_incomplete_strategy():
         evaluate_strategy_pair(CYCLE4, EMPTY_PAIR)
 
 
+def stable_reference(g, xs, tol) -> bool:
+    """``is_stable`` in Fractions: every node's gap at most ``tol``."""
+    for i in range(1, g.n + 1):
+        kind = g.kind(i)
+        if kind.is_terminal:
+            continue
+        a, b = (xs[t - 1] for t in g.arcs_of(i))
+        want = max(a, b) if kind is NodeKind.MAX else min(a, b) if kind is NodeKind.MIN else (a + b) / 2
+        if abs(xs[i - 1] - want) > Fraction(tol):
+            return False
+    return True
+
+
+# values 1/2, 1/2, 1/2, 3/4 under a max, a min and two average nodes
+GAPS = build_game([("avg", (5, 6)), ("max", (1, 5)), ("min", (1, 6)), ("avg", (1, 6))])
+GAPS_VALUES = [Fraction(1, 2)] * 3 + [Fraction(3, 4), Fraction(0), Fraction(1)]
+
+
 def test_is_stable_examples():
     good = ValueVector((1, 0, 2), EXACT, 2)
     bad = ValueVector((0.4, 0.0, 1.0), FLOAT)
@@ -153,6 +172,24 @@ def test_is_stable_examples():
         x = Fraction(1, 2) + Fraction(1e-9) + extra
         off = ValueVector((x.numerator, 0, x.denominator), EXACT, x.denominator)
         assert is_stable(MINIMAL, off, 1e-9) is stable
+    # Each node moved by a gap exactly at tol or just past it, both ways.
+    # The float cases use dyadic values, so every float sum is exact.
+    cases = [(FLOAT, 2.0**-30, 2.0**-50), (EXACT, 2.0**-30, Fraction(1, 2**80))]
+    cases += [(EXACT, tol, Fraction(1, 10**30)) for tol in (1e-9, Fraction(1, 3 * 10**9), 0)]
+    for mode, tol, past in cases:
+        for node in range(1, 5):
+            for gap in (tol, -tol, tol + past, -tol - past):
+                xs = list(GAPS_VALUES)
+                xs[node - 1] += Fraction(gap)
+                if mode == EXACT:
+                    nums, den = linsolve.common_denominator(xs)
+                    v = ValueVector(tuple(nums), EXACT, den)
+                else:
+                    v = ValueVector(tuple(map(float, xs)), FLOAT)
+                    assert list(map(Fraction, v.scaled)) == xs
+                expected = stable_reference(GAPS, xs, tol)
+                assert expected is (abs(gap) == tol)
+                assert is_stable(GAPS, v, tol) is expected, (mode, tol, node, gap)
 
 
 def test_switchable_empty_iff_stable():
@@ -214,6 +251,16 @@ def test_best_response_vacuous_without_responder_nodes():
     tau, v = best_response(MINIMAL, Strategy(Player.MAX, {}), Player.MIN, EXACT)
     assert tau.choice == {}
     assert v.value(1) == Fraction(1, 2)
+
+
+def test_best_response_rejects_initial_missing_a_responder_node():
+    g = build_game([("min", (3, 4)), ("min", (4, 3)), ("avg", (5, 6)), ("avg", (3, 6))])
+    fixed = Strategy(Player.MAX, {})
+    for initial in ({1: 0}, {1: 0, 3: 0}, {}):
+        with pytest.raises(ValueError, match=re.escape("min strategy must cover exactly [1, 2]")):
+            best_response(g, fixed, Player.MIN, EXACT, initial=Strategy(Player.MIN, initial))
+    tau, _ = best_response(g, fixed, Player.MIN, EXACT, initial=Strategy(Player.MIN, {1: 1, 2: 0}))
+    assert tau.choice == {1: 0, 2: 1}
 
 
 def test_best_response_rejects_non_stopping():

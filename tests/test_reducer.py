@@ -5,7 +5,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import assert_value_preserving, build_game, oracle_values, random_full_game, random_stopping_game
+from conftest import (
+    assert_value_preserving,
+    build_game,
+    oracle_values,
+    random_full_game,
+    random_stopping_game,
+    terminal_valued_and_examinations,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +34,7 @@ from stopgames import (
     validate_structure,
 )
 from stopgames.generate import GenParams, RatioSpec, generate_basic, ratio_counts
-from stopgames.reduce import _Work, find_terminal_valued_with_stats, replay_reduction
+from stopgames.reduce import _Work, replay_reduction
 from stopgames.rng import Rng, derive_seed
 
 MINIMAL = build_game([("avg", (2, 3))])
@@ -149,8 +156,8 @@ def test_terminal_valued_matches_oracle_and_linear_cost():
     for seed in range(120):
         g = random_stopping_game(seed, max_nodes=11)
         vals = oracle_values(g)
-        one, examined_one = find_terminal_valued_with_stats(g, Polarity.ONE)
-        zero, examined_zero = find_terminal_valued_with_stats(g, Polarity.ZERO)
+        one, examined_one = terminal_valued_and_examinations(g, Polarity.ONE)
+        zero, examined_zero = terminal_valued_and_examinations(g, Polarity.ZERO)
         assert one == {i for i, v in vals.items() if v == 1}
         assert zero == {i for i, v in vals.items() if v == 0}
         assert examined_one <= 2 * g.n

@@ -47,9 +47,14 @@ def test_brute_force_examples():
 
 
 def test_brute_force_cap():
-    g = random_stopping_game(3, max_nodes=12)
-    with pytest.raises(ValueError):
-        solve_brute_force(g, max_decision_nodes=0)
+    """Both enumerators refuse more than 12 decision nodes; a fully
+    reduced game is one component, so it holds all 14 of this one."""
+    g, _ = generate_fully_reduced(RatioSpec(24, 4), 1)
+    assert g.decision_node_count() == 14
+    with pytest.raises(ValueError, match="14 decision nodes exceed the brute-force cap 12"):
+        solve_brute_force(g)
+    with pytest.raises(ValueError, match="component exceeds the enumeration cap"):
+        solve_by_components(g)
 
 
 def test_value_iteration_minimal():
