@@ -44,7 +44,6 @@ from .reduce import (
     AssumptionChecklist,
     Polarity,
     ReductionReport,
-    SccComponent,
     apply_trivial_reductions,
     check_assumptions,
     find_terminal_valued,

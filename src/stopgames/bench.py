@@ -16,7 +16,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -106,17 +106,9 @@ class BenchPlan:
         return plan
 
     def to_json(self) -> str:
-        data = {
-            "sizes": self.sizes,
-            "ratios": self.ratios,
-            "instances_per_cell": self.instances_per_cell,
-            "runs_per_instance": self.runs_per_instance,
-            "algorithms": self.algorithms,
-            "master_seed": self.master_seed,
-            "mode": self.mode,
-        }
-        if self.instances_dir is not None:
-            data["instances_dir"] = self.instances_dir
+        data = asdict(self)
+        if self.instances_dir is None:
+            del data["instances_dir"]
         return json.dumps(data, indent=2) + "\n"
 
 
@@ -312,31 +304,9 @@ def summarize(records) -> list[SummaryRow]:
 
 def write_summary_csv(rows, target) -> None:
     with _csv_writer(target) as writer:
-        writer.writerow(
-            [
-                "size",
-                "ratio",
-                "algorithm",
-                "runs",
-                "mean_iterations",
-                "std_iterations",
-                "mean_wall_time_ms",
-                "std_wall_time_ms",
-            ]
-        )
+        writer.writerow([f.name for f in fields(SummaryRow)])
         for r in rows:
-            writer.writerow(
-                [
-                    r.size,
-                    r.ratio,
-                    r.algorithm,
-                    r.runs,
-                    f"{r.mean_iterations:.6g}",
-                    f"{r.std_iterations:.6g}",
-                    f"{r.mean_wall_time_ms:.6g}",
-                    f"{r.std_wall_time_ms:.6g}",
-                ]
-            )
+            writer.writerow([f"{x:.6g}" if isinstance(x, float) else x for x in astuple(r)])
 
 
 def write_plot_csv(rows, target) -> None:

@@ -277,7 +277,7 @@ def is_stable(g: Game, v: ValueVector, tol: float = DEFAULT_STABLE_TOL) -> bool:
             twice_want = 2 * (a if a <= b else b)
         else:
             twice_want = a + b
-        if abs(2 * vals[i - 1] - twice_want) > limit:
+        if not abs(2 * vals[i - 1] - twice_want) <= limit:  # NaN fails too
             return False
     return True
 
@@ -304,8 +304,10 @@ def switchable_set(g: Game, v: ValueVector, player: Player) -> set[int]:
     return out
 
 
-def _improve_all(g: Game, strat: Strategy, v: ValueVector) -> Strategy | None:
-    """Switch every strictly improving node; None when already optimal."""
+def improve_all(g: Game, strat: Strategy, v: ValueVector) -> Strategy | None:
+    """Switch every node of ``strat`` whose other arc is strictly better
+    under ``v``; None when already optimal.  The step of ``best_response``
+    and of Hoffman-Karp."""
     margin = 0 if v.mode == EXACT else DEFAULT_SWITCH_MARGIN
     vals, arcs = v.scaled, g.arcs
     better_sign = 1 if strat.player is Player.MAX else -1
@@ -349,7 +351,7 @@ def best_response(
     for phase in (FLOAT,) if mode == FLOAT else (FLOAT, EXACT):
         for _ in range(cap):
             v = evaluate_strategy_pair(g, pair_for(resp), phase)
-            improved = _improve_all(g, resp, v)
+            improved = improve_all(g, resp, v)
             if improved is None:
                 break
             resp = improved

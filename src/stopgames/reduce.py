@@ -5,10 +5,10 @@ from the rest of the game (decision arcs into terminals, duplicate arcs,
 average self-arcs, in-degree-zero nodes, and the all-constant collapse
 when a terminal is unreachable).  A linear propagation finds every node
 whose value is forced to exactly 1 or exactly 0 so it can be merged into
-its terminal, and a Tarjan pass splits the game into strongly connected
-components that can be solved independently.  ``check_assumptions``
-bundles the whole checklist a fully reduced benchmark instance must
-satisfy.
+its terminal, and SciPy's strongly connected components split the game,
+sinks first, into parts that can be solved independently.
+``check_assumptions`` bundles the whole checklist a fully reduced
+benchmark instance must satisfy.
 
 Every transformation logs its steps in a ``ReductionReport`` keyed by
 original node ids, so reduced solutions can be mapped back and the whole
@@ -21,6 +21,11 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .game import AVG, MAX, MIN, TERM, Game, is_stopping, require_stopping, stopping_game
 
@@ -348,89 +353,30 @@ def recover_values(g: Game, report: ReductionReport, reduced_values: dict):
     return values
 
 
-@dataclass(frozen=True)
-class SccComponent:
-    """One strongly connected component of the non-terminal graph.
-
-    ``boundary`` lists the arcs (source, arc index, target) that leave
-    the component; their targets carry already-known values when the
-    component is solved on its own.
-    """
-
-    nodes: frozenset[int]
-    boundary: tuple[tuple[int, int, int], ...]
-
-
-def scc_condense(g: Game) -> list[SccComponent]:
+def scc_condense(g) -> list[frozenset[int]]:
     """Non-terminal strongly connected components, sinks first.
 
-    Components are emitted in reverse topological order, so every
-    component's out-arcs lead only to terminals or to components earlier
-    in the list; solving them left to right needs no lookahead.
+    ``g`` is a ``Game`` or a complete ``PartialGame``.  SciPy's strong
+    components (Pearce's variant of Tarjan's depth-first search) number
+    each component as it completes, and completion order is reverse
+    topological: label 0 is a sink.  SciPy does not document that order;
+    the sinks-first tests guard it.  So every component's out-arcs lead
+    only to terminals or to components earlier in the list, and solving
+    them left to right needs no lookahead.  Terminals have no out-arcs,
+    so they are singletons of their own and are left out.
     """
-    n, code, arcs = g.n, g.code, g.arcs
-    outs = [()] + [tuple(t for t in a if code[t] != TERM) for a in arcs]
-    index = [-1] * (n + 1)
-    low = [0] * (n + 1)
-    onstack = [False] * (n + 1)
-    stack: list[int] = []
-    counter = 0
-    comps: list[list[int]] = []
-
-    for root in range(1, n + 1):
-        if code[root] == TERM or index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack[root] = True
-        work = [[root, 0]]
-        while work:
-            frame = work[-1]
-            v, ptr = frame
-            out = outs[v]
-            while ptr < len(out):
-                w = out[ptr]
-                ptr += 1
-                if index[w] < 0:
-                    break
-                if onstack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        onstack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(comp)
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                continue
-            frame[1] = ptr
-            index[w] = low[w] = counter
-            counter += 1
-            stack.append(w)
-            onstack[w] = True
-            work.append([w, 0])
-
-    comp_of = [-1] * (n + 1)
-    for idx, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = idx
-    out = []
-    for idx, comp in enumerate(comps):
-        boundary = [
-            (v, arc_idx, t)
-            for v in sorted(comp)
-            for arc_idx, t in enumerate(arcs[v - 1])
-            if comp_of[t] != idx
-        ]
-        out.append(SccComponent(frozenset(comp), tuple(boundary)))
-    return out
+    code, arcs = g.code, g.arcs
+    indptr = np.cumsum([0, 0] + [len(a) for a in arcs])  # row 0 is empty
+    heads = np.fromiter(chain.from_iterable(arcs), np.int32, indptr[-1])
+    graph = csr_matrix((np.ones(len(heads)), heads, indptr), shape=(g.n + 1, g.n + 1))
+    # a repeated arc sends SciPy's strong components into an endless loop
+    graph.sum_duplicates()
+    count, labels = connected_components(graph, directed=True, connection="strong")
+    buckets: list[list[int]] = [[] for _ in range(count)]
+    for v, label in enumerate(labels.tolist()):
+        if code[v] != TERM:
+            buckets[label].append(v)
+    return [frozenset(b) for b in buckets if b]
 
 
 @dataclass(frozen=True)
@@ -513,10 +459,7 @@ def check_assumptions(g) -> AssumptionChecklist:
         no_solved = False
 
     comps = scc_condense(g)
-    single = False
-    if len(comps) == 1:
-        nodes = comps[0].nodes
-        single = len(nodes) >= 2 or any(v in arcs[v - 1] for v in nodes)
+    single = len(comps) == 1 and (len(comps[0]) >= 2 or any(v in arcs[v - 1] for v in comps[0]))
 
     return AssumptionChecklist(
         stopping=stopping,

@@ -39,12 +39,14 @@ from .evaluate import (
     ValueVector,
     best_response,
     evaluate_strategy_pair,
+    improve_all,
     is_stable,
     random_strategy,
     switchable_set,
     value_strings,
 )
 from .game import AVG, MAX, MIN, Game, require_stopping
+from .reduce import scc_condense
 from .rng import Rng
 
 # Brute force and component-wise solving enumerate 2^d strategy
@@ -127,13 +129,10 @@ def solve_hoffman_karp(
         prev_values = v
         if history is not None:
             history.append(v)
-        improving = switchable_set(g, v, Player.MAX)
-        if not improving:
+        improved = improve_all(g, sigma, v)
+        if improved is None:
             break
-        choice = dict(sigma.choice)
-        for i in improving:
-            choice[i] = 1 - choice[i]
-        sigma = Strategy(Player.MAX, choice)
+        sigma = improved
     _check_result(g, v)
     return SolveResult(
         values=v,
@@ -387,8 +386,6 @@ def solve_by_components(g: Game) -> ValueVector:
     components below it, so the rest of the pair does not matter, and on
     a stopping game every pair's system is nonsingular.
     """
-    from .reduce import scc_condense
-
     require_stopping(g, "component-wise solving")
     code = g.code
     pair = StrategyPair(
@@ -397,8 +394,8 @@ def solve_by_components(g: Game) -> ValueVector:
     )
     sigma, tau = pair.sigma.choice, pair.tau.choice  # updated in place below
     for comp in scc_condense(g):
-        comp_max = sorted(i for i in comp.nodes if code[i] == MAX)
-        comp_min = sorted(i for i in comp.nodes if code[i] == MIN)
+        comp_max = sorted(i for i in comp if code[i] == MAX)
+        comp_min = sorted(i for i in comp if code[i] == MIN)
         if len(comp_max) + len(comp_min) > BRUTE_FORCE_DECISION_CAP:
             raise ValueError("component exceeds the enumeration cap")
         if not comp_max and not comp_min:
@@ -408,7 +405,7 @@ def solve_by_components(g: Game) -> ValueVector:
             tau.update(zip(comp_min, bits[len(comp_max) :]))
             v = evaluate_strategy_pair(g, pair, EXACT)
             switchable = switchable_set(g, v, Player.MAX) | switchable_set(g, v, Player.MIN)
-            if switchable.isdisjoint(comp.nodes):
+            if switchable.isdisjoint(comp):
                 break
         else:
             raise EvaluationContractError("component has no stable assignment")

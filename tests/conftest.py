@@ -212,6 +212,24 @@ def oracle_is_stopping(g: Game) -> bool:
     return all(subgraph_reaches_terminal(g, sp) for sp in all_strategy_pairs(g))
 
 
+def oracle_scc_partition(g: Game) -> set[frozenset[int]]:
+    """The non-terminal strongly connected components by mutual
+    reachability: u and v share one iff each reaches the other through
+    non-terminals.  One forward closure per node, no shared machinery."""
+    nonterminals = [i for i in range(1, g.n + 1) if not g.kind(i).is_terminal]
+    reach = {}
+    for start in nonterminals:
+        seen = {start}
+        stack = [start]
+        while stack:
+            for t in g.arcs_of(stack.pop()):
+                if not g.kind(t).is_terminal and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        reach[start] = seen
+    return {frozenset(v for v in reach[u] if u in reach[v]) for u in nonterminals}
+
+
 def oracle_pair_values(g: Game, sp: StrategyPair, sweeps: int = 200000, tol: float = 1e-13):
     """Independent fixed-pair solution: iterate the per-node update from
     zero, which converges to the zero-setting solution."""

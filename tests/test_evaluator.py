@@ -192,6 +192,14 @@ def test_is_stable_examples():
                 assert is_stable(GAPS, v, tol) is expected, (mode, tol, node, gap)
 
 
+def test_is_stable_rejects_nan():
+    nan = float("nan")
+    for values in ((nan, 0.0, 1.0), (0.5, 0.0, nan)):  # at the average, at the 1-terminal
+        assert not is_stable(MINIMAL, ValueVector(values, FLOAT))
+    parsed = value_vector_from_json('{"mode":"float","values":["nan","0.0","1.0"]}')
+    assert not is_stable(MINIMAL, parsed)
+
+
 def test_switchable_empty_iff_stable():
     for seed in range(50):
         g = random_stopping_game(seed, max_nodes=10)

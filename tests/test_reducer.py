@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     assert_value_preserving,
     build_game,
+    oracle_scc_partition,
     oracle_values,
     random_full_game,
     random_stopping_game,
@@ -196,32 +197,47 @@ def test_merge_terminal_valued_preserves_values():
         assert_value_preserving(g, merged, report)
 
 
+def assert_sinks_first(g, comps) -> None:
+    """Every arc of each component stays inside it, hits a terminal or
+    hits an earlier component; the components partition the
+    non-terminals."""
+    seen: set[int] = set()
+    for comp in comps:
+        assert comp and not comp & seen
+        for v in comp:
+            for t in g.arcs_of(v):
+                assert t in comp or g.kind(t).is_terminal or t in seen, (v, t)
+        seen |= comp
+    assert seen == {i for i in range(1, g.n + 1) if not g.kind(i).is_terminal}
+
+
 def test_scc_single_component_on_fully_reduced():
     g, _ = generate_fully_reduced(RatioSpec(32, 2), seed=5)
     comps = scc_condense(g)
-    assert len(comps) == 1
-    assert comps[0].nodes == set(range(1, g.n - 1))
+    assert comps == [frozenset(range(1, g.n - 1))]
 
 
 def test_scc_two_disjoint_chains():
     g = build_game([("avg", (1, 4)), ("avg", (2, 3))])
     comps = scc_condense(g)
-    assert sorted(sorted(c.nodes) for c in comps) == [[1], [2]]
-    for comp in comps:
-        for src, arc_idx, dst in comp.boundary:
-            assert src in comp.nodes and dst not in comp.nodes
-            assert g.arcs_of(src)[arc_idx] == dst
+    assert sorted(sorted(c) for c in comps) == [[1], [2]]
+    assert_sinks_first(g, comps)
 
 
 def test_scc_emission_is_reverse_topological():
     for seed in range(60):
         g = random_stopping_game(seed, max_nodes=12)
-        comps = scc_condense(g)
-        seen = set()
-        for comp in comps:
-            for _, _, dst in comp.boundary:
-                assert g.kind(dst).is_terminal or dst in seen
-            seen |= comp.nodes
+        assert_sinks_first(g, scc_condense(g))
+
+
+def test_scc_edge_cases():
+    assert scc_condense(Game(2, (NodeKind.TERMINAL0, NodeKind.TERMINAL1), ((), ()))) == []
+    # node 1 has a self arc, node 2 none; each is a component of its own
+    g = build_game([("avg", (1, 4)), ("avg", (1, 3))])
+    assert scc_condense(g) == [frozenset({1}), frozenset({2})]
+    # duplicate arcs into a non-terminal, and a cycle through them
+    g = build_game([("max", (2, 2)), ("avg", (1, 4)), ("min", (1, 1))])
+    assert scc_condense(g) == [frozenset({1, 2}), frozenset({3})]
 
 
 def test_check_assumptions_minimal_game():
@@ -416,11 +432,14 @@ def test_reduce_game_keeps_brute_force_values(g):
 @given(stopping_full_games())
 def test_scc_condense_reverse_topological(g):
     comps = scc_condense(g)
-    seen: set[int] = set()
-    for comp in comps:
-        assert not comp.nodes & seen
-        for src, arc_idx, dst in comp.boundary:
-            assert src in comp.nodes and g.arcs_of(src)[arc_idx] == dst
-            assert g.kind(dst).is_terminal or dst in seen
-        seen |= comp.nodes
-    assert seen == {i for i in range(1, g.n + 1) if not g.kind(i).is_terminal}
+    assert_sinks_first(g, comps)
+    assert set(comps) == oracle_scc_partition(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**64 - 1))
+def test_scc_condense_matches_mutual_reachability_on_basic_games(a, b, c, seed):
+    g = generate_basic(GenParams(a + b + c + 2, a, b, c, seed))
+    comps = scc_condense(g)
+    assert set(comps) == oracle_scc_partition(g)
+    assert_sinks_first(g, comps)
