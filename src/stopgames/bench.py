@@ -187,8 +187,11 @@ def run_benchmark(plan: BenchPlan, workers: int = 1) -> list[BenchRecord]:
     sorted by (instance_id, algorithm, seed).
 
     Any solver output that fails the harness's own stability re-check
-    aborts the run with a diagnostic naming the instance and seed.
+    aborts the run with a diagnostic naming the instance and seed.  A
+    worker count below 1 is a ``ValueError``, raised before any work.
     """
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
     plan.validate()
     instances = build_instance_set(plan)
     jobs = []

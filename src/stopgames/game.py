@@ -5,9 +5,12 @@ max, min, or average node with exactly two ordered out-arcs; node n-1 is
 the 0-terminal and node n is the 1-terminal, both without out-arcs.  All
 public interfaces use 1-based node ids.
 
-This module also hosts the structural validator, the bad-core fixpoint
-that decides whether a game is stopping (every strategy pair gives every
-node a path to a terminal), and the canonical JSON instance format.
+This module also hosts the structural validator, the canonical JSON
+instance format and the backward attractor of a node set (``attractor``).
+The bad core, which decides whether a game is stopping (every strategy
+pair gives every node a path to a terminal), is the complement of one
+attractor (``safety``); the generator's safety witnesses and the
+reducer's forced-value search run on the same function.
 """
 
 from __future__ import annotations
@@ -269,49 +272,58 @@ def validate_structure(g) -> list[str]:
     return problems
 
 
-def find_bad_core(g) -> frozenset[int]:
-    """Maximal node set in which play can avoid the terminals forever.
-
-    Fixpoint over all non-terminal nodes: repeatedly delete any average
-    node with an arc leaving the set and any max/min node with both arcs
-    leaving it.  Arcs a PartialGame has not assigned yet count as leaving,
-    which keeps the check conservative mid-generation.  The result is
-    empty exactly when the game is stopping, and it is a superset of every
-    node set in which both players can trap the play.
-
-    Work-queue implementation: each arc is re-examined at most once after
-    its target drops out, so the whole check is linear in n.
+def attractor(code, arcs, parents, target, every) -> list[int]:
+    """The backward attractor of ``target``: the targets and, repeatedly,
+    every node with an arc into the set; a node whose kind code is in
+    ``every`` joins only once all of its arcs lead in, a duplicate arc
+    counted twice.  ``code`` and ``parents`` are indexed by node id,
+    ``arcs`` by id - 1, as on ``Game``, ``PartialGame`` and the reducer's
+    work view.  ``via[u]`` is the node u joined through, u for a target
+    and 0 outside.  First in, first out: each node joins through nodes
+    taken before it, and each parent list is read once.
     """
-    n = g.n
-    code = g.code
+    via = [0] * len(code)
+    left = [0] * len(code)  # a node in ``every``: its arcs still outside, 0 until met
+    queue = list(target)
+    for u in queue:
+        via[u] = u
+    for u in queue:
+        for p in parents[u]:
+            if via[p]:
+                continue
+            if code[p] in every:
+                left[p] = (left[p] or len(arcs[p - 1])) - 1
+                if left[p]:
+                    continue
+            via[p] = u
+            queue.append(p)
+    return via
+
+
+def safety(g) -> list[int]:
+    """``attractor`` of the nodes safe outright: terminals, averages with
+    fewer than two arcs and max/min nodes without arcs.  A max/min node
+    is safe once all of its arcs lead to safe nodes, an average once one
+    does; an arc a ``PartialGame`` lacks counts as leading out.  No safe
+    node can sit in a terminal-free set that play stays in.
+    """
+    code, arcs = g.code, g.arcs
     parents = g.parents()  # on a Game, checks every arc target first
-    in_set = [False] * (n + 1)
-    inside_count = [0] * (n + 1)  # arcs of i that currently stay in the set
-    members = []
-    for i in range(1, n + 1):
-        if code[i] != TERM:
-            in_set[i] = True
-            members.append(i)
-    for i in members:
-        inside_count[i] = sum(1 for t in g.arcs_of(i) if in_set[t])
+    outright = [
+        v for v in range(1, g.n + 1) if code[v] == TERM or len(arcs[v - 1]) < (2 if code[v] == AVG else 1)
+    ]
+    return attractor(code, arcs, parents, outright, (MAX, MIN))
 
-    def survives(i: int) -> bool:
-        if code[i] == AVG:
-            return inside_count[i] == 2
-        return inside_count[i] >= 1
 
-    queue = [i for i in members if not survives(i)]
-    while queue:
-        i = queue.pop()
-        if not in_set[i]:
-            continue
-        in_set[i] = False
-        for p in parents[i]:
-            if in_set[p]:
-                inside_count[p] -= 1
-                if not survives(p):
-                    queue.append(p)
-    return frozenset(i for i in range(1, n + 1) if in_set[i])
+def find_bad_core(g) -> frozenset[int]:
+    """Maximal node set in which play can avoid the terminals forever:
+    the nodes outside ``safety(g)``.
+
+    The result is empty exactly when the game is stopping, and it is a
+    superset of every node set in which both players can trap the play.
+    """
+    via = safety(g)
+    return frozenset(v for v in range(1, g.n + 1) if not via[v])
 
 
 def is_stopping(g) -> bool:

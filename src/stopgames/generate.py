@@ -11,12 +11,14 @@ terminals can be produced under some seed.
 
 Valid targets come from a witness index (``_WitnessIndex``) over the
 partial game, which must have an empty bad core; the phase-1 game has
-one, and every arc the loop adds keeps it so.  The index records one
-well-founded derivation of every node's safety, i.e. of its inability to
-sit in a player-controlled terminal-free set: terminals, averages with
-fewer than two arcs and max/min nodes without arcs are safe outright, an
-average through one arc to a node whose derivation avoids it (its
-witness), a max/min node through all of its arcs.  The nodes whose
+one, and every arc the loop adds keeps it so.  The index starts from
+``game.safety``, the same backward attractor whose complement is the bad
+core: it records one well-founded derivation of every node's safety,
+i.e. of its inability to sit in a player-controlled terminal-free set.
+Terminals, averages with fewer than two arcs and max/min nodes without
+arcs are safe outright, an average through one arc to a node whose
+derivation avoids it (its witness, the node it joined the attractor
+through), a max/min node through all of its arcs.  The nodes whose
 derivation passes through a node m form m's dependency region; only
 inside it can an arc out of m trap a node, so the search and the
 witness updates after each added arc touch that region alone (delete and
@@ -43,7 +45,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
-from .game import AVG, TERM, Game, NodeKind, PartialGame
+from .game import AVG, Game, NodeKind, PartialGame, safety
 from .reduce import check_assumptions, merge_terminal_valued
 from .rng import Rng, derive_seed
 
@@ -137,11 +139,12 @@ class _WitnessIndex:
     empty bad core, kept well-founded while max/min arcs are added through
     ``add_arc``.
 
-    ``witness[v]`` is, for an average v with two arcs, one of its arcs
-    whose derivation does not pass through v; a max/min node's derivation
-    uses all of its arcs (module docstring).  Kind codes, arc and parent
-    lists are the game's own, read live; parents are never terminals, so
-    a parent that is not an average is a max/min node.
+    ``witness`` starts as ``game.safety(g)``: ``witness[v]`` is, for an
+    average v with two arcs, one of its arcs whose derivation does not
+    pass through v; a max/min node's derivation uses all of its arcs
+    (module docstring), so its entry is never read.  Kind codes, arc and
+    parent lists are the game's own, read live; parents are never
+    terminals, so a parent that is not an average is a max/min node.
     """
 
     def __init__(self, g):
@@ -150,33 +153,11 @@ class _WitnessIndex:
         self.arcs = g.arcs
         self.parents = g.parents()
         self.code = g.code
-        code, arcs = self.code, self.arcs
-        safe = [False] * (n + 1)
-        witness = [0] * (n + 1)
-        waiting = [0] * (n + 1)  # underived arcs of a max/min node
-        queue = []
-        for v in range(1, n + 1):
-            if code[v] == TERM or len(arcs[v - 1]) < (2 if code[v] == AVG else 1):
-                safe[v] = True
-                queue.append(v)
-            elif code[v] != AVG:
-                waiting[v] = len(arcs[v - 1])
-        for u in queue:  # FIFO: a node derives only from nodes queued before it
-            for par in self.parents[u]:
-                if safe[par]:
-                    continue
-                if code[par] == AVG:
-                    witness[par] = u
-                elif waiting[par] > 1:
-                    waiting[par] -= 1
-                    continue
-                safe[par] = True
-                queue.append(par)
-        if len(queue) < n:
+        self.witness = safety(g)
+        if 0 in self.witness[1:]:
             raise ValueError(
-                f"partial game has a non-empty bad core (node {safe.index(False, 1)} can avoid the terminals)"
+                f"partial game has a non-empty bad core (node {self.witness.index(0, 1)} can avoid the terminals)"
             )
-        self.witness = witness
         self._state = [0] * (n + 1)  # per ``trapped`` call; 1: in m's region, 2: freed
         self._inside = [0] * (n + 1)  # per ``trapped`` call: a max/min region node's arcs into the region
         self._region = []

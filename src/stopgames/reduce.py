@@ -4,9 +4,12 @@ Five local rules remove subgraphs whose values follow in constant time
 from the rest of the game (decision arcs into terminals, duplicate arcs,
 average self-arcs, in-degree-zero nodes, and the all-constant collapse
 when a terminal is unreachable).  A linear propagation finds every node
-whose value is forced to exactly 1 or exactly 0 so it can be merged into
-its terminal, and SciPy's strongly connected components split the game,
-sinks first, into parts that can be solved independently.
+whose value is forced to exactly 1 or exactly 0, so it can be merged
+into its terminal: the nodes outside the other terminal's backward
+attractor (``game.attractor``, the fixpoint the bad core and the
+generator's witnesses come from too).  SciPy's strongly connected
+components split the game, sinks first, into parts that can be solved
+independently.
 ``check_assumptions`` bundles the whole checklist a fully reduced
 benchmark instance must satisfy.
 
@@ -27,12 +30,22 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .game import AVG, MAX, MIN, TERM, Game, is_stopping, require_stopping, stopping_game
+from .game import AVG, MAX, MIN, TERM, Game, attractor, is_stopping, require_stopping, stopping_game
 
 
 class Polarity(Enum):
+    """Which forced value a search looks for."""
+
     ONE = "one"
     ZERO = "zero"
+
+    def escape(self, n: int) -> tuple[tuple[int], tuple[int]]:
+        """``attractor``'s target and gated kinds for the nodes of an
+        n-node game that can provably escape this value: for ``ONE``, the
+        nodes that reach the 0-terminal, a max node only once both of its
+        arcs do; for ``ZERO``, the 1-terminal, gated on min.  Every node
+        outside that attractor is forced to the value."""
+        return ((n - 1,), (MAX,)) if self is Polarity.ONE else ((n,), (MIN,))
 
 
 @dataclass
@@ -208,8 +221,8 @@ class _Work:
         """The alive non-terminals whose value is forced to exactly 1 (or
         0), in id order; the search of ``find_terminal_valued`` run on
         this view."""
-        marked = _mark_unforced(self.code, self.arcs, self.parents, polarity, self.t0, self.t1)
-        return [v for v in self.alive_nonterminals() if not marked[v]]
+        via = attractor(self.code, self.arcs, self.parents, *polarity.escape(self.n))
+        return [v for v in self.alive_nonterminals() if not via[v]]
 
     def merge_forced(self) -> None:
         """Merge every forced-1 node into the 1-terminal, then every
@@ -240,43 +253,19 @@ def apply_trivial_reductions(g: Game) -> tuple[Game, ReductionReport]:
     return work.finish()
 
 
-def _mark_unforced(code, arcs, parents, polarity: Polarity, t0: int, t1: int) -> list[bool]:
-    """Mark every node whose value can provably stay below 1 (above 0 for
-    ``Polarity.ZERO``), on any view of a stopping game: ``code`` and
-    ``parents`` indexed by node id, ``arcs`` by id - 1.  Each node is
-    queued once, so at most one examination per arc: 2n in all.
-    """
-    seed, gated = (t0, MAX) if polarity is Polarity.ONE else (t1, MIN)
-    marked = [False] * len(code)
-    marked[seed] = True
-    queue = [seed]
-    while queue:
-        u = queue.pop()
-        for p in parents[u]:
-            if marked[p]:
-                continue
-            if code[p] == gated:
-                a, b = arcs[p - 1]
-                if not (marked[a] and marked[b]):
-                    continue
-            marked[p] = True
-            queue.append(p)
-    return marked
-
-
 def find_terminal_valued(g: Game, polarity: Polarity) -> frozenset[int]:
     """All nodes whose value is forced to exactly 1 (or exactly 0).
 
     For the 1-valued search, everything that can provably stay below 1 is
-    marked by propagating from the 0-terminal: min and average parents of
+    the backward attractor of the 0-terminal: min and average parents of
     a below-1 node are below 1, a max parent only once both its children
-    are.  Unmarked nodes have value 1.  The 0-valued search is the mirror
-    image, propagating above-0 from the 1-terminal.  The matching
-    terminal is always part of the returned set.
+    are.  The nodes outside it have value 1.  The 0-valued search is the
+    mirror image, the attractor of the 1-terminal gated on min.  The
+    matching terminal is always part of the returned set.
     """
     require_stopping(g, "terminal-valued search")
-    marked = _mark_unforced(g.code, g.arcs, g.parents(), polarity, g.terminal0, g.terminal1)
-    return frozenset(i for i in range(1, g.n + 1) if not marked[i])
+    via = attractor(g.code, g.arcs, g.parents(), *polarity.escape(g.n))
+    return frozenset(i for i in range(1, g.n + 1) if not via[i])
 
 
 def merge_terminal_valued(g: Game) -> tuple[Game, ReductionReport]:
@@ -427,14 +416,11 @@ def check_assumptions(g) -> AssumptionChecklist:
     no_dup_self = True
     to_t0: set[int] = set()
     to_t1: set[int] = set()
-    indeg = [0] * (g.n + 1)
     for i in range(1, g.n + 1):
         c = code[i]
         if c == TERM:
             continue
         a, b = arcs[i - 1]
-        indeg[a] += 1
-        indeg[b] += 1
         if a == b or a == i or b == i:
             no_dup_self = False
         if c != AVG:
@@ -445,18 +431,14 @@ def check_assumptions(g) -> AssumptionChecklist:
                 to_t0.add(i)
             if t1 in (a, b):
                 to_t1.add(i)
-    no_zero_indegree = all(indeg[i] > 0 for i in range(1, g.n + 1))
+    parents = g.parents()
+    no_zero_indegree = all(parents[1:])
     adjacent_pair = bool(to_t0) and bool(to_t1) and len(to_t0 | to_t1) >= 2
 
-    if stopping:
-        parents = g.parents()
-        # left unmarked: entry 0, the matching terminal and forced nodes
-        no_solved = all(
-            _mark_unforced(code, arcs, parents, polarity, t0, t1).count(False) == 2
-            for polarity in Polarity
-        )
-    else:
-        no_solved = False
+    # outside the attractor: entry 0, the matching terminal and forced nodes
+    no_solved = stopping and all(
+        attractor(code, arcs, parents, *polarity.escape(g.n)).count(0) == 2 for polarity in Polarity
+    )
 
     comps = scc_condense(g)
     single = len(comps) == 1 and (len(comps[0]) >= 2 or any(v in arcs[v - 1] for v in comps[0]))

@@ -316,6 +316,17 @@ def test_cli_generate_rejects_non_positive_count(tmp_path, capsys, count):
     assert not out.exists()
 
 
+def test_cli_bench_rejects_zero_workers(tmp_path, capsys):
+    """A worker count below 1 exits 1 with one line, before any records
+    file is written."""
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(small_plan().to_json())
+    out = tmp_path / "records.csv"
+    assert main(["bench", "--plan", str(plan_path), "--out", str(out), "--workers", "0"]) == 1
+    assert capsys.readouterr().err == "error: worker count must be at least 1, got 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "bench"])
 def test_cli_deeply_nested_json_exits_1_with_one_line(tmp_path, capsys, command):
     """Nesting past the JSON parser's recursion limit is a malformed file,

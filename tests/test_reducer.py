@@ -165,6 +165,21 @@ def test_terminal_valued_matches_oracle_and_linear_cost():
         assert examined_zero <= 2 * g.n
 
 
+def test_terminal_valued_counts_duplicate_arcs_on_full_games():
+    """The same oracle match and cost bound on stopping games with self
+    arcs and duplicate arcs.  The generators never give a max/min node
+    one target twice; here some do, so a gated node's arcs still outside
+    are counted with multiplicity."""
+    games = [g for g in (random_full_game(Rng(seed), decision_nodes=8) for seed in range(400)) if g.stopping]
+    assert any(a == b and g.kind(i).is_decision for g in games for i, (a, b) in enumerate(g.arcs[:-2], 1))
+    for g in games:
+        vals = oracle_values(g)
+        for polarity, value in ((Polarity.ONE, 1), (Polarity.ZERO, 0)):
+            found, examined = terminal_valued_and_examinations(g, polarity)
+            assert found == {i for i, v in vals.items() if v == value}
+            assert examined <= 2 * g.n
+
+
 def test_merge_terminal_valued_degenerate_case():
     g = build_game([("avg", (2, 4)), ("avg", (1, 4))])
     reduced, report = merge_terminal_valued(g)
