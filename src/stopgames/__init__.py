@@ -12,7 +12,6 @@ from .evaluate import (
     best_response,
     evaluate_strategy_pair,
     is_stable,
-    reachable_to_terminal,
     switchable_set,
 )
 from .game import (
@@ -55,7 +54,6 @@ from .reduce import (
 from .solve import (
     SolveResult,
     solve_brute_force,
-    solve_by_components,
     solve_hoffman_karp,
     solve_permutation_improvement,
     solve_value_iteration,

@@ -1,9 +1,8 @@
 """Strategy evaluation: the value system for a fixed strategy pair.
 
 With both players' choices pinned, every node's value is the probability
-that the random walk reaches the 1-terminal.  Nodes that cannot reach a
-terminal at all are set to zero.  Every other max/min node takes the
-value of its anchor, the first average or terminal its chosen arcs
+that the random walk reaches the 1-terminal.  Every max/min node takes
+the value of its anchor, the first average or terminal its chosen arcs
 reach, so the whole system collapses to a small linear system over the
 average nodes.  The exact and the float64 paths share that reduction.
 
@@ -19,13 +18,10 @@ diagonal 2 and a -1 per child whose value is an unknown).  The values
 come back with one gather through the slots, and only the solved
 unknowns are range-checked, once each.
 
-On a stopping game every node reaches a terminal under every strategy
-pair, so no reachability walk runs; hk, perm, best responses, brute
-force and component-wise solving establish that with
-``require_stopping`` before they evaluate.  On any other game one walk
-back from the terminals over the cached parents marks the nodes that
-reach one; the rest anchor at the 0-terminal, and only the reached
-averages are unknowns.
+Only stopping games are evaluated: there every node reaches a terminal
+under every strategy pair, so every average is an unknown and the
+system is nonsingular.  Any other game is refused with
+``NonStoppingGameError``, read from the game's cached ``stopping`` flag.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linsolve
-from .game import AVG, MAX, MIN, TERM, Game, require_stopping
+from .game import MAX, MIN, TERM, Game, require_stopping
 
 EXACT = "exact"
 FLOAT = "float"
@@ -142,41 +138,13 @@ def _successors(g: Game, sp: StrategyPair) -> np.ndarray:
     return succ
 
 
-def _reached(g: Game, succ: np.ndarray) -> list[bool]:
-    """Per node id, whether it has a path to a terminal in the strategy
-    subgraph: a walk back from the terminals over the game's parents, in
-    which a max/min node is reached only through its chosen successor."""
-    code, parents, succ = g.code, g.parents(), succ.tolist()
-    seen = [False] * (g.n + 1)
-    stack = [g.terminal0, g.terminal1]
-    for u in stack:
-        seen[u] = True
-    while stack:
-        u = stack.pop()
-        for p in parents[u]:
-            if not seen[p] and (code[p] == AVG or succ[p] == u):
-                seen[p] = True
-                stack.append(p)
-    return seen
-
-
-def reachable_to_terminal(g: Game, sp: StrategyPair) -> set[int]:
-    """Nodes with a path to a terminal in the strategy subgraph.
-
-    Max/min nodes follow their single chosen arc, average nodes keep both.
-    Computed by backward reachability from the terminals.
-    """
-    seen = _reached(g, _successors(g, sp))
-    return {i for i in range(1, g.n + 1) if seen[i]}
-
-
 def _anchor_slots(succ: np.ndarray, slot: np.ndarray) -> np.ndarray:
     """Per node id, the slot of its anchor: the first average or terminal
     that its chosen arcs reach.  Pointer jumping on the successor array
     doubles the distance followed each round, so a chain of k max/min
     nodes settles within log2(k) + 1 rounds; one that never settles is a
-    cycle of max/min nodes, which neither a stopping game nor the reached
-    part of any game holds."""
+    cycle of max/min nodes, which no stopping game holds: only a game
+    wrongly flagged as stopping reaches the error."""
     for _ in range(len(succ).bit_length() + 1):
         node_slot = slot[succ]
         if node_slot[1:].min() >= 0:
@@ -188,12 +156,13 @@ def _anchor_slots(succ: np.ndarray, slot: np.ndarray) -> np.ndarray:
 def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> ValueVector:
     """Solve the value system for a fixed strategy pair.
 
-    The unknowns are the average nodes that reach a terminal.  Row i of
-    the system is the equation of the i-th of them in ascending id; its
-    right-hand side is an int, the number of its children whose value is
-    the constant 1, and its matrix entries are COO triplets: the diagonal 2
-    of every row first, then per row a -1 for its first and then its
-    second child when that child's value is an unknown, duplicates summed.
+    ``NonStoppingGameError`` unless ``g`` is stopping.  The unknowns are
+    the average nodes.  Row i of the system is the equation of the i-th
+    of them in ascending id; its right-hand side is an int, the number of
+    its children whose value is the constant 1, and its matrix entries
+    are COO triplets: the diagonal 2 of every row first, then per row a -1
+    for its first and then its second child when that child's value is an
+    unknown, duplicates summed.
 
     Exact mode returns the solver's numerators over its denominator, the
     terminals reading 0 and d and every other node its anchor's numerator;
@@ -201,20 +170,11 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
     """
     if mode not in (EXACT, FLOAT):
         raise ValueError(f"unknown mode {mode!r}")
+    require_stopping(g, "strategy evaluation")
     succ = _successors(g, sp)
     lay = g.layout
-    if g.stopping:
-        rows, slot = lay.average_nodes, lay.slot
-    else:
-        # The nodes without a path to a terminal are worth 0: they anchor
-        # at the 0-terminal, and only the reached averages are unknowns.
-        reached = np.array(_reached(g, succ))
-        succ[~reached] = g.terminal0
-        rows = lay.average_nodes[reached[lay.average_nodes]]
-        slot = np.full(g.n + 1, -1, dtype=np.intp)
-        slot[rows] = np.arange(len(rows))
-        slot[g.terminal0], slot[g.terminal1] = len(rows), len(rows) + 1
-    node_slot = _anchor_slots(succ, slot)
+    rows = lay.average_nodes
+    node_slot = _anchor_slots(succ, lay.slot)
 
     # child[r] holds the slots of row r's two children: a column below a,
     # a for the constant 0 and a + 1 for the constant 1.
@@ -337,11 +297,14 @@ def best_response(
     responder's values on a stopping game, so the loop terminates.  In
     exact mode the loop first converges in float64 and then verifies and,
     if needed, finishes with exact arithmetic, which leaves the result
-    exactly optimal at a fraction of the rational-arithmetic cost.
+    exactly optimal at a fraction of the rational-arithmetic cost.  The
+    float phase is only a warm start there: a float system too
+    ill-conditioned to factor ends it, and the exact phase goes on from
+    the current response.  The first evaluation refuses a game that is
+    not stopping.
     """
     if fixed.player is player:
         raise ValueError("fixed strategy must belong to the opposite player")
-    require_stopping(g, "best response")
     resp = initial if initial is not None else first_arc_strategy(g, player)
     cap = 10 * len(resp.choice) + 20
 
@@ -350,7 +313,12 @@ def best_response(
 
     for phase in (FLOAT,) if mode == FLOAT else (FLOAT, EXACT):
         for _ in range(cap):
-            v = evaluate_strategy_pair(g, pair_for(resp), phase)
+            try:
+                v = evaluate_strategy_pair(g, pair_for(resp), phase)
+            except linsolve.SingularSystemError:
+                if phase == mode:
+                    raise
+                break  # the float warm start ends here; the exact phase goes on
             improved = improve_all(g, resp, v)
             if improved is None:
                 break

@@ -116,9 +116,6 @@ class Game:
     def average_nodes(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.code) if c == AVG)
 
-    def decision_node_count(self) -> int:
-        return len(self.max_nodes) + len(self.min_nodes)
-
     @cached_property
     def _parents(self) -> tuple[tuple[int, ...], ...]:
         n = self.n

@@ -25,9 +25,11 @@ unknown, or a child aliasing the row's own unknown, need no merging.
   once modulo a prime p below 2**23, each step costs one matrix-vector
   product mod p, the same integer check ends it, and lifting past the
   Hadamard bound without a verified answer raises
-  ``SingularSystemError``.  A matrix singular modulo both fixed primes
-  goes through dense rational elimination, which raises on a truly
-  singular system.
+  ``SingularSystemError``.  The primes are tried largest first, 8388593,
+  8388587, 8388581 and on down, until one leaves A nonsingular.  Each
+  prime that leaves A singular divides det A, so once the primes tried
+  multiply past the Hadamard bound on |det A|, A is singular and
+  ``SingularSystemError`` is raised.
 
 * ``solve_float`` returns float64 values with one step of iterative
   refinement and a residual guarantee.
@@ -35,7 +37,6 @@ unknown, or a child aliasing the row's own unknown, need no merging.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
 import numpy as np
@@ -48,8 +49,12 @@ RESIDUAL_BOUND = 1e-9
 
 
 class SingularSystemError(RuntimeError):
-    """The value system had no unique solution; impossible for well-formed
-    stopping-game evaluations, so this signals a caller bug."""
+    """The value system had no unique solution in the arithmetic used.
+
+    ``solve_exact`` raises it only on a truly singular matrix, which no
+    stopping-game evaluation builds.  ``solve_float`` raises it also on a
+    stopping game whose system is singular to float64 precision, or
+    misses the residual bound: an ill-conditioned system, not a bug."""
 
 
 def _ints(xs) -> list[int]:
@@ -57,41 +62,13 @@ def _ints(xs) -> list[int]:
     return np.asarray(xs).tolist()
 
 
-def _gauss_fractions(rhs, coo) -> list[Fraction]:
-    """Dense rational Gaussian elimination; the reference exact path."""
-    a = len(rhs)
-    m = [[Fraction(0)] * a + [Fraction(b)] for b in _ints(rhs)]
-    for i, j, c in zip(*map(_ints, coo)):
-        m[i][j] += c
-    for k in range(a):
-        piv = next((r for r in range(k, a) if m[r][k] != 0), None)
-        if piv is None:
-            raise SingularSystemError(f"no pivot in column {k}")
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-        pk = m[k][k]
-        for r in range(k + 1, a):
-            f = m[r][k]
-            if f == 0:
-                continue
-            ratio = f / pk
-            mr, mk = m[r], m[k]
-            for c in range(k, a + 1):
-                mr[c] -= ratio * mk[c]
-    x = [Fraction(0)] * a
-    for k in range(a - 1, -1, -1):
-        acc = m[k][a]
-        mk = m[k]
-        for c in range(k + 1, a):
-            if mk[c]:
-                acc -= mk[c] * x[c]
-        x[k] = acc / m[k][k]
-    return x
-
-
-# The two largest primes below 2**23.  Reduced residues stay below 2**23,
-# so a sum of a products of two of them fits int64 for a < 2**17.
-_LIFT_PRIMES = (8388593, 8388587)
+def _lift_primes():
+    """The primes below 2**23, largest first: 8388593, 8388587, 8388581, ...
+    Reduced residues stay below 2**23, so a sum of a products of two of
+    them fits int64 for a < 2**17."""
+    for p in range((1 << 23) - 1, 2, -2):
+        if all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            yield p
 
 
 def _inverse_mod(dense_a: np.ndarray, p: int) -> np.ndarray | None:
@@ -187,18 +164,26 @@ def _certified(rhs, coo, nums, den) -> bool:
     return not any(check)
 
 
-def _solve_dixon(rhs, coo) -> tuple[list[int], int] | None:
-    """Dixon p-adic lifting; None when A is singular modulo both primes."""
+def _solve_dixon(rhs, coo) -> tuple[list[int], int]:
+    """Dixon p-adic lifting modulo the first of ``_lift_primes`` that
+    leaves A nonsingular; ``SingularSystemError`` when A is singular.
+
+    A prime that leaves A singular divides det A, so once the primes
+    tried multiply past the Hadamard bound on |det A|, det A is 0.
+    """
     a = len(rhs)
     dense_a = _dense(a, coo, np.int64)
-    for p in _LIFT_PRIMES:
+    bound_sq = _hadamard_sq((dense_a * dense_a).sum(axis=1), rhs)
+    tried = 1
+    for p in _lift_primes():
         inverse = _inverse_mod(dense_a, p)
         if inverse is not None:
             break
-    else:
-        return None
+        tried *= p
+        if tried * tried > bound_sq:
+            raise SingularSystemError("singular modulo primes past the Hadamard bound")
 
-    ceiling = 2 * _hadamard_sq((dense_a * dense_a).sum(axis=1), rhs)
+    ceiling = 2 * bound_sq
     residual = np.array(rhs, dtype=np.int64)
     xs = np.zeros(a, dtype=object)
     modulus = 1
@@ -333,10 +318,7 @@ def solve_exact(rhs, coo) -> tuple[list[int], int]:
     positive and in lowest terms with the numerators."""
     if len(rhs) == 0:
         return [], 1
-    found = _solve_numeric(rhs, coo) or _solve_dixon(rhs, coo)
-    if found is not None:
-        return found
-    return common_denominator(_gauss_fractions(rhs, coo))
+    return _solve_numeric(rhs, coo) or _solve_dixon(rhs, coo)
 
 
 def solve_float(rhs, coo) -> np.ndarray:

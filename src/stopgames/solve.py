@@ -46,11 +46,10 @@ from .evaluate import (
     value_strings,
 )
 from .game import AVG, MAX, MIN, Game, require_stopping
-from .reduce import scc_condense
 from .rng import Rng
 
-# Brute force and component-wise solving enumerate 2^d strategy
-# assignments; both refuse more than this many decision nodes d.
+# Brute force enumerates 2^d strategy assignments; it refuses more than
+# this many decision nodes d.
 BRUTE_FORCE_DECISION_CAP = 12
 
 
@@ -373,43 +372,6 @@ def solve_value_iteration(
                 value_history=tuple(history) if history is not None else None,
             )
     raise EvaluationContractError(f"value iteration did not converge in {max_sweeps} sweeps")
-
-
-def solve_by_components(g: Game) -> ValueVector:
-    """Exact solution by settling strongly connected components in order.
-
-    Components are taken sinks first.  Each evaluation covers the whole
-    game, with every component settled so far held at its stable
-    strategies; inside the current component every strategy assignment
-    is tried until none of its nodes can switch for either player.  A
-    component's values depend only on its own strategies and on the
-    components below it, so the rest of the pair does not matter, and on
-    a stopping game every pair's system is nonsingular.
-    """
-    require_stopping(g, "component-wise solving")
-    code = g.code
-    pair = StrategyPair(
-        Strategy(Player.MAX, {i: 0 for i in g.max_nodes}),
-        Strategy(Player.MIN, {i: 0 for i in g.min_nodes}),
-    )
-    sigma, tau = pair.sigma.choice, pair.tau.choice  # updated in place below
-    for comp in scc_condense(g):
-        comp_max = sorted(i for i in comp if code[i] == MAX)
-        comp_min = sorted(i for i in comp if code[i] == MIN)
-        if len(comp_max) + len(comp_min) > BRUTE_FORCE_DECISION_CAP:
-            raise ValueError("component exceeds the enumeration cap")
-        if not comp_max and not comp_min:
-            continue
-        for bits in itertools.product((0, 1), repeat=len(comp_max) + len(comp_min)):
-            sigma.update(zip(comp_max, bits))
-            tau.update(zip(comp_min, bits[len(comp_max) :]))
-            v = evaluate_strategy_pair(g, pair, EXACT)
-            switchable = switchable_set(g, v, Player.MAX) | switchable_set(g, v, Player.MIN)
-            if switchable.isdisjoint(comp):
-                break
-        else:
-            raise EvaluationContractError("component has no stable assignment")
-    return evaluate_strategy_pair(g, pair, EXACT)
 
 
 # Entries look their solver up when called, so a module attribute rebound

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from stopgames import (
     EXACT,
+    EvaluationContractError,
     Game,
     NodeKind,
     PartialGame,
@@ -20,9 +21,13 @@ from stopgames import (
     Strategy,
     StrategyPair,
     ValueVector,
+    evaluate_strategy_pair,
     linsolve,
+    scc_condense,
+    switchable_set,
 )
-from stopgames.game import AVG
+from stopgames.game import AVG, MAX, MIN
+from stopgames.solve import BRUTE_FORCE_DECISION_CAP
 from stopgames.generate import GenParams, Variant, generate_basic
 from stopgames.rng import Rng
 
@@ -355,6 +360,43 @@ def oracle_values(g: Game) -> dict[int, Fraction]:
 
     res = solve_brute_force(g)
     return {i: res.values.value(i) for i in range(1, g.n + 1)}
+
+
+def solve_by_components(g: Game) -> ValueVector:
+    """Exact solution by settling the library's strongly connected
+    components (``scc_condense``) in order, sinks first.
+
+    Each evaluation covers the whole game, with every component settled
+    so far held at its stable strategies; inside the current component
+    every strategy assignment is tried until none of its nodes can switch
+    for either player.  A component's values depend only on its own
+    strategies and on the components below it, so the rest of the pair
+    does not matter.  Refuses a component with more than
+    ``BRUTE_FORCE_DECISION_CAP`` decision nodes.
+    """
+    code = g.code
+    pair = StrategyPair(
+        Strategy(Player.MAX, {i: 0 for i in g.max_nodes}),
+        Strategy(Player.MIN, {i: 0 for i in g.min_nodes}),
+    )
+    sigma, tau = pair.sigma.choice, pair.tau.choice  # updated in place below
+    for comp in scc_condense(g):
+        comp_max = sorted(i for i in comp if code[i] == MAX)
+        comp_min = sorted(i for i in comp if code[i] == MIN)
+        if len(comp_max) + len(comp_min) > BRUTE_FORCE_DECISION_CAP:
+            raise ValueError("component exceeds the enumeration cap")
+        if not comp_max and not comp_min:
+            continue
+        for bits in itertools.product((0, 1), repeat=len(comp_max) + len(comp_min)):
+            sigma.update(zip(comp_max, bits))
+            tau.update(zip(comp_min, bits[len(comp_max) :]))
+            v = evaluate_strategy_pair(g, pair, EXACT)
+            switchable = switchable_set(g, v, Player.MAX) | switchable_set(g, v, Player.MIN)
+            if switchable.isdisjoint(comp):
+                break
+        else:
+            raise EvaluationContractError("component has no stable assignment")
+    return evaluate_strategy_pair(g, pair, EXACT)
 
 
 def assert_value_preserving(g: Game, reduced: Game, report) -> None:

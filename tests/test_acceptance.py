@@ -14,6 +14,7 @@ from conftest import (
     deep_partial,
     oracle_values,
     random_stopping_game,
+    solve_by_components,
     terminal_valued_and_examinations,
 )
 
@@ -35,7 +36,6 @@ from stopgames import (
     ratio_counts,
     scc_condense,
     solve_brute_force,
-    solve_by_components,
     solve_hoffman_karp,
     solve_permutation_improvement,
     solve_value_iteration,
@@ -120,7 +120,7 @@ def test_criterion_3_solver_cross_agreement():
     small games, five seeds each; float paths within 1e-9."""
     for index in range(200):
         g = small_decision_game(index)
-        assert g.decision_node_count() <= 12
+        assert len(g.max_nodes) + len(g.min_nodes) <= 12
         truth = solve_brute_force(g).values
         vi = solve_value_iteration(g, tol=1e-12)
         assert all(

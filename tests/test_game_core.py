@@ -252,7 +252,6 @@ def test_layout_matches_kinds_and_arcs(g):
     assert list(g.code[1:]) == want
     for nodes, code in ((g.max_nodes, MAX), (g.min_nodes, MIN), (g.average_nodes, AVG)):
         assert nodes == tuple(i for i in range(1, g.n + 1) if want[i - 1] == code)
-    assert g.decision_node_count() == sum(1 for i in range(1, g.n + 1) if g.kind(i).is_decision)
 
     pg = PartialGame(list(g.kinds))
     assert list(pg.code[1:]) == want

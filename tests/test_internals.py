@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,7 @@ from hypothesis import strategies as st
 
 from stopgames import EXACT, evaluate_strategy_pair, linsolve
 from stopgames.linsolve import (
-    _LIFT_PRIMES,
     SingularSystemError,
-    _gauss_fractions,
     common_denominator,
     solve_exact,
     solve_float,
@@ -104,10 +103,42 @@ def random_system(rng: Rng, size: int):
             return rhs, system
 
 
+def gauss_fractions(rhs, system) -> list[Fraction]:
+    """Dense rational Gaussian elimination, the reference exact answer."""
+    a = len(rhs)
+    m = [[Fraction(0)] * a + [Fraction(int(b))] for b in rhs]
+    for i, j, c in zip(*system):
+        m[int(i)][int(j)] += int(c)
+    for k in range(a):
+        piv = next((r for r in range(k, a) if m[r][k] != 0), None)
+        if piv is None:
+            raise SingularSystemError(f"no pivot in column {k}")
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+        pk = m[k][k]
+        for r in range(k + 1, a):
+            f = m[r][k]
+            if f == 0:
+                continue
+            ratio = f / pk
+            mr, mk = m[r], m[k]
+            for c in range(k, a + 1):
+                mr[c] -= ratio * mk[c]
+    x = [Fraction(0)] * a
+    for k in range(a - 1, -1, -1):
+        acc = m[k][a]
+        mk = m[k]
+        for c in range(k + 1, a):
+            if mk[c]:
+                acc -= mk[c] * x[c]
+        x[k] = acc / m[k][k]
+    return x
+
+
 def gauss(rhs, system):
     """The reference answer in ``solve_exact``'s form: numerators over the
     least common denominator of the rational elimination."""
-    return common_denominator(_gauss_fractions(rhs, system))
+    return common_denominator(gauss_fractions(rhs, system))
 
 
 def fractions(solution):
@@ -234,7 +265,7 @@ def test_duplicate_triplets_are_summed(size):
     assert fractions(solve_exact(rhs, system)) == expected
     assert fractions(linsolve._solve_numeric(rhs, system)) == expected
     assert fractions(linsolve._solve_dixon(rhs, system)) == expected
-    assert _gauss_fractions(rhs, system) == expected
+    assert gauss_fractions(rhs, system) == expected
     x = solve_float(rhs, system)
     assert np.abs(x - np.array([float(v) for v in expected])).max() <= 1e-12
     merged: dict[tuple[int, int], int] = {}
@@ -260,24 +291,39 @@ def _with_blocks(blocks, rhs, system):
 
 def test_exact_lifting_retries_second_prime_then_rational_elimination(monkeypatch):
     """With the numeric lift giving up, a determinant divisible by the
-    first prime makes Dixon lifting use the second; divisible by both, the
-    system goes to rational elimination."""
+    first prime makes Dixon lifting use the second, and one divisible by
+    both the third, each with rational elimination's answer; a truly
+    singular system raises once the primes tried pass the Hadamard bound."""
     monkeypatch.setattr(linsolve, "_solve_numeric", lambda rhs, system: None)
-    first, second = _LIFT_PRIMES
+    first, second, third = itertools.islice(linsolve._lift_primes(), 3)
+    assert (first, second, third) == (8388593, 8388587, 8388581)
     rhs, system = random_system(Rng(77), 12)
-    one_bad = _with_blocks([first], rhs, system)
-    one_bad_dense = dense_of(len(one_bad[0]), one_bad[1], np.int64)
-    assert linsolve._inverse_mod(one_bad_dense, first) is None
-    assert linsolve._inverse_mod(one_bad_dense, second) is not None
-    assert linsolve._solve_dixon(*one_bad) == gauss(*one_bad)
-    assert solve_exact(*one_bad) == gauss(*one_bad)
+    used = []
+    inverse_mod = linsolve._inverse_mod
 
-    both_bad = _with_blocks([first, second], rhs, system)
-    assert linsolve._solve_dixon(*both_bad) is None
-    assert solve_exact(*both_bad) == gauss(*both_bad)
+    def recording(dense_a, p):
+        inverse = inverse_mod(dense_a, p)
+        used.append((p, inverse is not None))
+        return inverse
+
+    monkeypatch.setattr(linsolve, "_inverse_mod", recording)
+    for blocks, tries in (([first], [(first, False), (second, True)]), ([first, second], [(first, False), (second, False), (third, True)])):
+        used.clear()
+        bad = _with_blocks(blocks, rhs, system)
+        assert linsolve._solve_dixon(*bad) == gauss(*bad)
+        assert used == tries
+        assert solve_exact(*bad) == gauss(*bad)
+
+    used.clear()
+    singular = coo([(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)])
+    with pytest.raises(SingularSystemError, match="Hadamard bound"):
+        linsolve._solve_dixon([1, 2], singular)
+    with pytest.raises(SingularSystemError):
+        solve_exact([1, 2], singular)
+    assert used[0] == (first, False)
 
 
-@pytest.mark.parametrize("scale", [1, _LIFT_PRIMES[0] ** 2], ids=["unit", "p-squared"])
+@pytest.mark.parametrize("scale", [1, next(linsolve._lift_primes()) ** 2], ids=["unit", "p-squared"])
 def test_exact_lifting_long_chain_of_averages(scale):
     """x_i = (x_{i+1} + c_i) / 2 down a chain of 320 averages: the common
     denominator is 2**320, so the numeric lift runs for 17 steps of 40

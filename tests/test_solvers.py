@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import build_game, random_stopping_game
+from conftest import build_game, random_stopping_game, solve_by_components
 
 from stopgames import (
     EXACT,
@@ -18,8 +18,8 @@ from stopgames import (
     Strategy,
     StrategyPair,
     generate_fully_reduced,
+    linsolve,
     solve_brute_force,
-    solve_by_components,
     solve_hoffman_karp,
     solve_permutation_improvement,
     solve_value_iteration,
@@ -50,7 +50,7 @@ def test_brute_force_cap():
     """Both enumerators refuse more than 12 decision nodes; a fully
     reduced game is one component, so it holds all 14 of this one."""
     g, _ = generate_fully_reduced(RatioSpec(24, 4), 1)
-    assert g.decision_node_count() == 14
+    assert len(g.max_nodes) + len(g.min_nodes) == 14
     with pytest.raises(ValueError, match="14 decision nodes exceed the brute-force cap 12"):
         solve_brute_force(g)
     with pytest.raises(ValueError, match="component exceeds the enumeration cap"):
@@ -183,6 +183,42 @@ def test_component_solving_matches_whole_game():
         if done >= 30:
             break
     assert done >= 30
+
+
+def fallback_chain(k: int):
+    """A stopping game worth 1/2 at every node whose value systems grow
+    ill-conditioned with k.  Average i < k moves to i + 1 or back to 1,
+    and average k to either terminal, so play leaves the chain only after
+    k - 1 fair coin flips in a row.  Max node k + 1 picks average 1 or k,
+    and min node k + 2 picks max node k + 1 or average 2."""
+    t0, t1 = k + 3, k + 4
+    chain = [("avg", (i + 1, 1)) for i in range(1, k)] + [("avg", (t0, t1))]
+    return build_game(chain + [("max", (1, k)), ("min", (k + 1, 2))])
+
+
+@pytest.mark.parametrize("k", range(20, 161, 20))
+def test_exact_solvers_on_ill_conditioned_chain(monkeypatch, k):
+    """Exact hk, perm and brute force return 1/2 at every node.  At k = 80
+    and 100 the float LU in one of hk's best-response warm starts is
+    exactly singular, and that phase hands over to the exact one.  From
+    k = 80 the numeric lift gives up on some system of every solver, and
+    Dixon lifting answers it."""
+    g = fallback_chain(k)
+    assert g.stopping
+    answered = []
+    dixon = linsolve._solve_dixon
+
+    def recording(rhs, coo):
+        found = dixon(rhs, coo)
+        answered.append(len(rhs))
+        return found
+
+    monkeypatch.setattr(linsolve, "_solve_dixon", recording)
+    for algo in ("hk", "perm", "bf"):
+        answered.clear()
+        res = SOLVERS[algo](g, 0, EXACT)
+        assert res.values.values == (Fraction(1, 2),) * (k + 2) + (0, 1), algo
+        assert bool(answered) == (k >= 80), (algo, answered)
 
 
 # --- permutation improvement: the order-induced pair -------------------------
