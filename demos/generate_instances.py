@@ -14,11 +14,10 @@ from stopgames import (
     generate_basic,
     generate_fully_reduced,
     generate_reduced,
-    is_stopping,
 )
 
 basic = generate_basic(GenParams(n=10, a=3, b=2, c=3, seed=7))
-print(f"basic generator, 10 nodes: stopping={is_stopping(basic)}")
+print(f"basic generator, 10 nodes: stopping={basic.stopping}")
 for i in range(1, basic.n + 1):
     arcs = basic.arcs_of(i)
     print(f"  node {i}: {basic.kind(i).value} -> {list(arcs) if arcs else 'terminal'}")

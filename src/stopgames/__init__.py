@@ -12,7 +12,6 @@ from .evaluate import (
     best_response,
     evaluate_strategy_pair,
     is_stable,
-    switchable_set,
 )
 from .game import (
     Game,
@@ -22,7 +21,6 @@ from .game import (
     find_bad_core,
     game_from_json,
     game_to_json,
-    is_stopping,
     load_game,
     save_game,
     validate_structure,

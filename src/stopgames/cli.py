@@ -1,7 +1,8 @@
 """Command-line surface: generate, reduce, verify, solve, bench, summarize.
 
-Exit codes: 0 on success, 1 on validation or input failures, 2 when a
-solver or generator violates its own contracts (instability, cap trips).
+Exit codes: 0 on success, 1 on validation or input failures and on a
+value system float64 cannot solve (exact mode can), 2 when a solver or
+generator violates its own contracts (instability, cap trips).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .bench import (
     write_plot_csv,
 )
 from .evaluate import EXACT, FLOAT, EvaluationContractError, is_stable
-from .game import NonStoppingGameError, is_stopping, load_game, save_game, validate_structure
+from .game import NonStoppingGameError, load_game, save_game, validate_structure
 from .generate import GenerationError
 from .linsolve import SingularSystemError
 from .reduce import check_assumptions, reduce_game
@@ -110,7 +111,7 @@ def _cmd_verify(args) -> int:
         print(f"structure: {problem}")
     if problems:
         return 1
-    stopping = is_stopping(game)
+    stopping = game.stopping
     print(f"stopping: {'yes' if stopping else 'no'}")
     checklist = check_assumptions(game)
     for name, ok in checklist.items():
@@ -157,9 +158,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (EvaluationContractError, GenerationError, SingularSystemError) as exc:
+    except (EvaluationContractError, GenerationError) as exc:
         print(f"contract failure: {exc}", file=sys.stderr)
         return 2
+    except SingularSystemError as exc:  # exact systems of stopping games are never singular
+        print(f"error: float64 could not solve the value system ({exc}); --mode exact solves it", file=sys.stderr)
+        return 1
     except (NonStoppingGameError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,11 +22,11 @@ Only stopping games are evaluated: there every node reaches a terminal
 under every strategy pair, so every average is an unknown and the
 system is nonsingular.  Any other game is refused with
 ``NonStoppingGameError``, read from the game's cached ``stopping`` flag.
+``improve_all`` is the one rule for switching a node to a better arc.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -242,32 +242,12 @@ def is_stable(g: Game, v: ValueVector, tol: float = DEFAULT_STABLE_TOL) -> bool:
     return True
 
 
-def switchable_set(g: Game, v: ValueVector, player: Player) -> set[int]:
-    """The player's nodes whose other arc is strictly better than their
-    current value.
-
-    Because a node's value equals its chosen successor's value under any
-    strategy-pair evaluation, comparing against ``v[i]`` needs no access
-    to the strategy itself.  Strictness uses exact comparison on exact
-    vectors and a small margin on float vectors.
-    """
-    margin = 0 if v.mode == EXACT else DEFAULT_SWITCH_MARGIN
-    vals, arcs = v.scaled, g.arcs
-    out = set()
-    for i in _owned(g, player):
-        j, k = arcs[i - 1]
-        if player is Player.MAX:
-            if max(vals[j - 1], vals[k - 1]) > vals[i - 1] + margin:
-                out.add(i)
-        elif min(vals[j - 1], vals[k - 1]) < vals[i - 1] - margin:
-            out.add(i)
-    return out
-
-
 def improve_all(g: Game, strat: Strategy, v: ValueVector) -> Strategy | None:
     """Switch every node of ``strat`` whose other arc is strictly better
-    under ``v``; None when already optimal.  The step of ``best_response``
-    and of Hoffman-Karp."""
+    under ``v``; None when already optimal.  Strictness is exact on exact
+    vectors and takes a small margin on float ones.  The one switch rule:
+    the step of ``best_response`` and of Hoffman-Karp, and permutation
+    improvement's stop test."""
     margin = 0 if v.mode == EXACT else DEFAULT_SWITCH_MARGIN
     vals, arcs = v.scaled, g.arcs
     better_sign = 1 if strat.player is Player.MAX else -1
@@ -328,26 +308,8 @@ def best_response(
     return resp, v
 
 
-# --- value vector JSON ------------------------------------------------------
-
-
 def value_strings(v: ValueVector) -> list[str]:
     """One string per node: ``num/den`` in exact mode, ``repr`` in float."""
     if v.mode == EXACT:
         return [str(x) for x in v.values]
     return [repr(float(x)) for x in v.values]
-
-
-def value_vector_to_json(v: ValueVector) -> str:
-    return json.dumps({"mode": v.mode, "values": value_strings(v)}, separators=(",", ":"))
-
-
-def value_vector_from_json(text: str) -> ValueVector:
-    data = json.loads(text)
-    mode = data["mode"]
-    if mode == EXACT:
-        nums, den = linsolve.common_denominator([Fraction(s) for s in data["values"]])
-        return ValueVector(tuple(nums), EXACT, den)
-    if mode == FLOAT:
-        return ValueVector(tuple(float(s) for s in data["values"]), FLOAT)
-    raise ValueError(f"unknown mode {mode!r}")

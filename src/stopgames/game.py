@@ -10,7 +10,9 @@ instance format and the backward attractor of a node set (``attractor``).
 The bad core, which decides whether a game is stopping (every strategy
 pair gives every node a path to a terminal), is the complement of one
 attractor (``safety``); the generator's safety witnesses and the
-reducer's forced-value search run on the same function.
+reducer's forced-value search run on the same function.  Both game
+types answer the stopping question as ``g.stopping``: a ``Game`` once,
+cached, and a ``PartialGame`` afresh on every read.
 """
 
 from __future__ import annotations
@@ -215,6 +217,12 @@ class PartialGame:
     def parents(self) -> list[list[int]]:
         return self._parents
 
+    @property
+    def stopping(self) -> bool:
+        """Whether the game is stopping as it stands, answered afresh on
+        every read because arcs can still be added."""
+        return not find_bad_core(self)
+
     def freeze(self, stopping: bool = False) -> Game:
         """The finished game; ``stopping=True`` builds it with the stopping
         flag set, for a builder that kept the bad core empty.  Arc targets
@@ -321,15 +329,6 @@ def find_bad_core(g) -> frozenset[int]:
     """
     via = safety(g)
     return frozenset(v for v in range(1, g.n + 1) if not via[v])
-
-
-def is_stopping(g) -> bool:
-    """True when every strategy pair gives every node a path to a terminal.
-
-    A ``Game`` answers from its cached flag; a ``PartialGame`` can still
-    change, so it is checked afresh.
-    """
-    return g.stopping if isinstance(g, Game) else not find_bad_core(g)
 
 
 def stopping_game(n: int, kinds, arcs) -> Game:

@@ -314,20 +314,17 @@ def _complete_average_arcs(pg: PartialGame, rng: Rng):
         pg.add_arc(m, _draw(rng, range(1, pg.n + 1), {m - 1, pg.arcs_of(m)[0] - 1}))
 
 
+def _labelled(p: GenParams, rng: Rng, planted: int) -> PartialGame:
+    """The arc-free partial game: the shuffled kind labels on the first
+    nodes, then ``planted`` averages just below the two terminals."""
+    labels = [NodeKind.AVERAGE] * (p.a - planted) + [NodeKind.MIN] * p.b + [NodeKind.MAX] * p.c
+    rng.shuffle(labels)
+    return PartialGame(labels + [NodeKind.AVERAGE] * planted + [NodeKind.TERMINAL0, NodeKind.TERMINAL1])
+
+
 def _build_basic(p: GenParams, rng: Rng) -> PartialGame | None:
     n = p.n
-    kinds: list[NodeKind] = [NodeKind.MAX] * n
-    kinds[n - 2] = NodeKind.TERMINAL0
-    kinds[n - 1] = NodeKind.TERMINAL1
-    kinds[n - 3] = NodeKind.AVERAGE
-    labels = (
-        [NodeKind.AVERAGE] * (p.a - 1) + [NodeKind.MIN] * p.b + [NodeKind.MAX] * p.c
-    )
-    rng.shuffle(labels)
-    for i, kind in enumerate(labels):
-        kinds[i] = kind
-    pg = PartialGame(kinds)
-
+    pg = _labelled(p, rng, 1)
     for v in range(1, n - 1):
         pg.add_arc(v, v + 1 + rng.randbelow(n - v))
 
@@ -362,18 +359,7 @@ def generate_basic(p: GenParams) -> Game:
 
 def _build_modified(p: GenParams, rng: Rng) -> PartialGame | None:
     n = p.n
-    kinds: list[NodeKind] = [NodeKind.MAX] * n
-    kinds[n - 2] = NodeKind.TERMINAL0
-    kinds[n - 1] = NodeKind.TERMINAL1
-    kinds[n - 3] = NodeKind.AVERAGE
-    kinds[n - 4] = NodeKind.AVERAGE
-    labels = (
-        [NodeKind.AVERAGE] * (p.a - 2) + [NodeKind.MIN] * p.b + [NodeKind.MAX] * p.c
-    )
-    rng.shuffle(labels)
-    for i, kind in enumerate(labels):
-        kinds[i] = kind
-    pg = PartialGame(kinds)
+    pg = _labelled(p, rng, 2)
     pg.add_arc(n - 2, n - 1)  # terminal-adjacent average feeding the 0-terminal
     pg.add_arc(n - 3, n)  # and its 1-terminal twin
 

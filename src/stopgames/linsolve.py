@@ -37,7 +37,7 @@ unknown, or a child aliasing the row's own unknown, need no merging.
 
 from __future__ import annotations
 
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -304,12 +304,6 @@ def _solve_numeric(rhs, coo) -> tuple[list[int], int] | None:
             return found
         if scale > ceiling:
             return None
-
-
-def common_denominator(xs) -> tuple[list[int], int]:
-    """Rationals ``xs`` as numerators over their least common denominator."""
-    den = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def solve_exact(rhs, coo) -> tuple[list[int], int]:

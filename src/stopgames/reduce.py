@@ -30,7 +30,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .game import AVG, MAX, MIN, TERM, Game, attractor, is_stopping, require_stopping, stopping_game
+from .game import AVG, MAX, MIN, TERM, Game, attractor, require_stopping, stopping_game
 
 
 class Polarity(Enum):
@@ -404,12 +404,12 @@ class AssumptionChecklist:
 def check_assumptions(g) -> AssumptionChecklist:
     """Evaluate the full reduction checklist on a well-formed game.
 
-    ``g`` is a ``Game`` or a complete ``PartialGame`` (``is_stopping``
-    checks the latter afresh): the fully reduced generator checks each
-    attempt's partial game and freezes only the one it accepts.
+    ``g`` is a ``Game`` or a complete ``PartialGame``, whose ``stopping``
+    is checked afresh: the fully reduced generator checks each attempt's
+    partial game and freezes only the one it accepts.
     """
     t0, t1 = g.terminal0, g.terminal1
-    stopping = is_stopping(g)
+    stopping = g.stopping
 
     code, arcs = g.code, g.arcs
     no_term_dec = True

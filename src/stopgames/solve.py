@@ -42,7 +42,6 @@ from .evaluate import (
     improve_all,
     is_stable,
     random_strategy,
-    switchable_set,
     value_strings,
 )
 from .game import AVG, MAX, MIN, Game, require_stopping
@@ -238,14 +237,14 @@ def solve_permutation_improvement(
     Each pass derives the strategies induced by the current order,
     evaluates them, and re-sorts the averages by value (stable, so ties
     keep their relative order); the loop stops once the values are
-    non-decreasing along the order and no node of either player can
-    improve.  The seeded permutation's own evaluation is setup rather
-    than an improvement, so ``iterations`` counts the re-sort passes
-    after it; a run whose seed permutation is already optimal reports
-    the single confirming pass.  A pass is a deterministic function of
-    its order, so an order met again means the loop cycles and will
-    never settle: it raises ``EvaluationContractError`` at the first
-    repeat.  The cap is a defect tripwire, not an expected exit.
+    non-decreasing along the order and ``improve_all`` switches no node
+    of either player.  The seeded permutation's own evaluation is setup
+    rather than an improvement, so ``iterations`` counts the re-sort
+    passes after it; a run whose seed permutation is already optimal
+    reports the single confirming pass.  A pass is a deterministic
+    function of its order, so an order met again means the loop cycles
+    and will never settle: it raises ``EvaluationContractError`` at the
+    first repeat.  The cap is a defect tripwire, not an expected exit.
     """
     require_stopping(g, "permutation improvement")
     averages = g.average_nodes
@@ -272,9 +271,7 @@ def solve_permutation_improvement(
         # stability of the assignment is then the binding condition
         scaled = v.scaled
         order.sort(key=lambda node: scaled[node - 1])
-        if not switchable_set(g, v, Player.MAX) and not switchable_set(
-            g, v, Player.MIN
-        ):
+        if improve_all(g, sp.sigma, v) is None and improve_all(g, sp.tau, v) is None:
             _check_result(g, v)
             return SolveResult(
                 values=v,
@@ -335,18 +332,16 @@ def solve_value_iteration(
     included, in ``value_history``.
     """
     require_stopping(g, "value iteration")
-    n = g.n
-    t0, t1 = g.terminal0 - 1, g.terminal1 - 1
-    # the terminals, nodes n-1 and n, loop to themselves
-    succ = np.array(g.arcs[:-2] + ((n - 1, n - 1), (n, n)), dtype=np.int64) - 1
-    a0, a1 = succ[:, 0], succ[:, 1]
+    # 0-based successors; the layout's terminals loop to themselves, and
+    # no kind mask below covers them, so they keep their values 0 and 1
+    a0, a1 = (g.layout.arcs[1:] - 1).T
     code = np.array(g.code[1:])
     max_mask = code == MAX
     min_mask = code == MIN
     avg_mask = code == AVG
 
-    v = np.zeros(n)
-    v[t1] = 1.0
+    v = np.zeros(g.n)
+    v[g.terminal1 - 1] = 1.0
     history = [ValueVector(tuple(v.tolist()), FLOAT)] if keep_history else None
     sweeps = 0
     while sweeps < max_sweeps:
@@ -356,8 +351,6 @@ def solve_value_iteration(
         nv[max_mask] = np.maximum(left, right)[max_mask]
         nv[min_mask] = np.minimum(left, right)[min_mask]
         nv[avg_mask] = (0.5 * (left + right))[avg_mask]
-        nv[t0] = 0.0
-        nv[t1] = 1.0
         diff = np.abs(nv - v).max()
         v = nv
         if history is not None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from stopgames import (
     EXACT,
@@ -24,7 +25,6 @@ from stopgames import (
     evaluate_strategy_pair,
     linsolve,
     scc_condense,
-    switchable_set,
 )
 from stopgames.game import AVG, MAX, MIN
 from stopgames.solve import BRUTE_FORCE_DECISION_CAP
@@ -217,6 +217,38 @@ def oracle_is_stopping(g: Game) -> bool:
     return all(subgraph_reaches_terminal(g, sp) for sp in all_strategy_pairs(g))
 
 
+def switchable_nodes(g: Game, v: ValueVector) -> set[int]:
+    """The max and min nodes whose better arc beats their value under an
+    exact evaluation ``v``, node by node: the set ``improve_all`` switches,
+    found without it.  A node's value is one of its arcs' values there, so
+    a better arc is one whose value differs."""
+    vals, code = v.scaled, g.code
+    out = set()
+    for i in g.max_nodes + g.min_nodes:
+        j, k = g.arcs_of(i)
+        best = max if code[i] == MAX else min
+        if best(vals[j - 1], vals[k - 1]) != vals[i - 1]:
+            out.add(i)
+    return out
+
+
+def common_denominator(xs) -> tuple[list[int], int]:
+    """Rationals ``xs`` as numerators over their least common denominator."""
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def fallback_chain(k: int) -> Game:
+    """A stopping game worth 1/2 at every node whose value systems grow
+    ill-conditioned with k.  Average i < k moves to i + 1 or back to 1,
+    and average k to either terminal, so play leaves the chain only after
+    k - 1 fair coin flips in a row.  Max node k + 1 picks average 1 or k,
+    and min node k + 2 picks max node k + 1 or average 2."""
+    t0, t1 = k + 3, k + 4
+    chain = [("avg", (i + 1, 1)) for i in range(1, k)] + [("avg", (t0, t1))]
+    return build_game(chain + [("max", (1, k)), ("min", (k + 1, 2))])
+
+
 def oracle_scc_partition(g: Game) -> set[frozenset[int]]:
     """The non-terminal strongly connected components by mutual
     reachability: u and v share one iff each reaches the other through
@@ -391,8 +423,7 @@ def solve_by_components(g: Game) -> ValueVector:
             sigma.update(zip(comp_max, bits))
             tau.update(zip(comp_min, bits[len(comp_max) :]))
             v = evaluate_strategy_pair(g, pair, EXACT)
-            switchable = switchable_set(g, v, Player.MAX) | switchable_set(g, v, Player.MIN)
-            if switchable.isdisjoint(comp):
+            if switchable_nodes(g, v).isdisjoint(comp):
                 break
         else:
             raise EvaluationContractError("component has no stable assignment")

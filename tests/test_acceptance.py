@@ -31,7 +31,6 @@ from stopgames import (
     generate_basic,
     generate_fully_reduced,
     generate_reduced,
-    is_stopping,
     merge_terminal_valued,
     ratio_counts,
     scc_condense,
@@ -204,7 +203,7 @@ def test_criterion_4_reduction_value_preservation():
             seed += 1
             g = random_stopping_game(derive_seed(MASTER, 4, hash(rule) & 0xFFFF, seed), max_nodes=10)
             injected = inject_rule(rule, g, Rng(derive_seed(MASTER, 40, seed)))
-            if injected is None or not is_stopping(injected):
+            if injected is None or not injected.stopping:
                 continue
             if rule == "terminal-valued":
                 reduced, rep = merge_terminal_valued(injected)
@@ -264,7 +263,8 @@ def desk_benchmark():
                 hk = solve_hoffman_karp(g, seed, EXACT, keep_history=True)
                 hk_iters.append(hk.iterations)
                 for prev, cur in zip(hk.value_history, hk.value_history[1:]):
-                    if any(c < p for p, c in zip(prev.values, cur.values)):
+                    # cur.scaled / cur.den against prev.scaled / prev.den, cross-multiplied
+                    if any(c * prev.den < p * cur.den for p, c in zip(prev.scaled, cur.scaled)):
                         monotone_violations += 1
                 pe = solve_permutation_improvement(g, seed, EXACT)
                 perm_iters.append(pe.iterations)

@@ -4,10 +4,11 @@ import sys
 from dataclasses import fields
 
 import pytest
+from conftest import fallback_chain
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from stopgames import cli, game_from_json, load_game
+from stopgames import cli, game_from_json, load_game, save_game
 
 from stopgames.bench import (
     BenchPlan,
@@ -447,6 +448,19 @@ def test_cli_solve_rejects_non_stopping(tmp_path, capsys, algo, name):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "requires a stopping game" in captured.err
+
+
+@pytest.mark.parametrize("algo", ["hk", "perm"])
+def test_cli_float_solve_of_ill_conditioned_chain_exits_1(tmp_path, capsys, algo):
+    """A float LU of the k = 80 chain's value system is exactly singular:
+    an input float64 cannot solve, reported in one line, not a defect."""
+    path = tmp_path / "chain80.json"
+    save_game(fallback_chain(80), path)
+    assert main(["solve", "--algo", algo, "--mode", "float", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: float64 could not solve the value system")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_bench_rejects_non_stopping_instance_file(tmp_path, capsys):

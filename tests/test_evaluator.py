@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     all_strategy_pairs,
     build_game,
+    common_denominator,
     oracle_evaluate,
     oracle_pair_values,
     oracle_successors,
@@ -13,6 +14,7 @@ from conftest import (
     random_full_game,
     random_pair,
     random_stopping_game,
+    switchable_nodes,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,10 +33,9 @@ from stopgames import (
     evaluate_strategy_pair,
     is_stable,
     solve_brute_force,
-    switchable_set,
 )
 from stopgames import linsolve
-from stopgames.evaluate import value_vector_from_json, value_vector_to_json
+from stopgames.evaluate import improve_all
 from stopgames.game import stopping_game
 from stopgames.generate import RatioSpec, generate_fully_reduced
 from stopgames.rng import Rng
@@ -173,7 +174,7 @@ def test_is_stable_examples():
                 xs = list(GAPS_VALUES)
                 xs[node - 1] += Fraction(gap)
                 if mode == EXACT:
-                    nums, den = linsolve.common_denominator(xs)
+                    nums, den = common_denominator(xs)
                     v = ValueVector(tuple(nums), EXACT, den)
                 else:
                     v = ValueVector(tuple(map(float, xs)), FLOAT)
@@ -187,8 +188,12 @@ def test_is_stable_rejects_nan():
     nan = float("nan")
     for values in ((nan, 0.0, 1.0), (0.5, 0.0, nan)):  # at the average, at the 1-terminal
         assert not is_stable(MINIMAL, ValueVector(values, FLOAT))
-    parsed = value_vector_from_json('{"mode":"float","values":["nan","0.0","1.0"]}')
-    assert not is_stable(MINIMAL, parsed)
+
+
+def switched(g, strat, v) -> set[int]:
+    """The nodes ``improve_all`` switches in ``strat`` under ``v``."""
+    better = improve_all(g, strat, v)
+    return set() if better is None else {i for i, c in strat.choice.items() if better.choice[i] != c}
 
 
 def test_switchable_empty_iff_stable():
@@ -196,18 +201,17 @@ def test_switchable_empty_iff_stable():
         g = random_stopping_game(seed, max_nodes=10)
         sp = random_pair(g, Rng(seed + 123))
         v = evaluate_strategy_pair(g, sp, EXACT)
-        stable = is_stable(g, v, 0)
-        empty = not switchable_set(g, v, Player.MAX) and not switchable_set(
-            g, v, Player.MIN
-        )
-        assert stable == empty
+        flips = switched(g, sp.sigma, v) | switched(g, sp.tau, v)
+        assert flips == switchable_nodes(g, v)
+        assert is_stable(g, v, 0) == (not flips)
 
 
 def test_switchable_detects_better_arc():
     # max node choosing a 0-valued child with a 1-valued alternative
     g = build_game([("max", (3, 4)), ("avg", (3, 4))])
     v = ValueVector((0, 1, 0, 2), EXACT, 2)
-    assert switchable_set(g, v, Player.MAX) == {1}
+    assert improve_all(g, Strategy(Player.MAX, {1: 0}), v) == Strategy(Player.MAX, {1: 1})
+    assert switchable_nodes(g, v) == {1}
 
 
 def test_switching_improves_max_values():
@@ -217,15 +221,10 @@ def test_switching_improves_max_values():
         rng = Rng(seed + 321)
         sp = random_pair(g, rng)
         v = evaluate_strategy_pair(g, sp, EXACT)
-        flips = switchable_set(g, v, Player.MAX)
-        if not flips:
+        sigma = improve_all(g, sp.sigma, v)
+        if sigma is None:
             continue
-        choice = dict(sp.sigma.choice)
-        for i in flips:
-            choice[i] = 1 - choice[i]
-        v2 = evaluate_strategy_pair(
-            g, StrategyPair(Strategy(Player.MAX, choice), sp.tau), EXACT
-        )
+        v2 = evaluate_strategy_pair(g, StrategyPair(sigma, sp.tau), EXACT)
         assert all(v2.value(i) >= v.value(i) for i in range(1, g.n + 1))
         improved += 1
     assert improved > 20
@@ -283,16 +282,6 @@ def test_best_response_matches_enumeration():
             else:
                 best = [min(x, y) for x, y in zip(best, v.values)]
         assert list(got.values) == best
-
-
-def test_value_vector_json_round_trip():
-    v = evaluate_strategy_pair(CHAIN, EMPTY_PAIR, EXACT)
-    text = value_vector_to_json(v)
-    assert '"3/4"' in text
-    back = value_vector_from_json(text)
-    assert back == v
-    vf = evaluate_strategy_pair(CHAIN, EMPTY_PAIR, FLOAT)
-    assert value_vector_from_json(value_vector_to_json(vf)) == vf
 
 
 # max node 2 and min node 3 alias the single average node 1 through their

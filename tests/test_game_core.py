@@ -16,7 +16,6 @@ from stopgames import (
     find_bad_core,
     game_from_json,
     game_to_json,
-    is_stopping,
     reduce_game,
     solve_hoffman_karp,
     validate_structure,
@@ -99,12 +98,12 @@ def test_partial_game_out_degrees():
 
 def test_bad_core_minimal_empty():
     assert find_bad_core(MINIMAL) == frozenset()
-    assert is_stopping(MINIMAL)
+    assert MINIMAL.stopping
 
 
 def test_bad_core_two_node_cycle():
     assert find_bad_core(CYCLE4) == frozenset({1, 2})
-    assert not is_stopping(CYCLE4)
+    assert not CYCLE4.stopping
 
 
 def test_bad_core_average_needs_both_arcs_inside():
@@ -216,14 +215,14 @@ def test_game_decides_stopping_once(monkeypatch):
         solve_hoffman_karp(g, seed)
     reduce_game(g)
     check_assumptions(g)
-    assert is_stopping(g)
+    assert g.stopping
     assert len(calls) == 1 and calls[0] is g
 
     pg = PartialGame([NodeKind.AVERAGE, NodeKind.TERMINAL0, NodeKind.TERMINAL1])
     pg.add_arc(1, 1)
-    assert is_stopping(pg)
+    assert pg.stopping
     pg.add_arc(1, 1)
-    assert not is_stopping(pg)
+    assert not pg.stopping
     assert len(calls) == 3 and calls[1] is calls[2] is pg
 
 

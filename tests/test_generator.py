@@ -21,7 +21,6 @@ from stopgames import (
     generate_basic,
     generate_fully_reduced,
     generate_reduced,
-    is_stopping,
     merge_terminal_valued,
     ratio_counts,
     scc_condense,
@@ -445,7 +444,7 @@ def test_seed_sweep_reaches_fixed_six_node_game():
             ("avg", (5, 2)),
         ]
     )
-    assert is_stopping(target)
+    assert target.stopping
     params = dict(n=6, a=2, b=1, c=1)
     for seed in range(20000):
         g = generate_basic(GenParams(seed=seed, **params))

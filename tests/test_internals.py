@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_pair, random_stopping_game
+from conftest import common_denominator, random_pair, random_stopping_game
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stopgames import EXACT, evaluate_strategy_pair, linsolve
 from stopgames.linsolve import (
     SingularSystemError,
-    common_denominator,
     solve_exact,
     solve_float,
 )

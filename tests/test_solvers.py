@@ -5,7 +5,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import build_game, random_stopping_game, solve_by_components
+from conftest import build_game, fallback_chain, random_stopping_game, solve_by_components
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stopgames import (
     EXACT,
@@ -125,6 +127,21 @@ def test_solvers_agree_small_batch():
         )
 
 
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+def test_solvers_agree_with_brute_force_on_drawn_games(seed, run_seed):
+    """hk, perm and vi on hypothesis-drawn small stopping games: the brute
+    force values exactly in exact mode, within 1e-9 of them in float."""
+    g = random_stopping_game(seed, max_nodes=12)
+    want = solve_brute_force(g).values
+    near = [float(x) for x in want.values]
+    for algo in ("hk", "perm", "vi"):
+        if algo != "vi":
+            assert SOLVERS[algo](g, run_seed, EXACT).values == want, algo
+        got = SOLVERS[algo](g, run_seed, FLOAT).values.values
+        assert max(abs(x - y) for x, y in zip(got, near)) <= 1e-9, algo
+
+
 def test_hoffman_karp_history_monotone():
     for seed in range(20):
         g = random_stopping_game(seed + 50, max_nodes=11)
@@ -183,17 +200,6 @@ def test_component_solving_matches_whole_game():
         if done >= 30:
             break
     assert done >= 30
-
-
-def fallback_chain(k: int):
-    """A stopping game worth 1/2 at every node whose value systems grow
-    ill-conditioned with k.  Average i < k moves to i + 1 or back to 1,
-    and average k to either terminal, so play leaves the chain only after
-    k - 1 fair coin flips in a row.  Max node k + 1 picks average 1 or k,
-    and min node k + 2 picks max node k + 1 or average 2."""
-    t0, t1 = k + 3, k + 4
-    chain = [("avg", (i + 1, 1)) for i in range(1, k)] + [("avg", (t0, t1))]
-    return build_game(chain + [("max", (1, k)), ("min", (k + 1, 2))])
 
 
 @pytest.mark.parametrize("k", range(20, 161, 20))
