@@ -143,8 +143,9 @@ def _anchor_slots(succ: np.ndarray, slot: np.ndarray) -> np.ndarray:
     that its chosen arcs reach.  Pointer jumping on the successor array
     doubles the distance followed each round, so a chain of k max/min
     nodes settles within log2(k) + 1 rounds; one that never settles is a
-    cycle of max/min nodes, which no stopping game holds: only a game
-    wrongly flagged as stopping reaches the error."""
+    cycle of max/min nodes, which no stopping game holds.  ``g.stopping``
+    comes from ``find_bad_core``, so only a caller that plants the flag by
+    hand on a non-stopping game reaches the error."""
     for _ in range(len(succ).bit_length() + 1):
         node_slot = slot[succ]
         if node_slot[1:].min() >= 0:

@@ -11,8 +11,9 @@ The bad core, which decides whether a game is stopping (every strategy
 pair gives every node a path to a terminal), is the complement of one
 attractor (``safety``); the generator's safety witnesses and the
 reducer's forced-value search run on the same function.  Both game
-types answer the stopping question as ``g.stopping``: a ``Game`` once,
-cached, and a ``PartialGame`` afresh on every read.
+types answer the stopping question as ``g.stopping``, from
+``find_bad_core`` alone: a ``Game`` on first read, then cached, however
+it was built, and a ``PartialGame`` afresh on every read.
 """
 
 from __future__ import annotations
@@ -223,13 +224,10 @@ class PartialGame:
         every read because arcs can still be added."""
         return not find_bad_core(self)
 
-    def freeze(self, stopping: bool = False) -> Game:
-        """The finished game; ``stopping=True`` builds it with the stopping
-        flag set, for a builder that kept the bad core empty.  Arc targets
-        share one int object per node id."""
-        make = stopping_game if stopping else Game
+    def freeze(self) -> Game:
+        """The finished game; arc targets share one int object per node id."""
         ids = list(range(self.n + 1))
-        g = make(self.n, tuple(self.kinds), tuple(tuple([ids[t] for t in a]) for a in self.arcs))
+        g = Game(self.n, tuple(self.kinds), tuple(tuple([ids[t] for t in a]) for a in self.arcs))
         problems = validate_structure(g)
         if problems:
             raise ValueError("incomplete game: " + "; ".join(problems))
@@ -329,20 +327,6 @@ def find_bad_core(g) -> frozenset[int]:
     """
     via = safety(g)
     return frozenset(v for v in range(1, g.n + 1) if not via[v])
-
-
-def stopping_game(n: int, kinds, arcs) -> Game:
-    """A ``Game`` known to be stopping from how it was built: its cached
-    ``stopping`` flag is set, so ``find_bad_core`` never runs on it.
-
-    Only for games stopping by construction: generator output, and games
-    derived from a stopping game by the trivial rules and the 0/1 merges,
-    which only move arcs onto targets play could already reach from there
-    or onto the terminals, and delete nodes.
-    """
-    g = Game(n, kinds, arcs)
-    g.__dict__["stopping"] = True
-    return g
 
 
 def require_stopping(g: Game, what: str) -> None:

@@ -354,7 +354,7 @@ def generate_basic(p: GenParams) -> Game:
     """Basic generator; deterministic in ``p.seed``."""
     if p.variant is not Variant.BASIC:
         raise ValueError("generate_basic needs variant=Variant.BASIC")
-    return _first_build(_build_basic, p).freeze(stopping=True)
+    return _first_build(_build_basic, p).freeze()
 
 
 def _build_modified(p: GenParams, rng: Rng) -> PartialGame | None:
@@ -402,7 +402,7 @@ def generate_reduced(p: GenParams, merge: bool = True) -> Game:
     """Modified generator; merges 0/1-valued nodes unless ``merge=False``."""
     if p.variant is not Variant.MODIFIED:
         raise ValueError("generate_reduced needs variant=Variant.MODIFIED")
-    g = _first_build(_build_modified, p).freeze(stopping=True)
+    g = _first_build(_build_modified, p).freeze()
     return merge_terminal_valued(g)[0] if merge else g
 
 
@@ -438,7 +438,7 @@ def generate_fully_reduced(spec: RatioSpec, seed: int) -> tuple[Game, GenMeta]:
                 retries=k,
                 realized_n=pg.n,
             )
-            return pg.freeze(stopping=True), meta
+            return pg.freeze(), meta
     raise GenerationError(
         f"no fully reduced instance within {RETRY_CAP} attempts "
         f"(size {spec.size}, ratio {spec.ratio_num}:4, seed {seed})"

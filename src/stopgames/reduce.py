@@ -30,7 +30,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .game import AVG, MAX, MIN, TERM, Game, attractor, require_stopping, stopping_game
+from .game import AVG, MAX, MIN, TERM, Game, attractor, require_stopping
 
 
 class Polarity(Enum):
@@ -96,15 +96,12 @@ class ReductionReport:
 class _Work:
     """Tombstone view of a game under reduction; ids stay original.
 
-    ``stopping`` says the original game is known to be stopping; the rules
-    keep it so, and the games materialized from it are built stopping.
     ``live`` counts the alive non-terminals: ``merge`` and ``delete`` keep
     it, so the checks between rules cost O(1) and a whole reduction costs
     O(n) plus the work of the rules it fires.
     """
 
-    def __init__(self, g: Game, stopping: bool = False):
-        self.stopping = stopping
+    def __init__(self, g: Game):
         self.n = g.n
         self.t0 = g.terminal0
         self.t1 = g.terminal1
@@ -239,8 +236,7 @@ class _Work:
         renumber = {old: new for new, old in enumerate(survivors, start=1)}
         kinds = tuple(self.kinds[i - 1] for i in survivors)
         arcs = tuple(tuple([renumber[t] for t in self.arcs[i - 1]]) for i in survivors)
-        make = stopping_game if self.stopping else Game
-        return make(len(survivors), kinds, arcs), renumber
+        return Game(len(survivors), kinds, arcs), renumber
 
     def finish(self) -> tuple[Game, ReductionReport]:
         return self.materialize()[0], ReductionReport(self.n, self.events)
@@ -272,7 +268,7 @@ def merge_terminal_valued(g: Game) -> tuple[Game, ReductionReport]:
     """Merge every forced-1 node into the 1-terminal and every forced-0
     node into the 0-terminal, then renumber the survivors stably."""
     require_stopping(g, "terminal-valued search")
-    work = _Work(g, stopping=True)
+    work = _Work(g)
     work.merge_forced()
     return work.finish()
 
@@ -285,7 +281,7 @@ def reduce_game(g: Game) -> tuple[Game, ReductionReport]:
     materialized once, at the end.
     """
     require_stopping(g, "the reduction pipeline")
-    work = _Work(g, stopping=True)
+    work = _Work(g)
     work.run_trivial()
     if work.live:
         work.merge_forced()

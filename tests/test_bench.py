@@ -399,8 +399,9 @@ PINNED_INSTANCE = (
 )
 
 # `stopgames solve --seed 3 --mode exact` on PINNED_INSTANCE.  Brute force
-# and value iteration take no seed, so theirs reads null; value iteration
-# always runs in float.
+# and value iteration take no seed, so theirs reads null.  Both ignore
+# --mode: brute force always runs in exact arithmetic, so `--mode float`
+# prints the same line, and value iteration always runs in float.
 PINNED_STDOUT = {
     "hk": '{"algorithm": "hk", "seed": 3, "iterations": 2, "mode": "exact", "values": ["23/28", "5/7", "23/28", "23/28", "3/7", "13/14", "6/7", "6/7", "5/7", "6/7", "5/7", "6/7", "13/14", "13/14", "3/7", "0", "1"], "max_strategy": {"2": 0, "6": 1, "7": 1, "9": 0, "13": 0}, "min_strategy": {"1": 1, "4": 1, "5": 0, "8": 0, "10": 1}, "stable": true}',
     "perm": '{"algorithm": "perm", "seed": 3, "iterations": 1, "mode": "exact", "values": ["23/28", "5/7", "23/28", "23/28", "3/7", "13/14", "6/7", "6/7", "5/7", "6/7", "5/7", "6/7", "13/14", "13/14", "3/7", "0", "1"], "max_strategy": {"2": 0, "6": 1, "7": 1, "9": 0, "13": 0}, "min_strategy": {"1": 1, "4": 1, "5": 0, "8": 0, "10": 1}, "stable": true}',
@@ -409,11 +410,14 @@ PINNED_STDOUT = {
 }
 
 
-@pytest.mark.parametrize("algo", sorted(PINNED_STDOUT))
-def test_cli_solve_stdout_pinned(tmp_path, capsys, algo):
+@pytest.mark.parametrize(
+    "algo,mode",
+    [pytest.param(algo, "exact", id=algo) for algo in sorted(PINNED_STDOUT)] + [pytest.param("bf", "float", id="bf-float")],
+)
+def test_cli_solve_stdout_pinned(tmp_path, capsys, algo, mode):
     path = tmp_path / "game.json"
     path.write_text(PINNED_INSTANCE)
-    assert main(["solve", "--algo", algo, "--seed", "3", "--mode", "exact", str(path)]) == 0
+    assert main(["solve", "--algo", algo, "--seed", "3", "--mode", mode, str(path)]) == 0
     assert capsys.readouterr().out == PINNED_STDOUT[algo] + "\n"
 
 

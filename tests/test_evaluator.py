@@ -23,6 +23,7 @@ from stopgames import (
     EXACT,
     FLOAT,
     EvaluationContractError,
+    Game,
     NodeKind,
     NonStoppingGameError,
     Player,
@@ -36,7 +37,6 @@ from stopgames import (
 )
 from stopgames import linsolve
 from stopgames.evaluate import improve_all
-from stopgames.game import stopping_game
 from stopgames.generate import RatioSpec, generate_fully_reduced
 from stopgames.rng import Rng
 
@@ -117,10 +117,12 @@ def test_exact_and_float_agree_midsize():
 @pytest.mark.parametrize("entries", [CYCLE4_ENTRIES, [("max", (2, 5)), ("min", (3, 5)), ("max", (1, 4))]], ids=["two", "three"])
 def test_evaluate_rejects_max_min_cycle_on_game_flagged_stopping(entries):
     """A cycle of max/min nodes under the chosen arcs cannot occur on a
-    stopping game; on a game wrongly built as stopping, pointer jumping
-    gives up with an error instead of cycling or reading a wrong slot."""
+    stopping game; on a game whose stopping flag is planted by hand,
+    pointer jumping gives up with an error instead of cycling or reading
+    a wrong slot."""
     g = build_game(entries)
-    flagged = stopping_game(g.n, g.kinds, g.arcs)
+    flagged = Game(g.n, g.kinds, g.arcs)
+    flagged.__dict__["stopping"] = True
     sp = pair(g, sigma_bits=[0] * len(g.max_nodes), tau_bits=[0] * len(g.min_nodes))
     with pytest.raises(NonStoppingGameError):
         evaluate_strategy_pair(g, sp, EXACT)

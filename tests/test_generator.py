@@ -23,6 +23,7 @@ from stopgames import (
     generate_reduced,
     merge_terminal_valued,
     ratio_counts,
+    reduce_game,
     scc_condense,
 )
 from stopgames import generate
@@ -250,24 +251,10 @@ def test_generator_bytes_pinned():
     assert [key for key in pinned if got[key] != pinned[key]] == []
 
 
-def test_games_built_stopping_are_stopping(monkeypatch):
-    """Every game built with its stopping flag set, by the generators
-    (each frozen game and each 0/1-merged one) and by ``reduce_game``
-    (its result), and every attempt's partial game that the fully reduced
-    generator checks, which the checklist finds stopping, has an empty bad
-    core: over the 144-cell grid and on reduced desk-scale games."""
-    import stopgames.game as game_module
-    from stopgames import reduce as reduce_module
-    from stopgames import reduce_game
-
-    built = []
-    original = game_module.stopping_game
-
-    def recording(n, kinds, arcs):
-        g = original(n, kinds, arcs)
-        built.append(g)
-        return g
-
+def test_checklist_stopping_attempts_have_empty_bad_core(monkeypatch):
+    """Every attempt's partial game that the fully reduced generator
+    checks, which the checklist finds stopping, has an empty bad core,
+    over the 144-cell grid."""
     checked = []
     original_check = generate.check_assumptions
 
@@ -276,24 +263,41 @@ def test_games_built_stopping_are_stopping(monkeypatch):
         checked.append((checklist.stopping, find_bad_core(g)))
         return checklist
 
-    monkeypatch.setattr(game_module, "stopping_game", recording)
-    monkeypatch.setattr(reduce_module, "stopping_game", recording)
     monkeypatch.setattr(generate, "check_assumptions", recording_check)
     texts = _grid_texts()
     # at least one checked attempt per fully reduced game of the grid
     assert len(checked) >= sum(key.startswith("full") for key in texts)
     assert set(checked) == {(True, frozenset())}
-    grid_built = len(built)
+
+
+def test_generated_and_reduced_games_decide_stopping_once(monkeypatch):
+    """Generator and reducer output carries no stopping flag of its own:
+    ``find_bad_core`` decides it on the first read of ``stopping``, once,
+    and the second read comes from the cache."""
+    import stopgames.game as game_module
+
+    built = []
     for ratio in (1, 8):
         a, b, c = ratio_counts(128, ratio)
-        for i in range(3):
-            basic = generate_basic(GenParams(a + b + c + 2, a, b, c, derive_seed(45, ratio, i)))
-            reduced, _ = reduce_game(basic)
-            assert reduced.n < basic.n
-            reduce_game(generate_fully_reduced(RatioSpec(128, ratio), derive_seed(46, ratio, i))[0])
-    assert grid_built >= 144 and len(built) > grid_built + 12
-    assert all(g.stopping is True for g in built)
-    assert [g for g in built if find_bad_core(g)] == []
+        built.append(generate_basic(GenParams(a + b + c + 2, a, b, c, derive_seed(45, ratio))))
+        built.append(generate_fully_reduced(RatioSpec(128, ratio), derive_seed(46, ratio))[0])
+        basic = generate_basic(GenParams(a + b + c + 2, a, b, c, derive_seed(48, ratio)))
+        reduced, _ = reduce_game(basic)
+        assert reduced.n < basic.n
+        built.append(reduced)
+    calls = []
+    original = game_module.find_bad_core
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(game_module, "find_bad_core", counting)
+    for g in built:
+        calls.clear()
+        assert g.stopping is True
+        assert g.stopping is True
+        assert calls == [g]
 
 
 def test_fully_reduced_decisions_match_freeze_merge_check_pipeline():
