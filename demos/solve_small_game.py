@@ -37,5 +37,5 @@ print(f"permutation improvement: {perm.iterations} iterations, values match: {pe
 drift = max(abs(float(truth.values.value(i)) - vi.values.value(i)) for i in range(1, game.n + 1))
 print(f"value iteration: max drift from exact = {drift:.2e}")
 
-print(f"\nmax strategy found: {hk.strategies.sigma.choice}")
-print(f"min strategy found: {hk.strategies.tau.choice}")
+print(f"\nmax strategy found: {hk.strategies.sigma.choice(game)}")
+print(f"min strategy found: {hk.strategies.tau.choice(game)}")

@@ -23,10 +23,15 @@ under every strategy pair, so every average is an unknown and the
 system is nonsingular.  Any other game is refused with
 ``NonStoppingGameError``, read from the game's cached ``stopping`` flag.
 ``improve_all`` is the one rule for switching a node to a better arc.
+
+Policy iteration stays on arrays too: a strategy is one byte per owned
+node, a value vector one array, and the switch and stability tests are
+a few gathers and compares over the layout's arc targets.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,13 +39,18 @@ from fractions import Fraction
 import numpy as np
 
 from . import linsolve
-from .game import MAX, MIN, TERM, Game, require_stopping
+from .game import Game, require_stopping
 
 EXACT = "exact"
 FLOAT = "float"
 
 DEFAULT_STABLE_TOL = 1e-9
 DEFAULT_SWITCH_MARGIN = 1e-12
+
+
+def _numerator_dtype(den: int):
+    """int64 while four times ``den`` fits in it, else object (Python ints)."""
+    return np.int64 if 4 * den < 2**63 else object
 
 
 class EvaluationContractError(RuntimeError):
@@ -57,11 +67,35 @@ class Player(Enum):
 class Strategy:
     """One chosen out-arc per node of the owning player.
 
-    ``choice[i]`` is 0 or 1 and selects the first or second arc of node i.
+    ``bits`` holds one byte per owned node, in ``g.max_nodes`` or
+    ``g.min_nodes`` order: 0 selects the node's first arc and 1 its
+    second.  ``from_choice`` builds and checks one from a per-node dict,
+    and ``choice(g)`` reads that dict back.
     """
 
     player: Player
-    choice: dict[int, int]
+    bits: bytes
+
+    @classmethod
+    def from_choice(cls, g: Game, player: Player, choice: dict[int, int]) -> Strategy:
+        """The strategy picking arc ``choice[i]`` at each owned node i;
+        ``ValueError`` unless ``choice`` covers exactly the player's nodes
+        with 0/1 choices."""
+        owned = _owned(g, player)
+        try:
+            chosen = list(map(choice.__getitem__, owned))
+        except KeyError:
+            chosen = None
+        if chosen is None or len(choice) != len(owned):
+            raise ValueError(f"{player.value} strategy must cover exactly {list(owned)}")
+        if not set(chosen) <= {0, 1}:
+            i, c = next((i, c) for i, c in choice.items() if c not in (0, 1))
+            raise ValueError(f"choice for node {i} must be 0 or 1, got {c}")
+        return cls(player, bytes(map(int, chosen)))
+
+    def choice(self, g: Game) -> dict[int, int]:
+        """The choice per owned node id, in ascending id."""
+        return dict(zip(_owned(g, self.player), self.bits))
 
 
 @dataclass(frozen=True)
@@ -70,34 +104,52 @@ class StrategyPair:
     tau: Strategy  # min player
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueVector:
     """Per-node values, index 1..n via ``value``.
 
-    ``mode`` is "float" (binary64) or "exact".  ``scaled`` holds the values
-    times ``den``: in exact mode one int numerator per node over one
-    positive common denominator ``den``, in lowest terms; in float mode the
-    floats themselves, with ``den`` 1.  Comparisons inside one vector are
-    comparisons of ``scaled`` entries, ints in exact mode.  ``values`` is
-    the tuple of per-node values, Fractions in exact mode, built on each
-    use rather than kept beside the numerators.
+    ``mode`` is "float" (binary64) or "exact".  ``scaled`` is one
+    read-only NumPy array of the values times ``den``, node i at position
+    i - 1.  In float mode it holds the float64 values and ``den`` is 1.
+    In exact mode it holds one numerator per node over one positive
+    common denominator ``den``, in lowest terms: int64 while 4·den fits
+    in int64, so that the stability gaps below cannot overflow, and
+    Python ints in an object array past that.  Either way the switch and
+    stability tests run the same array operations on it.  Any sequence
+    passed as ``scaled`` is copied into such an array.
     """
 
-    scaled: tuple
+    scaled: np.ndarray
     mode: str
     den: int = 1
 
+    def __post_init__(self):
+        scaled = np.array(self.scaled, dtype=np.float64 if self.mode == FLOAT else _numerator_dtype(self.den))
+        scaled.flags.writeable = False
+        object.__setattr__(self, "scaled", scaled)
+
+    def __eq__(self, other):
+        if not isinstance(other, ValueVector):
+            return NotImplemented
+        return self.mode == other.mode and self.den == other.den and np.array_equal(self.scaled, other.scaled)
+
+    def __hash__(self):
+        return hash((self.mode, self.den, tuple(self.scaled.tolist())))
+
     @property
-    def values(self) -> tuple:
+    def values(self) -> Sequence:
+        """The per-node values: Python floats, read through a memoryview
+        of ``scaled`` without a copy, or a tuple of Fractions of Python
+        ints built on each use."""
         if self.mode == EXACT:
             den = self.den
-            return tuple(Fraction(x, den) for x in self.scaled)
-        return self.scaled
+            return tuple(Fraction(x, den) for x in self.scaled.tolist())
+        return self.scaled.data
 
     def value(self, i: int):
         if self.mode == EXACT:
-            return Fraction(self.scaled[i - 1], self.den)
-        return self.scaled[i - 1]
+            return Fraction(int(self.scaled[i - 1]), self.den)
+        return float(self.scaled[i - 1])
 
 
 def _owned(g: Game, player: Player) -> tuple[int, ...]:
@@ -106,35 +158,20 @@ def _owned(g: Game, player: Player) -> tuple[int, ...]:
 
 def random_strategy(g: Game, player: Player, rng) -> Strategy:
     """Uniform strategy; one bit per owned node in ascending id order."""
-    return Strategy(player, {i: rng.randbelow(2) for i in _owned(g, player)})
+    return Strategy(player, bytes([rng.randbelow(2) for _ in _owned(g, player)]))
 
 
 def first_arc_strategy(g: Game, player: Player) -> Strategy:
-    return Strategy(player, {i: 0 for i in _owned(g, player)})
+    return Strategy(player, bytes(len(_owned(g, player))))
 
 
 def _successors(g: Game, sp: StrategyPair) -> np.ndarray:
     """``succ[i]`` is the chosen target of max/min node i and i itself
-    elsewhere, entry 0 included; ``ValueError`` unless each strategy
-    covers exactly its player's nodes with 0/1 choices."""
-    bits = []
-    for name, choice, owned in (
-        ("max", sp.sigma.choice, g.max_nodes),
-        ("min", sp.tau.choice, g.min_nodes),
-    ):
-        try:
-            chosen = list(map(choice.__getitem__, owned))
-        except KeyError:
-            chosen = None
-        if chosen is None or len(choice) != len(owned):
-            raise ValueError(f"{name} strategy must cover exactly {list(owned)}")
-        if not set(chosen) <= {0, 1}:
-            i, c = next((i, c) for i, c in choice.items() if c not in (0, 1))
-            raise ValueError(f"choice for node {i} must be 0 or 1, got {c}")
-        bits += chosen
+    elsewhere, entry 0 included."""
     lay = g.layout
+    bits = np.frombuffer(sp.sigma.bits + sp.tau.bits, dtype=np.bool_)
     succ = np.arange(g.n + 1)
-    succ[lay.decision_nodes] = lay.arcs[lay.decision_nodes, np.array(bits, dtype=np.intp)]
+    succ[lay.decision_nodes] = np.where(bits, lay.choices[1], lay.choices[0]) + 1
     return succ
 
 
@@ -198,7 +235,7 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
         for x in solution:
             if not 0 <= x <= den:
                 raise EvaluationContractError(f"exact value {Fraction(x, den)} outside [0, 1]")
-        constants = (0, den)
+        by_slot = np.array([*solution, 0, den], dtype=_numerator_dtype(den))
     else:
         solution = linsolve.solve_float(rhs, coo)
         if a and (solution.min() < 0.0 or solution.max() > 1.0):
@@ -206,9 +243,8 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
             if wild.size:
                 raise EvaluationContractError(f"float value {float(wild[0])} outside [0, 1]")
             solution = np.where(solution < 0.0, 0.0, np.where(solution > 1.0, 1.0, solution))
-        solution, constants, den = solution.tolist(), (0.0, 1.0), 1
-    by_slot = [*solution, *constants]
-    return ValueVector(tuple(map(by_slot.__getitem__, node_slot[1:].tolist())), mode, den)
+        by_slot, den = np.concatenate((solution, (0.0, 1.0))), 1
+    return ValueVector(by_slot[node_slot[1:]], mode, den)
 
 
 def is_stable(g: Game, v: ValueVector, tol: float = DEFAULT_STABLE_TOL) -> bool:
@@ -218,29 +254,20 @@ def is_stable(g: Game, v: ValueVector, tol: float = DEFAULT_STABLE_TOL) -> bool:
     are taken at twice their scale, so that an average's wanted value
     stays an int on exact numerators.  An exact vector is checked in
     integers against the exact ratio tol = p/q: an int gap exceeds
-    2·p·den // q exactly when it times q exceeds 2·p·den.
+    2·p·den // q exactly when it times q exceeds 2·p·den.  A terminal
+    reads its own value twice, as an average would, so its gap is 0.
     """
     if v.mode == EXACT:
         p, q = Fraction(tol).as_integer_ratio()
         limit = 2 * p * v.den // q
     else:
         limit = 2 * tol
-    vals, code, arcs = v.scaled, g.code, g.arcs
-    for i in range(1, g.n + 1):
-        c = code[i]
-        if c == TERM:
-            continue
-        j, k = arcs[i - 1]
-        a, b = vals[j - 1], vals[k - 1]
-        if c == MAX:
-            twice_want = 2 * (a if a >= b else b)
-        elif c == MIN:
-            twice_want = 2 * (a if a <= b else b)
-        else:
-            twice_want = a + b
-        if not abs(2 * vals[i - 1] - twice_want) <= limit:  # NaN fails too
-            return False
-    return True
+    lay, vals = g.layout, v.scaled
+    a, b = vals[lay.targets]
+    twice_want = np.where(
+        lay.is_max, 2 * np.where(a >= b, a, b), np.where(lay.is_min, 2 * np.where(a <= b, a, b), a + b)
+    )
+    return bool((abs(2 * vals - twice_want) <= limit).all())  # NaN fails too
 
 
 def improve_all(g: Game, strat: Strategy, v: ValueVector) -> Strategy | None:
@@ -249,19 +276,18 @@ def improve_all(g: Game, strat: Strategy, v: ValueVector) -> Strategy | None:
     vectors and takes a small margin on float ones.  The one switch rule:
     the step of ``best_response`` and of Hoffman-Karp, and permutation
     improvement's stop test."""
+    k = len(g.max_nodes)
+    choices = g.layout.choices
+    if strat.player is Player.MAX:
+        first, second = v.scaled[choices[:, :k]]
+        gain = second - first  # what the owner gains by the second arc
+    else:
+        first, second = v.scaled[choices[:, k:]]
+        gain = first - second
+    bits = np.frombuffer(strat.bits, dtype=np.bool_)
     margin = 0 if v.mode == EXACT else DEFAULT_SWITCH_MARGIN
-    vals, arcs = v.scaled, g.arcs
-    better_sign = 1 if strat.player is Player.MAX else -1
-    new_choice = dict(strat.choice)
-    switched = False
-    for i, c in strat.choice.items():
-        j, k = arcs[i - 1]
-        cur, other = (j, k) if c == 0 else (k, j)
-        gain = (vals[other - 1] - vals[cur - 1]) * better_sign
-        if gain > margin:
-            new_choice[i] = 1 - c
-            switched = True
-    return Strategy(strat.player, new_choice) if switched else None
+    switched = (bits ^ np.where(bits, gain < -margin, gain > margin)).tobytes()
+    return None if switched == strat.bits else Strategy(strat.player, switched)
 
 
 def best_response(
@@ -287,7 +313,7 @@ def best_response(
     if fixed.player is player:
         raise ValueError("fixed strategy must belong to the opposite player")
     resp = initial if initial is not None else first_arc_strategy(g, player)
-    cap = 10 * len(resp.choice) + 20
+    cap = 10 * len(resp.bits) + 20
 
     def pair_for(r: Strategy) -> StrategyPair:
         return StrategyPair(r, fixed) if player is Player.MAX else StrategyPair(fixed, r)
@@ -313,4 +339,4 @@ def value_strings(v: ValueVector) -> list[str]:
     """One string per node: ``num/den`` in exact mode, ``repr`` in float."""
     if v.mode == EXACT:
         return [str(x) for x in v.values]
-    return [repr(float(x)) for x in v.values]
+    return [repr(x) for x in v.values]

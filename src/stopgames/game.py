@@ -155,7 +155,11 @@ class Game:
         slot[average_nodes] = np.arange(a)
         slot[self.terminal0], slot[self.terminal1] = a, a + 1
         decision_nodes = np.array(self.max_nodes + self.min_nodes, dtype=np.intp)
-        return ArcLayout(arcs, slot, decision_nodes, average_nodes)
+        targets = np.ascontiguousarray(arcs[1:].T - 1)
+        code = np.array(self.code[1:])
+        return ArcLayout(
+            arcs, slot, decision_nodes, average_nodes, targets, targets[:, decision_nodes - 1], code == MAX, code == MIN
+        )
 
 
 class ArcLayout(NamedTuple):
@@ -167,12 +171,22 @@ class ArcLayout(NamedTuple):
     the 0-terminal, a+1 for the 1-terminal and -1 for the max/min nodes
     and entry 0.  ``decision_nodes`` holds the max nodes and then the min
     nodes, ``average_nodes`` the averages, each in ascending id.
+
+    The rest index value vectors, which hold node i at position i - 1.
+    ``targets`` is 2×n: column i - 1 holds the positions of node i's
+    first and second arc targets, a terminal's own position twice.
+    ``choices`` is the same for the decision nodes, in ``decision_nodes``
+    order, and ``is_max`` and ``is_min`` mark each position's kind.
     """
 
     arcs: np.ndarray
     slot: np.ndarray
     decision_nodes: np.ndarray
     average_nodes: np.ndarray
+    targets: np.ndarray
+    choices: np.ndarray
+    is_max: np.ndarray
+    is_min: np.ndarray
 
 
 class PartialGame:

@@ -269,8 +269,9 @@ def _draw(rng: Rng, pool, skip: set[int]) -> int | None:
         return None
     x = rng.randbelow(count)
     for i in sorted(skip):
-        if i <= x:
-            x += 1
+        if i > x:
+            break
+        x += 1
     return pool[x]
 
 

@@ -70,7 +70,9 @@ class SolveResult:
     permutation: tuple[int, ...] | None = None
     value_history: tuple | None = None
 
-    def to_json(self) -> str:
+    def to_json(self, g: Game) -> str:
+        """The result as one JSON line; ``g`` is the solved game, whose
+        node ids key the strategies."""
         payload = {
             "algorithm": self.algorithm,
             "seed": self.seed,
@@ -79,12 +81,8 @@ class SolveResult:
             "values": value_strings(self.values),
         }
         if self.strategies is not None:
-            payload["max_strategy"] = {
-                str(k): v for k, v in sorted(self.strategies.sigma.choice.items())
-            }
-            payload["min_strategy"] = {
-                str(k): v for k, v in sorted(self.strategies.tau.choice.items())
-            }
+            for key, strat in (("max_strategy", self.strategies.sigma), ("min_strategy", self.strategies.tau)):
+                payload[key] = {str(k): c for k, c in strat.choice(g).items()}
         return json.dumps(payload, separators=(",", ":"))
 
 
@@ -119,8 +117,9 @@ def solve_hoffman_karp(
         tau, v = best_response(g, sigma, Player.MIN, mode, initial=tau)
         if mode == EXACT and prev_values is not None:
             # v.scaled / v.den against prev.scaled / prev.den, cross-multiplied
+            # in Python ints, which the products outgrow int64
             den, prev_den = v.den, prev_values.den
-            if any(a * prev_den < b * den for a, b in zip(v.scaled, prev_values.scaled)):
+            if any(a * prev_den < b * den for a, b in zip(v.scaled.tolist(), prev_values.scaled.tolist())):
                 raise EvaluationContractError(
                     "max values decreased between improvement rounds"
                 )
@@ -202,31 +201,26 @@ def _order_induced_pair(g: Game, order: list[int]) -> StrategyPair:
                     lvl[p] = nd
                     heappush(heap, (nd, p))
 
-    sigma: dict[int, int] = {}
-    tau: dict[int, int] = {}
+    sigma = []
     for v in g.max_nodes:
         a, b = arcs[v - 1]
-        if rank[v] == 0:
-            sigma[v] = 0
-        elif rank[a] == rank[v] and level[a] < level[v]:
-            sigma[v] = 0
-        elif rank[b] == rank[v] and level[b] < level[v]:
-            sigma[v] = 1
+        r = rank[v]
+        if r == 0 or rank[a] == r and level[a] < level[v]:
+            sigma.append(0)
+        elif rank[b] == r and level[b] < level[v]:
+            sigma.append(1)
         else:
             raise EvaluationContractError("attractor witness missing")
+    tau = []
     for v in g.min_nodes:
         a, b = arcs[v - 1]
+        r, ra, rb = rank[v], rank[a], rank[b]
         # both targets sit at rank <= rank[v]; take the lower region
         # (kept play can never be forced above the node's own rank)
-        if rank[a] > rank[v] and rank[b] > rank[v]:
+        if ra > r and rb > r:
             raise EvaluationContractError("trap escape missing")
-        if rank[a] > rank[v]:
-            tau[v] = 1
-        elif rank[b] > rank[v]:
-            tau[v] = 0
-        else:
-            tau[v] = 0 if rank[a] <= rank[b] else 1
-    return StrategyPair(Strategy(Player.MAX, sigma), Strategy(Player.MIN, tau))
+        tau.append(1 if ra > r or rb <= r and ra > rb else 0)
+    return StrategyPair(Strategy(Player.MAX, bytes(sigma)), Strategy(Player.MIN, bytes(tau)))
 
 
 def solve_permutation_improvement(
@@ -269,8 +263,8 @@ def solve_permutation_improvement(
         v = evaluate_strategy_pair(g, sp, mode)
         # re-sorting first makes the order consistent with these values;
         # stability of the assignment is then the binding condition
-        scaled = v.scaled
-        order.sort(key=lambda node: scaled[node - 1])
+        keys = v.scaled.tolist()
+        order.sort(key=lambda node: keys[node - 1])
         if improve_all(g, sp.sigma, v) is None and improve_all(g, sp.tau, v) is None:
             _check_result(g, v)
             return SolveResult(
@@ -303,9 +297,9 @@ def solve_brute_force(g: Game) -> SolveResult:
         )
     examined = 0
     for sigma_bits in itertools.product((0, 1), repeat=len(max_nodes)):
-        sigma = Strategy(Player.MAX, dict(zip(max_nodes, sigma_bits)))
+        sigma = Strategy(Player.MAX, bytes(sigma_bits))
         for tau_bits in itertools.product((0, 1), repeat=len(min_nodes)):
-            tau = Strategy(Player.MIN, dict(zip(min_nodes, tau_bits)))
+            tau = Strategy(Player.MIN, bytes(tau_bits))
             examined += 1
             pair = StrategyPair(sigma, tau)
             v = evaluate_strategy_pair(g, pair, EXACT)
@@ -334,15 +328,14 @@ def solve_value_iteration(
     require_stopping(g, "value iteration")
     # 0-based successors; the layout's terminals loop to themselves, and
     # no kind mask below covers them, so they keep their values 0 and 1
-    a0, a1 = (g.layout.arcs[1:] - 1).T
-    code = np.array(g.code[1:])
-    max_mask = code == MAX
-    min_mask = code == MIN
-    avg_mask = code == AVG
+    lay = g.layout
+    a0, a1 = lay.targets
+    max_mask, min_mask = lay.is_max, lay.is_min
+    avg_mask = np.array(g.code[1:]) == AVG
 
     v = np.zeros(g.n)
     v[g.terminal1 - 1] = 1.0
-    history = [ValueVector(tuple(v.tolist()), FLOAT)] if keep_history else None
+    history = [ValueVector(v, FLOAT)] if keep_history else None
     sweeps = 0
     while sweeps < max_sweeps:
         sweeps += 1
@@ -354,10 +347,10 @@ def solve_value_iteration(
         diff = np.abs(nv - v).max()
         v = nv
         if history is not None:
-            history.append(ValueVector(tuple(v.tolist()), FLOAT))
+            history.append(ValueVector(v, FLOAT))
         if diff < tol:
             return SolveResult(
-                values=ValueVector(tuple(v.tolist()), FLOAT),
+                values=ValueVector(v, FLOAT),
                 strategies=None,
                 iterations=sweeps,
                 algorithm="vi",

@@ -26,7 +26,8 @@ from stopgames import (
     linsolve,
     scc_condense,
 )
-from stopgames.game import AVG, MAX, MIN
+from stopgames.evaluate import DEFAULT_STABLE_TOL, DEFAULT_SWITCH_MARGIN
+from stopgames.game import AVG, MAX, MIN, TERM
 from stopgames.solve import BRUTE_FORCE_DECISION_CAP
 from stopgames.generate import GenParams, Variant, generate_basic
 from stopgames.rng import Rng
@@ -81,27 +82,23 @@ def random_stopping_game(seed: int, max_nodes: int = 12) -> Game:
 
 def random_pair(g: Game, rng: Rng) -> StrategyPair:
     return StrategyPair(
-        Strategy(Player.MAX, {i: rng.randbelow(2) for i in g.max_nodes}),
-        Strategy(Player.MIN, {i: rng.randbelow(2) for i in g.min_nodes}),
+        Strategy.from_choice(g, Player.MAX, {i: rng.randbelow(2) for i in g.max_nodes}),
+        Strategy.from_choice(g, Player.MIN, {i: rng.randbelow(2) for i in g.min_nodes}),
     )
 
 
 def all_strategy_pairs(g: Game):
     max_nodes, min_nodes = g.max_nodes, g.min_nodes
     for sigma_bits in itertools.product((0, 1), repeat=len(max_nodes)):
-        sigma = Strategy(Player.MAX, dict(zip(max_nodes, sigma_bits)))
+        sigma = Strategy.from_choice(g, Player.MAX, dict(zip(max_nodes, sigma_bits)))
         for tau_bits in itertools.product((0, 1), repeat=len(min_nodes)):
-            yield StrategyPair(sigma, Strategy(Player.MIN, dict(zip(min_nodes, tau_bits))))
+            yield StrategyPair(sigma, Strategy.from_choice(g, Player.MIN, dict(zip(min_nodes, tau_bits))))
 
 
 def oracle_reaching_nodes(g: Game, sp: StrategyPair) -> set[int]:
     """Independent path oracle: the nodes with a path to a terminal in the
     strategy subgraph.  Forward closure per node, no shared machinery."""
-    chosen = {}
-    for i in g.max_nodes:
-        chosen[i] = g.arcs_of(i)[sp.sigma.choice[i]]
-    for i in g.min_nodes:
-        chosen[i] = g.arcs_of(i)[sp.tau.choice[i]]
+    chosen = {i: g.arcs_of(i)[c] for strat in (sp.sigma, sp.tau) for i, c in strat.choice(g).items()}
     terminals = {g.terminal0, g.terminal1}
     reaching = set()
     for start in range(1, g.n + 1):
@@ -126,18 +123,24 @@ def oracle_reaching_nodes(g: Game, sp: StrategyPair) -> set[int]:
     return reaching
 
 
+def oracle_strategy(g: Game, player: Player, choice: dict) -> Strategy:
+    """``Strategy.from_choice`` by a per-node loop: ``ValueError`` unless
+    ``choice`` covers exactly the player's nodes with 0/1 choices."""
+    owned = g.max_nodes if player is Player.MAX else g.min_nodes
+    if choice.keys() != set(owned):
+        raise ValueError(f"{player.value} strategy must cover exactly {sorted(owned)}")
+    for i, c in choice.items():
+        if c not in (0, 1):
+            raise ValueError(f"choice for node {i} must be 0 or 1, got {c}")
+    return Strategy(player, bytes([int(choice[i]) for i in owned]))
+
+
 def oracle_successors(g: Game, sp: StrategyPair) -> list[int]:
     """``succ[i]`` is the chosen target of max/min node i, 0 elsewhere, by
-    a per-node loop; ``ValueError`` unless each strategy covers exactly
-    its player's nodes with 0/1 choices."""
+    a per-node loop over both strategies' bytes."""
     succ = [0] * (g.n + 1)
-    max_set, min_set = frozenset(g.max_nodes), frozenset(g.min_nodes)
-    for name, strat, owned in (("max", sp.sigma, max_set), ("min", sp.tau, min_set)):
-        if strat.choice.keys() != owned:
-            raise ValueError(f"{name} strategy must cover exactly {sorted(owned)}")
-        for i, c in strat.choice.items():
-            if c not in (0, 1):
-                raise ValueError(f"choice for node {i} must be 0 or 1, got {c}")
+    for strat, owned in ((sp.sigma, g.max_nodes), (sp.tau, g.min_nodes)):
+        for i, c in zip(owned, strat.bits, strict=True):
             succ[i] = g.arcs[i - 1][c]
     return succ
 
@@ -222,7 +225,7 @@ def switchable_nodes(g: Game, v: ValueVector) -> set[int]:
     exact evaluation ``v``, node by node: the set ``improve_all`` switches,
     found without it.  A node's value is one of its arcs' values there, so
     a better arc is one whose value differs."""
-    vals, code = v.scaled, g.code
+    vals, code = v.scaled.tolist(), g.code
     out = set()
     for i in g.max_nodes + g.min_nodes:
         j, k = g.arcs_of(i)
@@ -230,6 +233,51 @@ def switchable_nodes(g: Game, v: ValueVector) -> set[int]:
         if best(vals[j - 1], vals[k - 1]) != vals[i - 1]:
             out.add(i)
     return out
+
+
+def oracle_is_stable(g: Game, v: ValueVector, tol: float = DEFAULT_STABLE_TOL) -> bool:
+    """``is_stable`` as a per-node loop over the scalars of ``v.scaled``,
+    the reference its array version is checked against."""
+    if v.mode == EXACT:
+        p, q = Fraction(tol).as_integer_ratio()
+        limit = 2 * p * v.den // q
+    else:
+        limit = 2 * tol
+    vals, code, arcs = v.scaled.tolist(), g.code, g.arcs
+    for i in range(1, g.n + 1):
+        c = code[i]
+        if c == TERM:
+            continue
+        j, k = arcs[i - 1]
+        a, b = vals[j - 1], vals[k - 1]
+        if c == MAX:
+            twice_want = 2 * (a if a >= b else b)
+        elif c == MIN:
+            twice_want = 2 * (a if a <= b else b)
+        else:
+            twice_want = a + b
+        if not abs(2 * vals[i - 1] - twice_want) <= limit:  # NaN fails too
+            return False
+    return True
+
+
+def oracle_improve_all(g: Game, strat: Strategy, v: ValueVector) -> Strategy | None:
+    """``improve_all`` as a per-node loop over the scalars of ``v.scaled``,
+    the reference its array version is checked against."""
+    margin = 0 if v.mode == EXACT else DEFAULT_SWITCH_MARGIN
+    vals, arcs = v.scaled.tolist(), g.arcs
+    better_sign = 1 if strat.player is Player.MAX else -1
+    choice = strat.choice(g)
+    new_choice = dict(choice)
+    switched = False
+    for i, c in choice.items():
+        j, k = arcs[i - 1]
+        cur, other = (j, k) if c == 0 else (k, j)
+        gain = (vals[other - 1] - vals[cur - 1]) * better_sign
+        if gain > margin:
+            new_choice[i] = 1 - c
+            switched = True
+    return Strategy.from_choice(g, strat.player, new_choice) if switched else None
 
 
 def common_denominator(xs) -> tuple[list[int], int]:
@@ -270,11 +318,7 @@ def oracle_scc_partition(g: Game) -> set[frozenset[int]]:
 def oracle_pair_values(g: Game, sp: StrategyPair, sweeps: int = 200000, tol: float = 1e-13):
     """Independent fixed-pair solution: iterate the per-node update from
     zero, which converges to the zero-setting solution."""
-    chosen = {}
-    for i in g.max_nodes:
-        chosen[i] = g.arcs_of(i)[sp.sigma.choice[i]]
-    for i in g.min_nodes:
-        chosen[i] = g.arcs_of(i)[sp.tau.choice[i]]
+    chosen = {i: g.arcs_of(i)[c] for strat in (sp.sigma, sp.tau) for i, c in strat.choice(g).items()}
     v = [0.0] * (g.n + 1)
     v[g.terminal1] = 1.0
     for _ in range(sweeps):
@@ -407,11 +451,11 @@ def solve_by_components(g: Game) -> ValueVector:
     ``BRUTE_FORCE_DECISION_CAP`` decision nodes.
     """
     code = g.code
-    pair = StrategyPair(
-        Strategy(Player.MAX, {i: 0 for i in g.max_nodes}),
-        Strategy(Player.MIN, {i: 0 for i in g.min_nodes}),
-    )
-    sigma, tau = pair.sigma.choice, pair.tau.choice  # updated in place below
+    sigma, tau = dict.fromkeys(g.max_nodes, 0), dict.fromkeys(g.min_nodes, 0)  # updated in place below
+
+    def pair():
+        return StrategyPair(Strategy.from_choice(g, Player.MAX, sigma), Strategy.from_choice(g, Player.MIN, tau))
+
     for comp in scc_condense(g):
         comp_max = sorted(i for i in comp if code[i] == MAX)
         comp_min = sorted(i for i in comp if code[i] == MIN)
@@ -422,12 +466,12 @@ def solve_by_components(g: Game) -> ValueVector:
         for bits in itertools.product((0, 1), repeat=len(comp_max) + len(comp_min)):
             sigma.update(zip(comp_max, bits))
             tau.update(zip(comp_min, bits[len(comp_max) :]))
-            v = evaluate_strategy_pair(g, pair, EXACT)
+            v = evaluate_strategy_pair(g, pair(), EXACT)
             if switchable_nodes(g, v).isdisjoint(comp):
                 break
         else:
             raise EvaluationContractError("component has no stable assignment")
-    return evaluate_strategy_pair(g, pair, EXACT)
+    return evaluate_strategy_pair(g, pair(), EXACT)
 
 
 def assert_value_preserving(g: Game, reduced: Game, report) -> None:

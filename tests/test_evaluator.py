@@ -8,8 +8,10 @@ from conftest import (
     build_game,
     common_denominator,
     oracle_evaluate,
+    oracle_improve_all,
+    oracle_is_stable,
     oracle_pair_values,
-    oracle_successors,
+    oracle_strategy,
     oracle_value_system,
     random_full_game,
     random_pair,
@@ -46,12 +48,12 @@ CYCLE4_ENTRIES = [("max", (2, 4)), ("min", (1, 4))]
 CYCLE4 = build_game(CYCLE4_ENTRIES)
 SELF_ARCS = build_game([("max", (2, 2)), ("avg", (2, 5)), ("min", (3, 4))])
 
-EMPTY_PAIR = StrategyPair(Strategy(Player.MAX, {}), Strategy(Player.MIN, {}))
+EMPTY_PAIR = StrategyPair(Strategy.from_choice(MINIMAL, Player.MAX, {}), Strategy.from_choice(MINIMAL, Player.MIN, {}))
 
 
 def pair(g, sigma_bits=None, tau_bits=None):
-    sigma = Strategy(Player.MAX, dict(zip(g.max_nodes, sigma_bits or [])))
-    tau = Strategy(Player.MIN, dict(zip(g.min_nodes, tau_bits or [])))
+    sigma = Strategy.from_choice(g, Player.MAX, dict(zip(g.max_nodes, sigma_bits or [])))
+    tau = Strategy.from_choice(g, Player.MIN, dict(zip(g.min_nodes, tau_bits or [])))
     return StrategyPair(sigma, tau)
 
 
@@ -132,10 +134,12 @@ def test_evaluate_rejects_max_min_cycle_on_game_flagged_stopping(entries):
 
 
 def test_evaluate_rejects_incomplete_strategy():
+    """A strategy missing an owned node cannot be built, so none reaches
+    the evaluator."""
     g = build_game([("max", (2, 3)), ("avg", (3, 4))])
     assert g.stopping
     with pytest.raises(ValueError, match=re.escape("max strategy must cover exactly [1]")):
-        evaluate_strategy_pair(g, EMPTY_PAIR)
+        Strategy.from_choice(g, Player.MAX, {})
 
 
 def stable_reference(g, xs, tol) -> bool:
@@ -195,7 +199,7 @@ def test_is_stable_rejects_nan():
 def switched(g, strat, v) -> set[int]:
     """The nodes ``improve_all`` switches in ``strat`` under ``v``."""
     better = improve_all(g, strat, v)
-    return set() if better is None else {i for i, c in strat.choice.items() if better.choice[i] != c}
+    return set() if better is None else {i for i, c in strat.choice(g).items() if better.choice(g)[i] != c}
 
 
 def test_switchable_empty_iff_stable():
@@ -212,7 +216,7 @@ def test_switchable_detects_better_arc():
     # max node choosing a 0-valued child with a 1-valued alternative
     g = build_game([("max", (3, 4)), ("avg", (3, 4))])
     v = ValueVector((0, 1, 0, 2), EXACT, 2)
-    assert improve_all(g, Strategy(Player.MAX, {1: 0}), v) == Strategy(Player.MAX, {1: 1})
+    assert improve_all(g, Strategy.from_choice(g, Player.MAX, {1: 0}), v) == Strategy.from_choice(g, Player.MAX, {1: 1})
     assert switchable_nodes(g, v) == {1}
 
 
@@ -232,6 +236,92 @@ def test_switching_improves_max_values():
     assert improved > 20
 
 
+@st.composite
+def switch_cases(draw):
+    """A stopping game, a random strategy pair and a mode: a small random
+    game or a fully reduced generated one of 64 to 256 nodes."""
+    seed = draw(st.integers(0, 2**64 - 1))
+    if draw(st.booleans()):
+        g = random_stopping_game(seed, draw(st.sampled_from([8, 12, 40])))
+    else:
+        g, _ = generate_fully_reduced(RatioSpec(draw(st.sampled_from([64, 128, 256])), draw(st.integers(1, 8))), seed)
+    return g, random_pair(g, Rng(draw(st.integers(0, 2**64 - 1)))), draw(st.sampled_from([EXACT, FLOAT]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(switch_cases())
+def test_switch_and_stability_match_scalar_oracles(case):
+    """On the evaluation of a random pair, and on the stable values a best
+    response reaches from it, ``improve_all`` switches the nodes the
+    per-node loop switches for either player and ``is_stable`` gives the
+    loop's verdict at tol 0, 1e-12 and 1e-9."""
+    g, sp, mode = case
+    v = evaluate_strategy_pair(g, sp, mode)
+    tau, settled = best_response(g, sp.sigma, Player.MIN, mode)
+    for values, pair in ((v, sp), (settled, StrategyPair(sp.sigma, tau))):
+        for strat in (pair.sigma, pair.tau):
+            assert improve_all(g, strat, values) == oracle_improve_all(g, strat, values)
+        for tol in (0, 1e-12, 1e-9):
+            assert is_stable(g, values, tol) is oracle_is_stable(g, values, tol)
+    assert improve_all(g, tau, settled) is None
+
+
+# max node 1 and min node 2 each choose between averages 3 and 4
+SWITCH = build_game([("max", (3, 4)), ("min", (3, 4)), ("avg", (5, 6)), ("avg", (5, 6))])
+
+
+def test_float_gain_inside_margin_does_not_switch():
+    """A float gain of at most 1e-12 switches no node; a larger one
+    switches it, from either arc and for either player."""
+    for gain, switches in ((5e-13, False), (1e-12, False), (2e-12, True)):
+        for bit in (0, 1):
+            for player, node in ((Player.MAX, 1), (Player.MIN, 2)):
+                # the arc not taken is better for the owner by ``gain``
+                taken, other = (0.0, gain) if player is Player.MAX else (gain, 0.0)
+                xs = [0.5, 0.5, *((taken, other) if bit == 0 else (other, taken)), 0.0, 1.0]
+                v = ValueVector(xs, FLOAT)
+                strat = Strategy.from_choice(SWITCH, player, {node: bit})
+                got = improve_all(SWITCH, strat, v)
+                assert got == oracle_improve_all(SWITCH, strat, v)
+                assert got == (Strategy.from_choice(SWITCH, player, {node: 1 - bit}) if switches else None), (gain, bit, player)
+
+
+def test_nan_value_is_never_stable():
+    """A NaN at any node, terminals included, fails ``is_stable`` at every
+    tol, and switches nothing."""
+    sp = pair(GAPS, sigma_bits=[0], tau_bits=[0])
+    v = evaluate_strategy_pair(GAPS, sp, FLOAT)
+    assert is_stable(GAPS, v, 0)
+    for node in range(1, GAPS.n + 1):
+        xs = list(v.values)
+        xs[node - 1] = float("nan")
+        bad = ValueVector(xs, FLOAT)
+        for tol in (0, 1e-9, 1.0):
+            assert not is_stable(GAPS, bad, tol), (node, tol)
+        for strat in (sp.sigma, sp.tau):
+            assert improve_all(GAPS, strat, bad) is None
+
+
+def test_exact_tol_zero_on_both_numerator_types():
+    """At tol 0 an exact vector is stable only when every local equation
+    holds exactly, whether its numerators are int64 or Python ints: one
+    unit off at any non-terminal node fails.  Numerators are int64 while
+    4·den fits in int64."""
+    assert ValueVector([0, 2**60], EXACT, 2**60).scaled.dtype == np.int64
+    assert ValueVector([0, 2**61], EXACT, 2**61).scaled.dtype == object
+    for scale in (1, 2**70):
+        nums, den = common_denominator(GAPS_VALUES)
+        nums, den = [x * scale for x in nums], den * scale
+        v = ValueVector(nums, EXACT, den)
+        assert v.scaled.dtype == (object if scale > 1 else np.int64)
+        assert is_stable(GAPS, v, 0) and oracle_is_stable(GAPS, v, 0)
+        for node in range(1, 5):
+            off = list(nums)
+            off[node - 1] += 1
+            w = ValueVector(off, EXACT, den)
+            assert not is_stable(GAPS, w, 0) and not oracle_is_stable(GAPS, w, 0), (scale, node)
+
+
 def test_best_response_min_picks_smaller_subgame():
     # min chooses between a 1/4-valued chain and a 3/4-valued chain
     g = build_game(
@@ -242,41 +332,41 @@ def test_best_response_min_picks_smaller_subgame():
             ("avg", (5, 6)),  # value 1/2
         ]
     )
-    tau, v = best_response(g, Strategy(Player.MAX, {}), Player.MIN, EXACT)
-    assert tau.choice == {1: 0}
+    tau, v = best_response(g, Strategy.from_choice(g, Player.MAX, {}), Player.MIN, EXACT)
+    assert tau.choice(g) == {1: 0}
     assert v.value(1) == Fraction(1, 4)
 
 
 def test_best_response_vacuous_without_responder_nodes():
-    tau, v = best_response(MINIMAL, Strategy(Player.MAX, {}), Player.MIN, EXACT)
-    assert tau.choice == {}
+    tau, v = best_response(MINIMAL, EMPTY_PAIR.sigma, Player.MIN, EXACT)
+    assert tau.choice(MINIMAL) == {}
     assert v.value(1) == Fraction(1, 2)
 
 
 def test_best_response_rejects_initial_missing_a_responder_node():
     g = build_game([("min", (3, 4)), ("min", (4, 3)), ("avg", (5, 6)), ("avg", (3, 6))])
-    fixed = Strategy(Player.MAX, {})
+    fixed = Strategy.from_choice(g, Player.MAX, {})
     for initial in ({1: 0}, {1: 0, 3: 0}, {}):
         with pytest.raises(ValueError, match=re.escape("min strategy must cover exactly [1, 2]")):
-            best_response(g, fixed, Player.MIN, EXACT, initial=Strategy(Player.MIN, initial))
-    tau, _ = best_response(g, fixed, Player.MIN, EXACT, initial=Strategy(Player.MIN, {1: 1, 2: 0}))
-    assert tau.choice == {1: 0, 2: 1}
+            best_response(g, fixed, Player.MIN, EXACT, initial=Strategy.from_choice(g, Player.MIN, initial))
+    tau, _ = best_response(g, fixed, Player.MIN, EXACT, initial=Strategy.from_choice(g, Player.MIN, {1: 1, 2: 0}))
+    assert tau.choice(g) == {1: 0, 2: 1}
 
 
 def test_best_response_rejects_non_stopping():
     with pytest.raises(NonStoppingGameError):
-        best_response(CYCLE4, Strategy(Player.MAX, {1: 0}), Player.MIN)
+        best_response(CYCLE4, Strategy.from_choice(CYCLE4, Player.MAX, {1: 0}), Player.MIN)
 
 
 def test_best_response_matches_enumeration():
     for seed in range(40):
         g = random_stopping_game(seed, max_nodes=10)
         rng = Rng(seed + 777)
-        sigma = Strategy(Player.MAX, {i: rng.randbelow(2) for i in g.max_nodes})
+        sigma = Strategy.from_choice(g, Player.MAX, {i: rng.randbelow(2) for i in g.max_nodes})
         _, got = best_response(g, sigma, Player.MIN, EXACT)
         best = None
         for sp in all_strategy_pairs(g):
-            if sp.sigma.choice != sigma.choice:
+            if sp.sigma != sigma:
                 continue
             v = evaluate_strategy_pair(g, sp, EXACT)
             if best is None:
@@ -340,21 +430,21 @@ def test_evaluate_children_aliasing_one_unknown(monkeypatch):
     assert list(vf.values) == [float(x) for x in v.values]
 
 
-def shuffled_pair(g, rng: Rng) -> StrategyPair:
-    """A random strategy pair whose dicts list their nodes in shuffled
-    order, each choice an int or a bool at random."""
+def shuffled_choices(g, rng: Rng) -> tuple[dict, dict]:
+    """Random choice dicts for both players that list their nodes in
+    shuffled order, each choice an int or a bool at random."""
 
     def choice(nodes):
         order = list(nodes)
         rng.shuffle(order)
         return {i: (int, bool)[rng.randbelow(2)](rng.randbelow(2)) for i in order}
 
-    return StrategyPair(Strategy(Player.MAX, choice(g.max_nodes)), Strategy(Player.MIN, choice(g.min_nodes)))
+    return choice(g.max_nodes), choice(g.min_nodes)
 
 
 @st.composite
 def evaluation_cases(draw):
-    """A game and a shuffled strategy pair: a small random stopping game, a
+    """A game and shuffled choice dicts: a small random stopping game, a
     fully reduced generated game of 64 to 512 nodes, or a small game with
     arc targets anywhere, often non-stopping and then refused."""
     source = draw(st.sampled_from(["stopping", "generated", "full"]))
@@ -365,39 +455,45 @@ def evaluation_cases(draw):
         g, _ = generate_fully_reduced(RatioSpec(draw(st.sampled_from([64, 128, 256, 512])), draw(st.integers(1, 8))), seed)
     else:
         g = random_full_game(Rng(seed), draw(st.integers(1, 12)))
-    return g, shuffled_pair(g, Rng(draw(st.integers(0, 2**64 - 1))))
+    return g, shuffled_choices(g, Rng(draw(st.integers(0, 2**64 - 1))))
 
 
-def broken_pairs(sp: StrategyPair):
-    """The pair with one node left out of a strategy, and with one choice
-    set to 2, for each strategy that has a node."""
-    for which in ("sigma", "tau"):
-        strat = getattr(sp, which)
-        if strat.choice:
-            first = next(iter(strat.choice))
-            for choice in ({i: c for i, c in strat.choice.items() if i != first}, {**strat.choice, first: 2}):
-                other = sp.tau if which == "sigma" else sp.sigma
-                broken = Strategy(strat.player, choice)
-                yield StrategyPair(broken, other) if which == "sigma" else StrategyPair(other, broken)
+def broken_choices(choices):
+    """Per player with a node, its choice dict with one node left out and
+    with one choice set to 2."""
+    for player, choice in zip((Player.MAX, Player.MIN), choices):
+        if choice:
+            first = next(iter(choice))
+            yield player, {i: c for i, c in choice.items() if i != first}
+            yield player, {**choice, first: 2}
 
 
 # CYCLE4 and SELF_ARCS, where min node 3 can keep its self arc, are not
 # stopping; under the stable pair of TWIN_ALIAS two children alias one unknown
 @settings(max_examples=120, deadline=None)
 @given(evaluation_cases())
-@example((CYCLE4, pair(CYCLE4, sigma_bits=[0], tau_bits=[0])))
-@example((SELF_ARCS, pair(SELF_ARCS, sigma_bits=[1], tau_bits=[0])))
-@example((TWIN_ALIAS, pair(TWIN_ALIAS, sigma_bits=[1], tau_bits=[1])))
+@example((CYCLE4, ({1: 0}, {2: 0})))
+@example((SELF_ARCS, ({1: 1}, {3: 0})))
+@example((TWIN_ALIAS, ({2: 1}, {3: 1})))
 def test_array_evaluator_matches_per_node_oracle(case):
-    """The array evaluator hands both solvers the system the per-node
-    oracle builds, triplet for triplet, and returns equal exact and
-    bit-identical float vectors; a bad strategy fails with the oracle's
-    message.  A game that is not stopping is refused in both modes,
-    before its strategies are read."""
-    g, sp = case
+    """A choice dict builds the strategy the per-node oracle builds, and a
+    bad one fails with the oracle's message.  The array evaluator hands
+    both solvers the system the per-node oracle builds, triplet for
+    triplet, and returns equal exact and bit-identical float vectors.  A
+    game that is not stopping is refused in both modes, before its
+    strategies are read."""
+    g, (sigma, tau) = case
+    for player, broken in broken_choices((sigma, tau)):
+        with pytest.raises(ValueError) as expected:
+            oracle_strategy(g, player, broken)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            Strategy.from_choice(g, player, broken)
+    sp = StrategyPair(Strategy.from_choice(g, Player.MAX, sigma), Strategy.from_choice(g, Player.MIN, tau))
+    assert sp == StrategyPair(oracle_strategy(g, Player.MAX, sigma), oracle_strategy(g, Player.MIN, tau))
     if not g.stopping:
+        unread = StrategyPair(Strategy(Player.MAX, b""), Strategy(Player.MIN, b""))
         for mode in (EXACT, FLOAT):
-            for refused in (sp, *broken_pairs(sp)):
+            for refused in (sp, unread):
                 with pytest.raises(NonStoppingGameError):
                     evaluate_strategy_pair(g, refused, mode)
         return
@@ -416,11 +512,6 @@ def test_array_evaluator_matches_per_node_oracle(case):
         want = oracle_evaluate(g, sp, mode)
         assert got.den == want.den
         if mode == EXACT:
-            assert got.scaled == want.scaled
+            assert got == want
         else:
-            assert [x.hex() for x in got.scaled] == [x.hex() for x in want.scaled]
-    for broken in broken_pairs(sp):
-        with pytest.raises(ValueError) as expected:
-            oracle_successors(g, broken)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
-            evaluate_strategy_pair(g, broken)
+            assert [x.hex() for x in got.values] == [x.hex() for x in want.values]

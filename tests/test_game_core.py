@@ -55,7 +55,7 @@ def test_arc_range_violation_reported():
         find_bad_core,
         reduce_game,
         lambda g: solve_hoffman_karp(g, 0),
-        lambda g: evaluate_strategy_pair(g, StrategyPair(Strategy(Player.MAX, {}), Strategy(Player.MIN, {}))),
+        lambda g: evaluate_strategy_pair(g, StrategyPair(Strategy.from_choice(g, Player.MAX, {}), Strategy.from_choice(g, Player.MIN, {}))),
     ],
     ids=["parents", "find_bad_core", "reduce_game", "hk", "evaluate"],
 )

@@ -177,14 +177,45 @@ def test_solve_result_json():
     import json
 
     res = solve_brute_force(CHAIN)
-    payload = json.loads(res.to_json())
+    payload = json.loads(res.to_json(CHAIN))
     assert payload["algorithm"] == "bf"
     assert payload["mode"] == "exact"
     assert payload["values"] == ["3/4", "1/2", "0", "1"]
     assert payload["max_strategy"] == {} and payload["min_strategy"] == {}
     fl = solve_hoffman_karp(CHAIN, seed=0, mode=FLOAT)
-    fl_payload = json.loads(fl.to_json())
+    fl_payload = json.loads(fl.to_json(CHAIN))
     assert fl_payload["values"][1] == "0.5"
+
+
+def halving_chain(k: int):
+    """Averages 1..k in a chain, each with one arc to the 0-terminal:
+    average i < k moves on to i + 1 and average k to the 1-terminal, so
+    average i is worth 2^-(k - i + 1) and the common denominator is 2^k.
+    Max node k + 1 picks average 1 or 2, and min node k + 2 picks the max
+    node or average 3."""
+    t0, t1 = k + 3, k + 4
+    chain = [("avg", (i + 1, t0)) for i in range(1, k)] + [("avg", (t1, t0))]
+    return build_game(chain + [("max", (1, 2)), ("min", (k + 1, 3))])
+
+
+def test_exact_solvers_past_int64_denominators():
+    """With a common denominator of 2^70, past 2^62, exact numerators are
+    kept as Python ints: hk and perm agree with each other and with value
+    iteration, the result is exactly stable, and its values are Fractions
+    of Python ints.  Max moves to average 2, min stays on the max node."""
+    k = 70
+    g = halving_chain(k)
+    hk = solve_hoffman_karp(g, 0, EXACT)
+    perm = solve_permutation_improvement(g, 0, EXACT)
+    vi = solve_value_iteration(g)
+    assert hk.values.den == 2**k and hk.values.scaled.dtype == object
+    assert perm.values == hk.values
+    assert is_stable(g, hk.values, 0)
+    assert all(type(x) is Fraction and type(x.numerator) is int and type(x.denominator) is int for x in hk.values.values)
+    assert hk.values.value(k + 1) == hk.values.value(k + 2) == Fraction(1, 2 ** (k - 1))
+    assert max(abs(x - y) for x, y in zip(hk.values.values, vi.values.values)) <= 1e-9
+    for res in (hk, perm):
+        assert res.strategies == StrategyPair(Strategy(Player.MAX, b"\x01"), Strategy(Player.MIN, b"\x00"))
 
 
 def test_component_solving_matches_whole_game():
@@ -324,7 +355,7 @@ def _reference_order_induced_pair(g, order, parents):
             else:
                 tau[v] = 0 if rank[a] <= rank[b] else 1
     unranked = sum(1 for v in range(1, n + 1) if g.kind(v).is_decision and rank[v] == 0)
-    return StrategyPair(Strategy(Player.MAX, sigma), Strategy(Player.MIN, tau)), unranked
+    return StrategyPair(Strategy.from_choice(g, Player.MAX, sigma), Strategy.from_choice(g, Player.MIN, tau)), unranked
 
 
 def _equivalence_games():
@@ -423,7 +454,7 @@ def test_exact_outputs_pinned(mode):
             else:
                 values = [repr(v) for v in r.values.values]
             sp = r.strategies
-            choices = sorted(sp.sigma.choice.items()) + sorted(sp.tau.choice.items())
+            choices = [*sp.sigma.choice(g).items(), *sp.tau.choice(g).items()]
             got[f"{algo} {name}"] = {
                 "iterations": r.iterations,
                 "values_sha256": _sha256_lines(values),
