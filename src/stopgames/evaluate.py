@@ -48,11 +48,6 @@ DEFAULT_STABLE_TOL = 1e-9
 DEFAULT_SWITCH_MARGIN = 1e-12
 
 
-def _numerator_dtype(den: int):
-    """int64 while four times ``den`` fits in it, else object (Python ints)."""
-    return np.int64 if 4 * den < 2**63 else object
-
-
 class EvaluationContractError(RuntimeError):
     """An internal solve violated its own guarantees (residual, range, or
     an iteration tripwire); indicates a defect, not a bad input."""
@@ -70,11 +65,18 @@ class Strategy:
     ``bits`` holds one byte per owned node, in ``g.max_nodes`` or
     ``g.min_nodes`` order: 0 selects the node's first arc and 1 its
     second.  ``from_choice`` builds and checks one from a per-node dict,
-    and ``choice(g)`` reads that dict back.
+    and ``choice(g)`` reads that dict back.  The bits name no node, so
+    the evaluator and ``improve_all`` check only that their count is the
+    number of nodes the player owns in the game at hand.
     """
 
     player: Player
     bits: bytes
+
+    def __post_init__(self):
+        # deleting every 0 and 1 byte leaves nothing exactly when all are 0/1
+        if not isinstance(self.bits, bytes) or self.bits.translate(None, b"\0\1"):
+            raise ValueError(f"{self.player.value} strategy bits must be bytes of 0s and 1s")
 
     @classmethod
     def from_choice(cls, g: Game, player: Player, choice: dict[int, int]) -> Strategy:
@@ -111,12 +113,12 @@ class ValueVector:
     ``mode`` is "float" (binary64) or "exact".  ``scaled`` is one
     read-only NumPy array of the values times ``den``, node i at position
     i - 1.  In float mode it holds the float64 values and ``den`` is 1.
-    In exact mode it holds one numerator per node over one positive
-    common denominator ``den``, in lowest terms: int64 while 4·den fits
-    in int64, so that the stability gaps below cannot overflow, and
-    Python ints in an object array past that.  Either way the switch and
-    stability tests run the same array operations on it.  Any sequence
-    passed as ``scaled`` is copied into such an array.
+    In exact mode it holds one numerator per node, a Python int in an
+    object array, over one positive common denominator ``den``, in lowest
+    terms.  Either way the switch and stability tests run the same array
+    operations on it.  Any other sequence passed as ``scaled`` is
+    converted into such an array; an array of that dtype is kept without
+    a copy and made read-only.
     """
 
     scaled: np.ndarray
@@ -124,7 +126,7 @@ class ValueVector:
     den: int = 1
 
     def __post_init__(self):
-        scaled = np.array(self.scaled, dtype=np.float64 if self.mode == FLOAT else _numerator_dtype(self.den))
+        scaled = np.asarray(self.scaled, dtype=np.float64 if self.mode == FLOAT else object)
         scaled.flags.writeable = False
         object.__setattr__(self, "scaled", scaled)
 
@@ -138,9 +140,12 @@ class ValueVector:
 
     @property
     def values(self) -> Sequence:
-        """The per-node values: Python floats, read through a memoryview
-        of ``scaled`` without a copy, or a tuple of Fractions of Python
-        ints built on each use."""
+        """The per-node values: a tuple of Fractions of Python ints built
+        on each use in exact mode, and in float mode a read-only
+        memoryview of ``scaled``, which reads Python floats without a
+        copy.  Unlike a tuple the memoryview equals only another buffer
+        of the same values (never a tuple), is unhashable and is no JSON
+        array; ``tuple(v.values)`` gives one."""
         if self.mode == EXACT:
             den = self.den
             return tuple(Fraction(x, den) for x in self.scaled.tolist())
@@ -165,9 +170,20 @@ def first_arc_strategy(g: Game, player: Player) -> Strategy:
     return Strategy(player, bytes(len(_owned(g, player))))
 
 
+def _check_fits(g: Game, s: Strategy, player: Player) -> None:
+    """``ValueError`` unless ``s`` is a ``player`` strategy with one bit
+    per node ``player`` owns in ``g``."""
+    if s.player is not player:
+        raise ValueError(f"expected a {player.value} strategy, got a {s.player.value} one")
+    if len(s.bits) != len(_owned(g, player)):
+        raise ValueError(f"{player.value} strategy must cover exactly {list(_owned(g, player))}")
+
+
 def _successors(g: Game, sp: StrategyPair) -> np.ndarray:
     """``succ[i]`` is the chosen target of max/min node i and i itself
     elsewhere, entry 0 included."""
+    _check_fits(g, sp.sigma, Player.MAX)
+    _check_fits(g, sp.tau, Player.MIN)
     lay = g.layout
     bits = np.frombuffer(sp.sigma.bits + sp.tau.bits, dtype=np.bool_)
     succ = np.arange(g.n + 1)
@@ -235,7 +251,7 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
         for x in solution:
             if not 0 <= x <= den:
                 raise EvaluationContractError(f"exact value {Fraction(x, den)} outside [0, 1]")
-        by_slot = np.array([*solution, 0, den], dtype=_numerator_dtype(den))
+        by_slot = np.array([*solution, 0, den], dtype=object)
     else:
         solution = linsolve.solve_float(rhs, coo)
         if a and (solution.min() < 0.0 or solution.max() > 1.0):
@@ -276,6 +292,7 @@ def improve_all(g: Game, strat: Strategy, v: ValueVector) -> Strategy | None:
     vectors and takes a small margin on float ones.  The one switch rule:
     the step of ``best_response`` and of Hoffman-Karp, and permutation
     improvement's stop test."""
+    _check_fits(g, strat, strat.player)
     k = len(g.max_nodes)
     choices = g.layout.choices
     if strat.player is Player.MAX:

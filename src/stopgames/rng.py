@@ -50,22 +50,14 @@ class Rng:
         return _mix(self._state)
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n), exact via rejection sampling.
-
-        The hottest helper, so it runs ``u64`` and ``_mix`` inline: one
-        call per draw, the same stream."""
+        """Uniform integer in [0, n), exact via rejection sampling."""
         if n <= 0:
             raise ValueError(f"randbelow needs a positive bound, got {n}")
         limit = (1 << 64) - ((1 << 64) % n)
-        state = self._state
         while True:
-            state = (state + _GAMMA) & _MASK64
-            z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-            z ^= z >> 31
-            if z < limit:
-                self._state = state
-                return z % n
+            x = self.u64()
+            if x < limit:
+                return x % n
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], inclusive on both ends."""

@@ -117,9 +117,8 @@ def solve_hoffman_karp(
         tau, v = best_response(g, sigma, Player.MIN, mode, initial=tau)
         if mode == EXACT and prev_values is not None:
             # v.scaled / v.den against prev.scaled / prev.den, cross-multiplied
-            # in Python ints, which the products outgrow int64
             den, prev_den = v.den, prev_values.den
-            if any(a * prev_den < b * den for a, b in zip(v.scaled.tolist(), prev_values.scaled.tolist())):
+            if any(a * prev_den < b * den for a, b in zip(v.scaled, prev_values.scaled)):
                 raise EvaluationContractError(
                     "max values decreased between improvement rounds"
                 )

@@ -264,8 +264,7 @@ def desk_benchmark():
                 hk_iters.append(hk.iterations)
                 for prev, cur in zip(hk.value_history, hk.value_history[1:]):
                     # cur.scaled / cur.den against prev.scaled / prev.den, cross-multiplied
-                    # in Python ints, which the products outgrow int64
-                    if any(c * prev.den < p * cur.den for p, c in zip(prev.scaled.tolist(), cur.scaled.tolist())):
+                    if any(c * prev.den < p * cur.den for p, c in zip(prev.scaled, cur.scaled)):
                         monotone_violations += 1
                 pe = solve_permutation_improvement(g, seed, EXACT)
                 perm_iters.append(pe.iterations)

@@ -134,12 +134,44 @@ def test_evaluate_rejects_max_min_cycle_on_game_flagged_stopping(entries):
 
 
 def test_evaluate_rejects_incomplete_strategy():
-    """A strategy missing an owned node cannot be built, so none reaches
-    the evaluator."""
+    """A strategy missing an owned node cannot be built from a dict, and
+    one built from too few bits is refused by the evaluator."""
     g = build_game([("max", (2, 3)), ("avg", (3, 4))])
     assert g.stopping
     with pytest.raises(ValueError, match=re.escape("max strategy must cover exactly [1]")):
         Strategy.from_choice(g, Player.MAX, {})
+    with pytest.raises(ValueError, match=re.escape("max strategy must cover exactly [1]")):
+        evaluate_strategy_pair(g, StrategyPair(Strategy(Player.MAX, b""), Strategy(Player.MIN, b"")))
+
+
+def test_directly_built_strategies_are_checked_against_the_game():
+    """A ``Strategy`` built from bits rather than a dict holds only 0/1
+    bytes, and the evaluator and ``improve_all`` refuse one whose player
+    or bit count does not fit the game, where a NumPy select would
+    otherwise broadcast a single bit over every node or read one
+    player's bits for the other's nodes."""
+    # two max nodes and one min node
+    g = build_game([("max", (3, 4)), ("max", (4, 3)), ("min", (4, 5)), ("avg", (5, 6))])
+    assert g.stopping and g.max_nodes == (1, 2) and g.min_nodes == (3,)
+    good = StrategyPair(Strategy(Player.MAX, b"\0\1"), Strategy(Player.MIN, b"\1"))
+    v = evaluate_strategy_pair(g, good, EXACT)
+    for sp, message in (
+        (StrategyPair(Strategy(Player.MAX, b"\1"), good.tau), "max strategy must cover exactly [1, 2]"),
+        (StrategyPair(Strategy(Player.MAX, b"\1"), Strategy(Player.MIN, b"\0\1")), "max strategy must cover exactly [1, 2]"),
+        (StrategyPair(good.sigma, Strategy(Player.MIN, b"")), "min strategy must cover exactly [3]"),
+        (StrategyPair(good.tau, good.sigma), "expected a max strategy, got a min one"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate_strategy_pair(g, sp, EXACT)
+    for strat, message in (
+        (Strategy(Player.MAX, b"\1"), "max strategy must cover exactly [1, 2]"),
+        (Strategy(Player.MIN, b"\0\0"), "min strategy must cover exactly [3]"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            improve_all(g, strat, v)
+    for bits in (b"\2", b"\0\xff", [0, 1]):
+        with pytest.raises(ValueError, match="max strategy bits must be bytes of 0s and 1s"):
+            Strategy(Player.MAX, bits)
 
 
 def stable_reference(g, xs, tol) -> bool:
@@ -302,18 +334,14 @@ def test_nan_value_is_never_stable():
             assert improve_all(GAPS, strat, bad) is None
 
 
-def test_exact_tol_zero_on_both_numerator_types():
+def test_exact_tol_zero_below_and_past_int64():
     """At tol 0 an exact vector is stable only when every local equation
-    holds exactly, whether its numerators are int64 or Python ints: one
-    unit off at any non-terminal node fails.  Numerators are int64 while
-    4·den fits in int64."""
-    assert ValueVector([0, 2**60], EXACT, 2**60).scaled.dtype == np.int64
-    assert ValueVector([0, 2**61], EXACT, 2**61).scaled.dtype == object
+    holds exactly, whether its numerators fit in int64 or not: one unit
+    off at any non-terminal node fails."""
     for scale in (1, 2**70):
         nums, den = common_denominator(GAPS_VALUES)
         nums, den = [x * scale for x in nums], den * scale
         v = ValueVector(nums, EXACT, den)
-        assert v.scaled.dtype == (object if scale > 1 else np.int64)
         assert is_stable(GAPS, v, 0) and oracle_is_stable(GAPS, v, 0)
         for node in range(1, 5):
             off = list(nums)
@@ -349,6 +377,9 @@ def test_best_response_rejects_initial_missing_a_responder_node():
     for initial in ({1: 0}, {1: 0, 3: 0}, {}):
         with pytest.raises(ValueError, match=re.escape("min strategy must cover exactly [1, 2]")):
             best_response(g, fixed, Player.MIN, EXACT, initial=Strategy.from_choice(g, Player.MIN, initial))
+    for bits in (b"\0", b"", b"\0\0\0"):
+        with pytest.raises(ValueError, match=re.escape("min strategy must cover exactly [1, 2]")):
+            best_response(g, fixed, Player.MIN, EXACT, initial=Strategy(Player.MIN, bits))
     tau, _ = best_response(g, fixed, Player.MIN, EXACT, initial=Strategy.from_choice(g, Player.MIN, {1: 1, 2: 0}))
     assert tau.choice(g) == {1: 0, 2: 1}
 
