@@ -66,6 +66,11 @@ class BenchPlan:
         unknown = set(self.algorithms) - set(SOLVERS)
         if not self.algorithms or unknown:
             raise ValueError(f"algorithms must be a non-empty subset of {ALGORITHMS}")
+        for key in ("sizes", "ratios", "algorithms"):
+            values = getattr(self, key)
+            repeated = [x for i, x in enumerate(values) if x in values[:i]]
+            if repeated:
+                raise ValueError(f"plan {key} repeat {repeated[0]!r}; each may appear once")
         if "bf" in self.algorithms:
             for size in self.sizes:
                 for ratio in self.ratios:

@@ -6,8 +6,9 @@ the value of its anchor, the first average or terminal its chosen arcs
 reach, so the whole system collapses to a small linear system over the
 average nodes.  The exact and the float64 paths share that reduction.
 
-An evaluation works on the game's cached arrays (``Game.layout``).  It
-scatters both strategies into one successor array and resolves every
+An evaluation works on the game's cached arrays (``Game.layout``), which
+hold value-vector positions, node i at i - 1, as every array here does.
+It scatters both strategies into one successor array and resolves every
 node to its anchor by pointer jumping, ``t = t[t]`` until each node sits
 on an average or a terminal.  Each node then reads its anchor's slot:
 the column of an average, or one of two slots past the columns for the
@@ -180,28 +181,28 @@ def _check_fits(g: Game, s: Strategy, player: Player) -> None:
 
 
 def _successors(g: Game, sp: StrategyPair) -> np.ndarray:
-    """``succ[i]`` is the chosen target of max/min node i and i itself
-    elsewhere, entry 0 included."""
+    """Per position, the position of the chosen target of a max/min node
+    and the node's own position elsewhere."""
     _check_fits(g, sp.sigma, Player.MAX)
     _check_fits(g, sp.tau, Player.MIN)
     lay = g.layout
     bits = np.frombuffer(sp.sigma.bits + sp.tau.bits, dtype=np.bool_)
-    succ = np.arange(g.n + 1)
-    succ[lay.decision_nodes] = np.where(bits, lay.choices[1], lay.choices[0]) + 1
+    succ = np.arange(g.n)
+    succ[lay.decision_nodes] = np.where(bits, lay.choices[1], lay.choices[0])
     return succ
 
 
 def _anchor_slots(succ: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """Per node id, the slot of its anchor: the first average or terminal
-    that its chosen arcs reach.  Pointer jumping on the successor array
-    doubles the distance followed each round, so a chain of k max/min
-    nodes settles within log2(k) + 1 rounds; one that never settles is a
-    cycle of max/min nodes, which no stopping game holds.  ``g.stopping``
-    comes from ``find_bad_core``, so only a caller that plants the flag by
-    hand on a non-stopping game reaches the error."""
+    """Per position, the slot of its node's anchor: the first average or
+    terminal that its chosen arcs reach.  Pointer jumping on the
+    successor array doubles the distance followed each round, so a chain
+    of k max/min nodes settles within log2(k) + 1 rounds; one that never
+    settles is a cycle of max/min nodes, which no stopping game holds.
+    ``g.stopping`` comes from ``find_bad_core``, so only a caller that
+    plants the flag by hand on a non-stopping game reaches the error."""
     for _ in range(len(succ).bit_length() + 1):
         node_slot = slot[succ]
-        if node_slot[1:].min() >= 0:
+        if node_slot.min() >= 0:
             return node_slot
         succ = succ[succ]
     raise EvaluationContractError("the chosen arcs of max/min nodes close a cycle")
@@ -233,7 +234,7 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
     # child[r] holds the slots of row r's two children: a column below a,
     # a for the constant 0 and a + 1 for the constant 1.
     a = len(rows)
-    child = node_slot[lay.arcs[rows]]
+    child = node_slot[lay.targets[:, rows]].T
     rhs = (child == a + 1).sum(axis=1)
     unknown = child < a
     unknown_rows, _ = np.nonzero(unknown)
@@ -260,7 +261,7 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
                 raise EvaluationContractError(f"float value {float(wild[0])} outside [0, 1]")
             solution = np.where(solution < 0.0, 0.0, np.where(solution > 1.0, 1.0, solution))
         by_slot, den = np.concatenate((solution, (0.0, 1.0))), 1
-    return ValueVector(by_slot[node_slot[1:]], mode, den)
+    return ValueVector(by_slot[node_slot], mode, den)
 
 
 def is_stable(g: Game, v: ValueVector, tol: float = DEFAULT_STABLE_TOL) -> bool:

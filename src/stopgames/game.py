@@ -143,47 +143,41 @@ class Game:
 
     @cached_property
     def layout(self) -> ArcLayout:
-        """The arcs and node kinds as int arrays, for array-native strategy
-        evaluation; built after ``parents()``, so an arc target outside
-        1..n raises the same ``ValueError`` naming the arc."""
+        """The arcs and node kinds as arrays of positions, for array-native
+        strategy evaluation; built after ``parents()``, so an arc target
+        outside 1..n raises the same ``ValueError`` naming the arc."""
         self.parents()
-        n = self.n
-        arcs = np.array([(0, 0)] + [out or (i, i) for i, out in enumerate(self.arcs, 1)], dtype=np.intp)
-        average_nodes = np.array(self.average_nodes, dtype=np.intp)
-        a = len(average_nodes)
-        slot = np.full(n + 1, -1, dtype=np.intp)
-        slot[average_nodes] = np.arange(a)
-        slot[self.terminal0], slot[self.terminal1] = a, a + 1
-        decision_nodes = np.array(self.max_nodes + self.min_nodes, dtype=np.intp)
-        targets = np.ascontiguousarray(arcs[1:].T - 1)
+        arcs = np.array([out or (i, i) for i, out in enumerate(self.arcs, 1)], dtype=np.intp)
+        targets = np.ascontiguousarray(arcs.T - 1)
+        averages = np.array(self.average_nodes, dtype=np.intp) - 1
+        a = len(averages)
+        slot = np.full(self.n, -1, dtype=np.intp)
+        slot[averages] = np.arange(a)
+        slot[self.terminal0 - 1], slot[self.terminal1 - 1] = a, a + 1
+        decisions = np.array(self.max_nodes + self.min_nodes, dtype=np.intp) - 1
         code = np.array(self.code[1:])
-        return ArcLayout(
-            arcs, slot, decision_nodes, average_nodes, targets, targets[:, decision_nodes - 1], code == MAX, code == MIN
-        )
+        return ArcLayout(targets, slot, decisions, averages, targets[:, decisions], code == MAX, code == MIN)
 
 
 class ArcLayout(NamedTuple):
-    """``Game.layout``: one game's graph as NumPy int arrays.
+    """``Game.layout``: one game's graph as NumPy int arrays indexed like
+    value vectors, node i at position i - 1, and holding such positions.
 
-    ``arcs`` is (n+1)×2: row i holds node i's ordered arc pair, and the
-    terminals and row 0 point to themselves.  ``slot[i]`` is average i's
-    column among the averages in ascending id, a (the average count) for
-    the 0-terminal, a+1 for the 1-terminal and -1 for the max/min nodes
-    and entry 0.  ``decision_nodes`` holds the max nodes and then the min
-    nodes, ``average_nodes`` the averages, each in ascending id.
-
-    The rest index value vectors, which hold node i at position i - 1.
     ``targets`` is 2×n: column i - 1 holds the positions of node i's
     first and second arc targets, a terminal's own position twice.
-    ``choices`` is the same for the decision nodes, in ``decision_nodes``
-    order, and ``is_max`` and ``is_min`` mark each position's kind.
+    ``slot[i - 1]`` is average i's column among the averages in ascending
+    id, a (the average count) for the 0-terminal, a+1 for the 1-terminal
+    and -1 for the max/min nodes.  ``decision_nodes`` holds the positions
+    of the max nodes and then the min nodes, ``average_nodes`` those of
+    the averages, each in ascending id.  ``choices`` is ``targets`` for
+    the decision nodes, in ``decision_nodes`` order, and ``is_max`` and
+    ``is_min`` mark each position's kind.
     """
 
-    arcs: np.ndarray
+    targets: np.ndarray
     slot: np.ndarray
     decision_nodes: np.ndarray
     average_nodes: np.ndarray
-    targets: np.ndarray
     choices: np.ndarray
     is_max: np.ndarray
     is_min: np.ndarray

@@ -46,6 +46,7 @@ from scipy.sparse.linalg import splu
 
 
 RESIDUAL_BOUND = 1e-9
+_DENSE_MAX = 64  # unknowns up to which a system is factored dense, not sparse
 
 
 class SingularSystemError(RuntimeError):
@@ -262,7 +263,7 @@ def _solve_numeric(rhs, coo) -> tuple[list[int], int] | None:
     """
     a = len(rhs)
     rows, cols, coefs = coo
-    if a <= 64:
+    if a <= _DENSE_MAX:
         matrix = _dense(a, coo, np.int64)
         norms_sq = (matrix * matrix).sum(axis=1)
         lu, piv, info = dgetrf(matrix.astype(float))
@@ -322,7 +323,10 @@ def solve_float(rhs, coo) -> np.ndarray:
     if a == 0:
         return np.zeros(0)
     b = np.asarray(rhs, dtype=float)
-    if a <= 64:
+    if a <= _DENSE_MAX:
+        # np.linalg.solve, not _solve_numeric's dgetrf/dgetrs factor: the two
+        # round differently, and sharing the factor moved some values by
+        # 1.1e-16 (numpy 2.4.6, scipy 1.17.1), past the float bit pins.
         dense = _dense(a, coo, float)
         try:
             x = np.linalg.solve(dense, b)

@@ -44,7 +44,7 @@ from .evaluate import (
     random_strategy,
     value_strings,
 )
-from .game import AVG, MAX, MIN, Game, require_stopping
+from .game import MAX, MIN, Game, require_stopping
 from .rng import Rng
 
 # Brute force enumerates 2^d strategy assignments; it refuses more than
@@ -325,24 +325,19 @@ def solve_value_iteration(
     included, in ``value_history``.
     """
     require_stopping(g, "value iteration")
-    # 0-based successors; the layout's terminals loop to themselves, and
-    # no kind mask below covers them, so they keep their values 0 and 1
+    # a terminal's targets are its own position twice, so the average
+    # rule keeps its value 0 or 1
     lay = g.layout
-    a0, a1 = lay.targets
-    max_mask, min_mask = lay.is_max, lay.is_min
-    avg_mask = np.array(g.code[1:]) == AVG
-
     v = np.zeros(g.n)
     v[g.terminal1 - 1] = 1.0
     history = [ValueVector(v, FLOAT)] if keep_history else None
     sweeps = 0
     while sweeps < max_sweeps:
         sweeps += 1
-        left, right = v[a0], v[a1]
-        nv = v.copy()
-        nv[max_mask] = np.maximum(left, right)[max_mask]
-        nv[min_mask] = np.minimum(left, right)[min_mask]
-        nv[avg_mask] = (0.5 * (left + right))[avg_mask]
+        left, right = v[lay.targets]
+        nv = np.where(
+            lay.is_max, np.maximum(left, right), np.where(lay.is_min, np.minimum(left, right), 0.5 * (left + right))
+        )
         diff = np.abs(nv - v).max()
         v = nv
         if history is not None:

@@ -280,6 +280,34 @@ def oracle_improve_all(g: Game, strat: Strategy, v: ValueVector) -> Strategy | N
     return Strategy.from_choice(g, strat.player, new_choice) if switched else None
 
 
+def oracle_value_iteration(g: Game, tol: float = 1e-12) -> list[list[float]]:
+    """``solve_value_iteration`` as a per-node loop over Python floats:
+    every iterate from the zero start, each computed from the one before
+    alone, up to the first whose largest change is below ``tol``."""
+    code, arcs = g.code, g.arcs
+    v = [0.0] * g.n
+    v[g.terminal1 - 1] = 1.0
+    history = [v]
+    while True:
+        nv = list(v)
+        for i in range(1, g.n + 1):
+            c = code[i]
+            if c == TERM:
+                continue
+            j, k = arcs[i - 1]
+            a, b = v[j - 1], v[k - 1]
+            if c == MAX:
+                nv[i - 1] = a if a >= b else b
+            elif c == MIN:
+                nv[i - 1] = a if a <= b else b
+            else:
+                nv[i - 1] = 0.5 * (a + b)
+        history.append(nv)
+        if max(abs(x - y) for x, y in zip(nv, v)) < tol:
+            return history
+        v = nv
+
+
 def common_denominator(xs) -> tuple[list[int], int]:
     """Rationals ``xs`` as numerators over their least common denominator."""
     den = lcm(*(x.denominator for x in xs))

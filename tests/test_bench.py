@@ -103,6 +103,14 @@ def test_plan_validation():
         small_plan(instances_per_cell=0).validate()
     with pytest.raises(ValueError):
         small_plan(algorithms=["nope"]).validate()
+    # a repeated size, ratio or algorithm would run the same jobs twice
+    for change, named in (
+        ({"sizes": [32, 64, 32]}, "plan sizes repeat 32"),
+        ({"ratios": [4, 4]}, "plan ratios repeat 4"),
+        ({"algorithms": ["hk", "perm", "hk"]}, "plan algorithms repeat 'hk'"),
+    ):
+        with pytest.raises(ValueError, match=named):
+            small_plan(**change).validate()
 
 
 def test_plan_json_round_trip():
@@ -270,7 +278,16 @@ def test_cli_malformed_instance_exits_1_with_one_line(tmp_path, capsys, instance
 
 @pytest.mark.parametrize(
     "change",
-    [{"bogus": 1}, {"sizes": "32"}, {"ratios": [4.0]}, {"algorithms": [["hk"]]}, {"master_seed": None}],
+    [
+        {"bogus": 1},
+        {"sizes": "32"},
+        {"ratios": [4.0]},
+        {"algorithms": [["hk"]]},
+        {"master_seed": None},
+        {"sizes": [32, 32]},
+        {"ratios": [4, 4]},
+        {"algorithms": ["hk", "hk"]},
+    ],
 )
 def test_cli_malformed_plan_exits_1_with_one_line(tmp_path, capsys, change):
     plan = json.loads(small_plan().to_json())

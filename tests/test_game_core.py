@@ -254,3 +254,28 @@ def test_layout_matches_kinds_and_arcs(g):
 
     pg = PartialGame(list(g.kinds))
     assert list(pg.code[1:]) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_games())
+@example(build_game([("max", (2, 2)), ("avg", (2, 5)), ("min", (3, 3))]))
+def test_arc_layout_holds_positions(g):
+    """``Game.layout`` indexes value-vector positions, node i at i - 1,
+    and every position it holds is one too."""
+    lay = g.layout
+    assert lay.targets.shape == (2, g.n)
+    for i in range(1, g.n + 1):
+        pair = g.arcs_of(i) or (i, i)
+        assert lay.targets[:, i - 1].tolist() == [pair[0] - 1, pair[1] - 1]
+
+    a = len(g.average_nodes)
+    want_slot = [-1] * g.n
+    for col, i in enumerate(g.average_nodes):
+        want_slot[i - 1] = col
+    want_slot[g.terminal0 - 1], want_slot[g.terminal1 - 1] = a, a + 1
+    assert lay.slot.tolist() == want_slot
+    assert lay.average_nodes.tolist() == [i - 1 for i in g.average_nodes]
+    assert lay.decision_nodes.tolist() == [i - 1 for i in g.max_nodes + g.min_nodes]
+    assert lay.choices.tolist() == lay.targets[:, lay.decision_nodes].tolist()
+    assert lay.is_max.tolist() == [k is NodeKind.MAX for k in g.kinds]
+    assert lay.is_min.tolist() == [k is NodeKind.MIN for k in g.kinds]

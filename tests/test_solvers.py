@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import build_game, fallback_chain, random_stopping_game, solve_by_components
+from conftest import build_game, fallback_chain, oracle_value_iteration, random_stopping_game, solve_by_components
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,6 +75,20 @@ def test_value_iteration_monotone_from_zero():
         assert len(history) == res.iterations + 1  # the zero start, then each sweep
         for prev, cur in zip(history, history[1:]):
             assert all(c >= p - 1e-15 for p, c in zip(prev.values, cur.values))
+
+
+@pytest.mark.parametrize("ratio", [1, 8], ids=["1:4", "8:4"])
+def test_value_iteration_matches_scalar_sweeps(ratio):
+    """The array sweep against a per-node loop over Python floats: the
+    same sweep count and bit-identical iterates, the last one the values."""
+    games = [generate_fully_reduced(RatioSpec(size, ratio), derive_seed(47, size, ratio))[0] for size in (16, 64, 160)]
+    games += [random_stopping_game(seed, max_nodes=10) for seed in range(ratio, ratio + 4)]
+    for g in games:
+        want = [[x.hex() for x in v] for v in oracle_value_iteration(g)]
+        res = solve_value_iteration(g, keep_history=True)
+        assert res.iterations == len(want) - 1
+        assert [[x.hex() for x in v.values] for v in res.value_history] == want
+        assert [x.hex() for x in res.values.values] == want[-1]
 
 
 def test_hoffman_karp_without_max_nodes_single_iteration():
