@@ -40,18 +40,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import linsolve
-from .game import Game, require_stopping
+from .game import EvaluationContractError, Game, require_stopping
 
 EXACT = "exact"
 FLOAT = "float"
 
 DEFAULT_STABLE_TOL = 1e-9
 DEFAULT_SWITCH_MARGIN = 1e-12
-
-
-class EvaluationContractError(RuntimeError):
-    """An internal solve violated its own guarantees (residual, range, or
-    an iteration tripwire); indicates a defect, not a bad input."""
 
 
 class Player(Enum):
@@ -221,7 +216,10 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
 
     Exact mode returns the solver's numerators over its denominator, the
     terminals reading 0 and d and every other node its anchor's numerator;
-    float mode guarantees every equation's residual is at most 1e-9.
+    float mode guarantees every equation's residual is at most 1e-9.  An
+    exact value outside [0, 1] is a defect, ``EvaluationContractError``;
+    a float one, past 1e-9, is ``linsolve.SingularSystemError``, as
+    float64 lost an ill-conditioned system that exact mode solves.
     """
     if mode not in (EXACT, FLOAT):
         raise ValueError(f"unknown mode {mode!r}")
@@ -257,8 +255,8 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
         solution = linsolve.solve_float(rhs, coo)
         if a and (solution.min() < 0.0 or solution.max() > 1.0):
             wild = solution[(solution < -1e-9) | (solution > 1.0 + 1e-9)]
-            if wild.size:
-                raise EvaluationContractError(f"float value {float(wild[0])} outside [0, 1]")
+            if wild.size:  # float64 lost the system, as on a singular one
+                raise linsolve.SingularSystemError(f"float value {float(wild[0])} outside [0, 1]")
             solution = np.where(solution < 0.0, 0.0, np.where(solution > 1.0, 1.0, solution))
         by_slot, den = np.concatenate((solution, (0.0, 1.0))), 1
     return ValueVector(by_slot[node_slot], mode, den)
@@ -324,9 +322,9 @@ def best_response(
     if needed, finishes with exact arithmetic, which leaves the result
     exactly optimal at a fraction of the rational-arithmetic cost.  The
     float phase is only a warm start there: a float system too
-    ill-conditioned to factor ends it, and the exact phase goes on from
-    the current response.  The first evaluation refuses a game that is
-    not stopping.
+    ill-conditioned to factor or to solve inside [0, 1] ends it, and the
+    exact phase goes on from the current response.  The first evaluation
+    refuses a game that is not stopping.
     """
     if fixed.player is player:
         raise ValueError("fixed strategy must belong to the opposite player")

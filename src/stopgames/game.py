@@ -9,9 +9,10 @@ This module also hosts the structural validator, the canonical JSON
 instance format and the backward attractor of a node set (``attractor``).
 The bad core, which decides whether a game is stopping (every strategy
 pair gives every node a path to a terminal), is the complement of one
-attractor (``safety``); the generator's safety witnesses and the
-reducer's forced-value search run on the same function.  Both game
-types answer the stopping question as ``g.stopping``, from
+attractor (``safety``); the generator's safety witnesses, the
+reducer's forced-value search and the children-first order of the
+max/min nodes (``Game.decision_order``) run on the same function.  Both
+game types answer the stopping question as ``g.stopping``, from
 ``find_bad_core`` alone: a ``Game`` on first read, then cached, however
 it was built, and a ``PartialGame`` afresh on every read.
 """
@@ -30,6 +31,11 @@ import numpy as np
 class NonStoppingGameError(ValueError):
     """Raised when an operation that only makes sense on stopping games is
     handed a game with a non-empty bad core."""
+
+
+class EvaluationContractError(RuntimeError):
+    """An internal solve violated its own guarantees (residual, range, or
+    an iteration tripwire); indicates a defect, not a bad input."""
 
 
 class NodeKind(Enum):
@@ -77,7 +83,8 @@ class Game:
     layout once, on first use: whether it is stopping (``stopping``), the
     kind codes (``code``), the parent lists (``parents()``), the nodes
     of each kind in ascending id (``max_nodes``, ``min_nodes``,
-    ``average_nodes``) and the same graph as NumPy arrays (``layout``).
+    ``average_nodes``), the same graph as NumPy arrays (``layout``) and
+    the max/min nodes children first (``decision_order``).
     """
 
     n: int
@@ -140,6 +147,22 @@ class Game:
         of the layout raises ``ValueError`` naming the arc.
         """
         return self._parents
+
+    @cached_property
+    def decision_order(self) -> tuple[int, ...]:
+        """The max/min node ids, each after its max/min children: the
+        order in which they join ``attractor`` of the averages and
+        terminals, a max/min node once both of its arcs lead in.  The
+        max/min nodes of a stopping game form a DAG, as a cycle of them
+        would let play stay off the terminals forever; a cycle, which
+        only a game whose ``stopping`` flag was set by hand can hold,
+        raises ``EvaluationContractError``."""
+        targets = (*self.average_nodes, self.terminal0, self.terminal1)
+        _, joined = attractor(self.code, self.arcs, self.parents(), targets, (MAX, MIN))
+        order = tuple(joined[len(targets):])
+        if len(order) != len(self.max_nodes) + len(self.min_nodes):
+            raise EvaluationContractError("max/min nodes close a cycle")
+        return order
 
     @cached_property
     def layout(self) -> ArcLayout:
@@ -283,15 +306,16 @@ def validate_structure(g) -> list[str]:
     return problems
 
 
-def attractor(code, arcs, parents, target, every) -> list[int]:
+def attractor(code, arcs, parents, target, every) -> tuple[list[int], list[int]]:
     """The backward attractor of ``target``: the targets and, repeatedly,
     every node with an arc into the set; a node whose kind code is in
     ``every`` joins only once all of its arcs lead in, a duplicate arc
     counted twice.  ``code`` and ``parents`` are indexed by node id,
     ``arcs`` by id - 1, as on ``Game``, ``PartialGame`` and the reducer's
-    work view.  ``via[u]`` is the node u joined through, u for a target
-    and 0 outside.  First in, first out: each node joins through nodes
-    taken before it, and each parent list is read once.
+    work view.  Returns ``via`` and the members in the order they joined,
+    targets first.  ``via[u]`` is the node u joined through, u for a
+    target and 0 outside.  First in, first out: each node joins through
+    nodes taken before it, and each parent list is read once.
     """
     via = [0] * len(code)
     left = [0] * len(code)  # a node in ``every``: its arcs still outside, 0 until met
@@ -308,7 +332,7 @@ def attractor(code, arcs, parents, target, every) -> list[int]:
                     continue
             via[p] = u
             queue.append(p)
-    return via
+    return via, queue
 
 
 def safety(g) -> list[int]:
@@ -323,7 +347,7 @@ def safety(g) -> list[int]:
     outright = [
         v for v in range(1, g.n + 1) if code[v] == TERM or len(arcs[v - 1]) < (2 if code[v] == AVG else 1)
     ]
-    return attractor(code, arcs, parents, outright, (MAX, MIN))
+    return attractor(code, arcs, parents, outright, (MAX, MIN))[0]
 
 
 def find_bad_core(g) -> frozenset[int]:

@@ -218,7 +218,7 @@ class _Work:
         """The alive non-terminals whose value is forced to exactly 1 (or
         0), in id order; the search of ``find_terminal_valued`` run on
         this view."""
-        via = attractor(self.code, self.arcs, self.parents, *polarity.escape(self.n))
+        via, _ = attractor(self.code, self.arcs, self.parents, *polarity.escape(self.n))
         return [v for v in self.alive_nonterminals() if not via[v]]
 
     def merge_forced(self) -> None:
@@ -260,7 +260,7 @@ def find_terminal_valued(g: Game, polarity: Polarity) -> frozenset[int]:
     matching terminal is always part of the returned set.
     """
     require_stopping(g, "terminal-valued search")
-    via = attractor(g.code, g.arcs, g.parents(), *polarity.escape(g.n))
+    via, _ = attractor(g.code, g.arcs, g.parents(), *polarity.escape(g.n))
     return frozenset(i for i in range(1, g.n + 1) if not via[i])
 
 
@@ -433,7 +433,7 @@ def check_assumptions(g) -> AssumptionChecklist:
 
     # outside the attractor: entry 0, the matching terminal and forced nodes
     no_solved = stopping and all(
-        attractor(code, arcs, parents, *polarity.escape(g.n)).count(0) == 2 for polarity in Polarity
+        attractor(code, arcs, parents, *polarity.escape(g.n))[0].count(0) == 2 for polarity in Polarity
     )
 
     comps = scc_condense(g)

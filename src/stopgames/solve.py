@@ -24,7 +24,6 @@ import itertools
 import json
 from collections.abc import Callable
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -143,82 +142,93 @@ def solve_hoffman_karp(
 def _order_induced_pair(g: Game, order: list[int]) -> StrategyPair:
     """Strategies consistent with reading ``order`` as ascending values.
 
-    In the subgame where average nodes are sinks ranked by their position
-    (the 1-terminal above all, the 0-terminal below), the max player
-    moves to force the highest rank it can reach and the min player
-    escapes to the lowest-ranked region its opponent cannot prevent.
-    Arc choices follow from each node's rank: the highest rank whose
-    target set (the 1-terminal and the averages at or above it) the max
-    player can force play into, together with the node's attractor level
-    there, the number of moves the witness strategy needs.
+    Averages are sinks ranked by their position in ``order``, the
+    1-terminal k + 1 and the 0-terminal 0.  A max/min node's rank is the
+    highest rank r whose target set (the 1-terminal and the averages of
+    rank r or more) the max player can force play into.  The max/min
+    nodes of a stopping game form a DAG, so one sweep over
+    ``g.decision_order`` gives each max node the larger rank of its
+    children and each min node the smaller.
 
-    The target sets are nested, so one level array serves every rank.  A
-    level is 0 on a target, 1 + the smaller successor level on a max
-    node, 1 + the larger one on a min node, and infinite outside the
-    attractor; it only falls as targets are added.  Adding one target is
-    a single update: its level drops to 0 and only the levels that fall
-    are propagated to parents, lowest first, through a heap.  A node
-    popped with a finite level for the first time joins the current rank
-    with that level.  The levels equal the breadth-first levels of a
-    from-scratch attractor per rank.  A pass costs O((n + m + F) log n)
-    for n nodes, m arcs and F falls of levels that were already finite;
-    on generated games of 200 to 1024 nodes F stays below the number of
-    decision nodes.
+    A min node moves to its lower-ranked child and a max node to its
+    higher-ranked one, each to the first on a tie, except that a max node
+    of rank r >= 1 with both children at r moves to the second when that
+    child's attractor level toward the targets of rank r is smaller.  A
+    level is 0 on a target, 1 + the smallest level among a max node's
+    children of rank r or more, and 1 + the larger level of a min node's
+    children, each counted toward the targets of rank r whatever its own
+    rank.  Only such ties ask for levels, memoized in one list per rank
+    and walked on an explicit stack, as the DAG can be deeper than the
+    recursion limit.
+
+    These are the ranks and breadth-first levels of the max player's
+    attractor of each target set, taken from scratch (after Gimbert and
+    Horn), so every max node of rank r >= 1 has a child at r with a
+    smaller level and every min node a child at its own rank: the
+    attractor witness and the trap escape always exist, and no pass
+    checks for them.
     """
-    n = g.n
-    k = len(order)
-    arcs, code, parents = g.arcs, g.code, g.parents()
+    n, k = g.n, len(order)
+    arcs, code = g.arcs, g.code
     rank = [0] * (n + 1)
     rank[g.terminal1] = k + 1
     for pos, node in enumerate(order, start=1):
         rank[node] = pos
-    level = [0] * (n + 1)  # frozen when a decision node is ranked
-    infinite = n + 1  # finite levels count decision nodes, so stay below n
-    lvl = [infinite] * (n + 1)
-    for i in range(k + 1, 0, -1):
-        target = g.terminal1 if i > k else order[i - 1]
-        lvl[target] = 0
-        heap = [(0, target)]
-        while heap:
-            d, u = heappop(heap)
-            if d != lvl[u]:
-                continue  # superseded by a lower level
-            if not rank[u]:
-                rank[u] = i
-                level[u] = d
-            for p in parents[u]:
-                c = code[p]
-                if c == MAX:
-                    nd = d + 1
-                elif c == MIN:
-                    a, b = arcs[p - 1]
-                    la, lb = lvl[a], lvl[b]
-                    nd = (la if la > lb else lb) + 1
-                else:
+    for v in g.decision_order:
+        a, b = arcs[v - 1]
+        ra, rb = rank[a], rank[b]
+        rank[v] = (ra if ra > rb else rb) if code[v] == MAX else (ra if ra < rb else rb)
+
+    levels: dict[int, list[int]] = {}  # rank -> level per node, -1 until known
+
+    def level(u: int, r: int) -> int:
+        lv = levels.get(r)
+        if lv is None:
+            # every average reads 0: the walk never reaches one below r, as
+            # a max node skips its children below r and a min node on the
+            # walk has both children at r or above
+            lv = levels[r] = [-1] * (n + 1)
+            for x in order:
+                lv[x] = 0
+            lv[g.terminal1] = 0
+        stack = [u]
+        while stack:
+            x = stack[-1]
+            if lv[x] >= 0:
+                stack.pop()
+                continue
+            a, b = arcs[x - 1]
+            if code[x] == MAX:  # a child below rank r is outside the attractor
+                if rank[a] < r:
+                    a = b
+                elif rank[b] < r:
+                    b = a
+                la, lb = lv[a], lv[b]
+                if not la or not lb:  # a target child: the other cannot beat it
+                    lv[x] = 1
+                    stack.pop()
                     continue
-                if nd < lvl[p]:
-                    lvl[p] = nd
-                    heappush(heap, (nd, p))
+            else:
+                la, lb = lv[a], lv[b]
+            if la < 0 or lb < 0:
+                stack += (a, b)
+                continue
+            stack.pop()
+            lv[x] = 1 + ((la if la < lb else lb) if code[x] == MAX else (la if la > lb else lb))
+        return lv[u]
 
     sigma = []
     for v in g.max_nodes:
         a, b = arcs[v - 1]
-        r = rank[v]
-        if r == 0 or rank[a] == r and level[a] < level[v]:
-            sigma.append(0)
-        elif rank[b] == r and level[b] < level[v]:
-            sigma.append(1)
+        ra, rb = rank[a], rank[b]
+        if ra != rb or not ra:
+            sigma.append(1 if ra < rb else 0)
         else:
-            raise EvaluationContractError("attractor witness missing")
+            sigma.append(1 if level(b, ra) < level(a, ra) else 0)
     tau = []
     for v in g.min_nodes:
         a, b = arcs[v - 1]
-        r, ra, rb = rank[v], rank[a], rank[b]
-        # both targets sit at rank <= rank[v]; take the lower region
-        # (kept play can never be forced above the node's own rank)
-        if ra > r and rb > r:
-            raise EvaluationContractError("trap escape missing")
-        tau.append(1 if ra > r or rb <= r and ra > rb else 0)
+        tau.append(1 if rank[a] > rank[b] else 0)
     return StrategyPair(Strategy(Player.MAX, bytes(sigma)), Strategy(Player.MIN, bytes(tau)))
 
 

@@ -325,6 +325,22 @@ def fallback_chain(k: int) -> Game:
     return build_game(chain + [("max", (1, k)), ("min", (k + 1, 2))])
 
 
+def twin_chain(k: int) -> Game:
+    """A fully reduced stopping game whose value systems grow
+    ill-conditioned with k, worth 1/2 at node 1.  Averages a_1..a_k (ids
+    1..k) and b_1..b_k (ids k + 1..2k) form two chains that fall back to
+    each other's start: a_i moves on to a_{i+1} or to b_1, and b_i to
+    b_{i+1} or to a_1, except that a_1's second arc goes to the max node
+    M = 2k + 1 and b_1's to the min node N = 2k + 2, and that a_k leaves
+    for the 0-terminal and b_k for the 1-terminal.  M picks a_1 or b_2,
+    and N picks b_1 or a_2."""
+    a, b = range(0, k + 1), range(k, 2 * k + 1)  # a[i] and b[i] are the ids of a_i and b_i
+    m, mn, t0, t1 = 2 * k + 1, 2 * k + 2, 2 * k + 3, 2 * k + 4
+    chain_a = [("avg", (a[2], m))] + [("avg", (a[i + 1], b[1])) for i in range(2, k)] + [("avg", (t0, b[1]))]
+    chain_b = [("avg", (b[2], mn))] + [("avg", (b[i + 1], a[1])) for i in range(2, k)] + [("avg", (t1, a[1]))]
+    return build_game(chain_a + chain_b + [("max", (a[1], b[2])), ("min", (b[1], a[2]))])
+
+
 def oracle_scc_partition(g: Game) -> set[frozenset[int]]:
     """The non-terminal strongly connected components by mutual
     reachability: u and v share one iff each reaches the other through

@@ -4,7 +4,7 @@ import sys
 from dataclasses import fields
 
 import pytest
-from conftest import fallback_chain
+from conftest import fallback_chain, twin_chain
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -482,6 +482,22 @@ def test_cli_float_solve_of_ill_conditioned_chain_exits_1(tmp_path, capsys, algo
     assert captured.out == ""
     assert captured.err.startswith("error: float64 could not solve the value system")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("algo", ["hk", "perm"])
+def test_cli_float_solve_of_twin_chain_exits_1(tmp_path, capsys, algo):
+    """At k = 80 a float solve of the twin chain's value system lands
+    outside [0, 1]: float64 cannot solve it, reported in one line, and
+    exact mode can."""
+    path = tmp_path / "twin80.json"
+    save_game(twin_chain(80), path)
+    assert main(["solve", "--algo", algo, "--mode", "float", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: float64 could not solve the value system")
+    assert "outside [0, 1]" in captured.err and captured.err.count("\n") == 1
+    assert main(["solve", "--algo", algo, "--mode", "exact", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["values"][0] == "1/2"
 
 
 def test_cli_bench_rejects_non_stopping_instance_file(tmp_path, capsys):

@@ -6,21 +6,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stopgames import (
+    EvaluationContractError,
     Game,
     NodeKind,
     PartialGame,
     Player,
+    RatioSpec,
     Strategy,
     StrategyPair,
     evaluate_strategy_pair,
     find_bad_core,
     game_from_json,
+    generate_basic,
+    generate_fully_reduced,
     game_to_json,
     reduce_game,
     solve_hoffman_karp,
     validate_structure,
 )
 from stopgames.game import AVG, MAX, MIN, TERM
+from stopgames.generate import GenParams, Variant, ratio_counts
 from stopgames.rng import Rng
 
 MINIMAL = build_game([("avg", (2, 3))])
@@ -279,3 +284,52 @@ def test_arc_layout_holds_positions(g):
     assert lay.choices.tolist() == lay.targets[:, lay.decision_nodes].tolist()
     assert lay.is_max.tolist() == [k is NodeKind.MAX for k in g.kinds]
     assert lay.is_min.tolist() == [k is NodeKind.MIN for k in g.kinds]
+
+
+def _max_min_cycle(g) -> bool:
+    """Whether some max/min node reaches itself through max/min nodes, by
+    a search from each one."""
+    decision = set(g.max_nodes + g.min_nodes)
+    for start in decision:
+        seen, todo = set(), [start]
+        while todo:
+            for t in g.arcs_of(todo.pop()):
+                if t == start:
+                    return True
+                if t in decision and t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+    return False
+
+
+def _assert_children_first(g) -> None:
+    order = g.decision_order
+    assert sorted(order) == sorted(g.max_nodes + g.min_nodes)
+    position = {v: i for i, v in enumerate(order)}
+    for v in order:
+        for t in g.arcs_of(v):
+            assert position.get(t, -1) < position[v], (v, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_games())
+@example(build_game([("max", (2, 2)), ("avg", (2, 5)), ("min", (3, 3))]))
+@example(build_game([("max", (2, 3)), ("min", (3, 3)), ("avg", (4, 5))]))
+def test_decision_order_lists_children_first(g):
+    """``Game.decision_order`` lists every max/min node once, after its
+    max/min children, unless they close a cycle, which no stopping game
+    holds and which raises."""
+    if _max_min_cycle(g):
+        assert not g.stopping
+        with pytest.raises(EvaluationContractError, match="close a cycle"):
+            g.decision_order
+    else:
+        _assert_children_first(g)
+        assert g.decision_order is g.decision_order  # built once per game
+
+
+@pytest.mark.parametrize("size,ratio", [(64, 1), (128, 8), (512, 4)])
+def test_decision_order_of_generated_games(size, ratio):
+    _assert_children_first(generate_fully_reduced(RatioSpec(size, ratio), 5)[0])
+    a, b, c = ratio_counts(size, ratio)
+    _assert_children_first(generate_basic(GenParams(a + b + c + 2, a, b, c, 5, Variant.BASIC)))

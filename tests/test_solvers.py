@@ -5,7 +5,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import build_game, fallback_chain, oracle_value_iteration, random_stopping_game, solve_by_components
+from conftest import (
+    build_game,
+    fallback_chain,
+    oracle_value_iteration,
+    random_stopping_game,
+    solve_by_components,
+    twin_chain,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,15 +20,18 @@ from stopgames import (
     EXACT,
     FLOAT,
     EvaluationContractError,
+    Game,
     NodeKind,
     NonStoppingGameError,
     Player,
     RatioSpec,
     Strategy,
     StrategyPair,
+    check_assumptions,
     generate_fully_reduced,
     is_stable,
     linsolve,
+    reduce_game,
     solve_brute_force,
     solve_hoffman_karp,
     solve_permutation_improvement,
@@ -113,6 +123,37 @@ def test_permutation_requires_average_nodes():
     g = build_game([("max", (2, 3)), ("min", (3, 4))])
     with pytest.raises(ValueError):
         solve_permutation_improvement(g, seed=0)
+
+
+def test_permutation_rejects_max_min_cycle_on_game_flagged_stopping():
+    """Max node 1 and min node 2 close a cycle, which no stopping game
+    holds; with the stopping flag planted by hand, perm stops at the
+    order of the max/min nodes instead of looping or misreading ranks."""
+    g = build_game([("max", (2, 3)), ("min", (1, 4)), ("avg", (4, 5))])
+    assert not g.stopping
+    flagged = Game(g.n, g.kinds, g.arcs)
+    flagged.__dict__["stopping"] = True
+    for mode in (EXACT, FLOAT):
+        with pytest.raises(EvaluationContractError, match="close a cycle"):
+            solve_permutation_improvement(flagged, 0, mode)
+
+
+def test_permutation_deeper_than_recursion_limit():
+    """A 3000-node game whose max/min DAG is 2997 deep: min nodes c_1..c_L
+    each move on or to the 1-terminal, c_L to the average A, and the max
+    node M picks c_1 or A.  Every rank ties at M, so its arc is chosen by
+    the attractor level of c_1, which is L."""
+    length = 2996
+    m, avg, t0, t1 = length + 1, length + 2, length + 3, length + 4
+    chain = [("min", (i + 1, t1)) for i in range(1, length)] + [("min", (avg, t1))]
+    g = build_game(chain + [("max", (1, avg)), ("avg", (t0, t1))])
+    assert g.n == 3000
+    want = solve_hoffman_karp(g, 0, EXACT).values
+    assert want.value(m) == Fraction(1, 2)
+    for mode in (EXACT, FLOAT):
+        res = solve_permutation_improvement(g, 0, mode)
+        assert [res.values.value(i) for i in range(1, g.n + 1)] == [want.value(i) for i in range(1, g.n + 1)]
+        assert res.strategies.sigma.choice(g) == {m: 1}
 
 
 def test_permutation_final_order_sorted_by_value():
@@ -274,6 +315,51 @@ def test_exact_solvers_on_ill_conditioned_chain(monkeypatch, k):
         assert bool(answered) == (k >= 80), (algo, answered)
 
 
+@pytest.mark.parametrize("k", [20, 70, 80, 160])
+def test_exact_solvers_on_twin_chain(k):
+    """The twin chain is fully reduced, so ``reduce_game`` leaves it as it
+    is, and exact hk, perm and brute force agree on it, node 1 worth 1/2.
+    From k = 70 the float LU in hk's best-response warm start solves to a
+    value outside [0, 1], and that phase hands over to the exact one."""
+    g = twin_chain(k)
+    assert check_assumptions(g).fully_reduced
+    assert reduce_game(g)[0] == g
+    want = solve_brute_force(g).values
+    assert want.value(1) == Fraction(1, 2)
+    for algo in ("hk", "perm"):
+        assert SOLVERS[algo](g, 1, EXACT).values == want, algo
+
+
+@pytest.mark.parametrize(
+    "algo,k",
+    [
+        ("hk", 20),
+        ("hk", 70),
+        ("hk", 80),
+        ("hk", 160),
+        ("perm", 20),
+        *(
+            pytest.param("perm", k, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason))
+            for k, reason in ((70, "float perm answers about 2.1e-5 at node 1"), (80, "float perm answers about 3.0e-8 at node 1"))
+        ),
+        ("perm", 160),
+    ],
+)
+def test_float_solvers_on_twin_chain(algo, k):
+    """Float hk and perm on the twin chain come within 1e-9 of the exact
+    values or refuse with ``SingularSystemError``.  Float perm at k = 70
+    and 80 returns a wrong vector instead: a known silent wrong answer,
+    pinned here until float answers are certified against exact
+    arithmetic."""
+    g = twin_chain(k)
+    want = SOLVERS[algo](g, 1, EXACT).values
+    try:
+        res = SOLVERS[algo](g, 1, FLOAT)
+    except linsolve.SingularSystemError:
+        return
+    assert all(abs(res.values.value(i) - want.value(i)) <= 1e-9 for i in range(1, g.n + 1))
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="float64 answers about 2.7e-20 at node 1 and is_stable accepts it")
 @pytest.mark.parametrize("algo", ["hk", "perm"])
 def test_float_solvers_on_ill_conditioned_chain_120(algo):
@@ -381,6 +467,9 @@ def _equivalence_games():
         a, b, c = ratio_counts(200, 1 + j)
         yield generate_basic(GenParams(a + b + c + 2, a, b, c, derive_seed(42, j), Variant.BASIC)), 24
     yield generate_fully_reduced(RatioSpec(512, 8), derive_seed(43, 512, 8))[0], 4
+    # 1:4 at 1024 nodes: many max nodes with both arcs at their own rank,
+    # whose arc the attractor levels choose
+    yield generate_fully_reduced(RatioSpec(1024, 1), derive_seed(43, 1024, 1))[0], 4
 
 
 def test_order_induced_pair_matches_from_scratch_attractors():
