@@ -4,10 +4,11 @@ Both variants build a game in two phases.  Phase 1 numbers the nodes and
 gives every non-terminal a first arc to a strictly higher-numbered node,
 which already guarantees a path to a terminal.  Phase 2 hands out second
 arcs: average nodes may point anywhere, while each max/min node picks
-uniformly from the set of targets that provably cannot close a player-
-controlled terminal-free trap (``find_valid_arcs``).  The result is
-always a stopping game, and any stopping game without max/min arcs to
-terminals can be produced under some seed.
+uniformly among the targets that provably cannot close a player-
+controlled terminal-free trap (the valid arcs; ``find_valid_arcs``
+lists them as a set).  The result is always a stopping game, and any
+stopping game without max/min arcs to terminals can be produced under
+some seed.
 
 Valid targets come from a witness index (``_WitnessIndex``) over the
 partial game, which must have an empty bad core; the phase-1 game has
@@ -23,7 +24,10 @@ derivation passes through a node m form m's dependency region; only
 inside it can an arc out of m trap a node, so the search and the
 witness updates after each added arc touch that region alone (delete and
 rederive, as in Gupta, Mumick & Subrahmanian, "Maintaining views
-incrementally", SIGMOD 1993), never all of m's ancestors.
+incrementally", SIGMOD 1993), never all of m's ancestors.  The search
+builds no set: it leaves one mark per node, and the phase-2 draw counts
+and indexes the unmarked candidates in place, the in-degree-zero list
+in Python and all nodes in one NumPy pass over the marks.
 
 The modified variant additionally plants average nodes next to both
 terminals, keeps max/min arcs off the terminals, steers second arcs
@@ -45,7 +49,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
-from .game import AVG, Game, NodeKind, PartialGame, safety
+import numpy as np
+
+from .game import AVG, MAX, MIN, Game, NodeKind, PartialGame, safety
 from .reduce import check_assumptions, merge_terminal_valued
 from .rng import Rng, derive_seed
 
@@ -145,6 +151,10 @@ class _WitnessIndex:
     (module docstring), so its entry is never read.  Kind codes, arc and
     parent lists are the game's own, read live; parents are never
     terminals, so a parent that is not an average is a max/min node.
+
+    ``marks`` holds the answer of the last ``trapped(m)``, one byte per
+    node id: 1 for a trapped node, 2 for a freed one (in m's region, not
+    trapped), 0 outside m's region; ``region`` lists m's region.
     """
 
     def __init__(self, g):
@@ -158,14 +168,15 @@ class _WitnessIndex:
             raise ValueError(
                 f"partial game has a non-empty bad core (node {self.witness.index(0, 1)} can avoid the terminals)"
             )
-        self._state = [0] * (n + 1)  # per ``trapped`` call; 1: in m's region, 2: freed
+        self.marks = bytearray(n + 1)
+        self.region = []
         self._inside = [0] * (n + 1)  # per ``trapped`` call: a max/min region node's arcs into the region
-        self._region = []
         self._found = (0, None)  # m and the new witnesses of the last ``trapped``
 
-    def trapped(self, m: int) -> set[int]:
-        """Nodes that an added arc out of max/min node m could trap: those
-        with no derivation of safety that avoids m (m included).
+    def trapped(self, m: int) -> int:
+        """Mark the nodes that an added arc out of max/min node m could
+        trap, those with no derivation of safety that avoids m (m
+        included), and return their count.
 
         One upward walk collects m's region, the nodes whose derivation
         passes through m (every max/min parent of a region node, an
@@ -173,39 +184,41 @@ class _WitnessIndex:
         node's arcs into it.  Averages with an arc out of the region are
         freed, and freedom spreads upward inside it; the rest is
         trapped.  The new witness of each freed average is kept for
-        ``add_arc``.  The node marks are cleared on the next call, so a
-        call touches the last region and its own alone.
+        ``add_arc``.  ``marks`` stays valid until the next call, which
+        clears the last region's marks, so a call touches that region
+        and its own alone.
         """
         code, arcs, parents, witness = self.code, self.arcs, self.parents, self.witness
-        state, inside = self._state, self._inside
-        for v in self._region:
-            state[v] = 0
-        state[m] = 1
+        marks, inside = self.marks, self._inside
+        for v in self.region:
+            marks[v] = 0
+        marks[m] = 1
         inside[m] = 0
-        region = self._region = [m]
+        region = self.region = [m]
+        averages = []
         for u in region:
             for par in parents[u]:
                 if code[par] == AVG:
-                    if not state[par] and witness[par] == u:
-                        state[par] = 1
+                    if witness[par] == u and not marks[par]:
+                        marks[par] = 1
                         region.append(par)
-                elif state[par]:
+                        averages.append(par)
+                elif marks[par]:
                     inside[par] += 1
                 else:
-                    state[par] = 1
+                    marks[par] = 1
                     inside[par] = 1
                     region.append(par)
         new = {}  # freed average -> its new witness
-        for v in region:
-            if code[v] == AVG:
-                a, b = arcs[v - 1]
-                if not (state[a] and state[b]):
-                    new[v] = b if state[a] else a
-                    state[v] = 2
+        for v in averages:
+            a, b = arcs[v - 1]
+            if not (marks[a] and marks[b]):
+                new[v] = b if marks[a] else a
+                marks[v] = 2
         freed = list(new)
         for u in freed:
             for par in parents[u]:
-                if state[par] != 1:
+                if marks[par] != 1:
                     continue
                 if code[par] == AVG:
                     new[par] = u
@@ -213,13 +226,13 @@ class _WitnessIndex:
                     inside[par] -= 1
                     if inside[par]:
                         continue
-                state[par] = 2
+                marks[par] = 2
                 freed.append(par)
         self._found = (m, new)
-        return {v for v in region if state[v] == 1}
+        return len(region) - len(freed)
 
     def add_arc(self, m: int, q: int) -> None:
-        """Add arc (m, q), q outside ``trapped(m)``.
+        """Add arc (m, q), q not trapped by ``trapped(m)``.
 
         Only a q in m's region has a derivation through m, which the new
         arc would close into a cycle; then every freed node takes the
@@ -230,7 +243,7 @@ class _WitnessIndex:
         new = self._found[1]
         self._found = (0, None)
         self.game.add_arc(m, q)
-        if self._state[q]:
+        if self.marks[q]:
             witness = self.witness
             for v, w in new.items():
                 witness[v] = w
@@ -241,61 +254,89 @@ def find_valid_arcs(g, m: int) -> set[int]:
 
     ``g`` must be a partial game with an empty bad core, the generator's
     invariant; otherwise ``ValueError``.  ``m`` must be a max or min node
-    with exactly one out-arc.  A target is valid unless it lies in m's
-    trapped set (``_WitnessIndex.trapped``): the nodes that, with m
+    with exactly one out-arc.  A target is valid unless
+    ``_WitnessIndex.trapped`` marks it trapped: the nodes that, with m
     unsafe, have no derivation of safety (an average node with a missing
     arc or an arc to a safe node, a max/min node whose every present arc
     leads to one).  Terminals are always valid targets and are left in the
     result; generators strip them.
 
-    The returned set excludes m and m's current target.
+    The set is built from the marks, for callers outside the generator;
+    it excludes m and m's current target.
     """
     if not g.kind(m).is_decision:
         raise ValueError(f"node {m} is not a max or min node")
     out_m = g.arcs_of(m)
     if len(out_m) != 1:
         raise ValueError(f"node {m} must have exactly one out-arc, has {len(out_m)}")
-    valid = set(range(1, g.n + 1)) - _WitnessIndex(g).trapped(m)
-    valid.discard(out_m[0])
-    return valid
+    index = _WitnessIndex(g)
+    index.trapped(m)
+    marks = index.marks
+    return {q for q in range(1, g.n + 1) if marks[q] != 1 and q != out_m[0]}
 
 
-def _draw(rng: Rng, pool, skip: set[int]) -> int | None:
+def _draw(rng: Rng, pool, skip) -> int | None:
     """Uniform element of the ascending sequence ``pool`` outside the
-    positions ``skip``, with one ``randbelow`` call; None, without a call,
-    when nothing is left."""
+    ascending positions ``skip``, with one ``randbelow`` call; None,
+    without a call, when nothing is left."""
     count = len(pool) - len(skip)
     if not count:
         return None
     x = rng.randbelow(count)
-    for i in sorted(skip):
+    for i in skip:
         if i > x:
             break
         x += 1
     return pool[x]
 
 
+def _draw_untrapped(rng: Rng, pool: list[int], marks) -> int | None:
+    """Uniform element of ``pool`` not marked trapped (1), with one
+    ``randbelow`` call; None, without a call, when nothing is left."""
+    free = [q for q in pool if marks[q] != 1]
+    return free[rng.randbelow(len(free))] if free else None
+
+
+def _draw_target(rng: Rng, marks, view, p: int) -> int | None:
+    """Uniform non-terminal node id that is not marked trapped (1) and is
+    not ``p``, with one ``randbelow`` call; None, without a call, when
+    nothing is left.  ``marks`` is indexed by node id, the terminals
+    last, and ``view`` is a NumPy view of its non-terminal entries,
+    ``marks[1:-2]``; one pass over it lists the free ids."""
+    free = (view != 1).nonzero()[0]
+    skip_p = p <= len(view) and marks[p] != 1
+    count = len(free) - skip_p
+    if not count:
+        return None
+    x = rng.randbelow(count)
+    q = int(free[x]) + 1
+    if skip_p and q >= p:
+        q = int(free[x + 1]) + 1
+    return q
+
+
 def _assign_second_arcs_decisions(pg: PartialGame, rng: Rng, prefer_zero_indegree: bool):
-    """Phase-2 loop for max/min nodes; False return means a dead end."""
+    """Phase-2 loop for max/min nodes; False return means a dead end.
+
+    Each step draws m's second arc among the nodes ``trapped(m)`` leaves
+    unmarked, minus m's current target and the terminals: first among
+    the in-degree-zero nodes if ``prefer_zero_indegree``, which are never
+    a target or a terminal (the modified builder feeds both terminals).
+    """
     n = pg.n
-    terminals = (pg.terminal0, pg.terminal1)
-    pending = [
-        i
-        for i in range(1, n + 1)
-        if pg.kind(i).is_decision and len(pg.arcs_of(i)) == 1
-    ]
+    code, arcs = pg.code, pg.arcs
+    pending = [i for i in range(1, n + 1) if code[i] in (MAX, MIN) and len(arcs[i - 1]) == 1]
     index = _WitnessIndex(pg)
+    marks = index.marks
+    view = np.frombuffer(marks, np.uint8, n - 2, 1)
     parents = pg.parents()
     zero = [q for q in range(1, n + 1) if not parents[q]]
     while pending:
         m = pending.pop(rng.randbelow(len(pending)))
-        excluded = index.trapped(m).union(pg.arcs_of(m), terminals)
-        q = None
-        if prefer_zero_indegree:
-            skip = {bisect_left(zero, e) for e in excluded if not parents[e]}
-            q = _draw(rng, zero, skip)
+        index.trapped(m)
+        q = _draw_untrapped(rng, zero, marks) if prefer_zero_indegree else None
         if q is None:
-            q = _draw(rng, range(1, n + 1), {e - 1 for e in excluded})
+            q = _draw_target(rng, marks, view, arcs[m - 1][0])
             if q is None:
                 return False
         if not parents[q]:
@@ -305,14 +346,12 @@ def _assign_second_arcs_decisions(pg: PartialGame, rng: Rng, prefer_zero_indegre
 
 
 def _complete_average_arcs(pg: PartialGame, rng: Rng):
-    pending = [
-        i
-        for i in range(1, pg.n + 1)
-        if pg.kind(i) is NodeKind.AVERAGE and len(pg.arcs_of(i)) == 1
-    ]
+    code, arcs = pg.code, pg.arcs
+    pending = [i for i in range(1, pg.n + 1) if code[i] == AVG and len(arcs[i - 1]) == 1]
     while pending:
         m = pending.pop(rng.randbelow(len(pending)))
-        pg.add_arc(m, _draw(rng, range(1, pg.n + 1), {m - 1, pg.arcs_of(m)[0] - 1}))
+        # m below its first target: first arcs point higher
+        pg.add_arc(m, _draw(rng, range(1, pg.n + 1), (m - 1, arcs[m - 1][0] - 1)))
 
 
 def _labelled(p: GenParams, rng: Rng, planted: int) -> PartialGame:
@@ -375,11 +414,7 @@ def _build_modified(p: GenParams, rng: Rng) -> PartialGame | None:
 
     parents = pg.parents()
     zero = [q for q in range(1, n + 1) if not parents[q]]
-    single = [
-        m
-        for m in range(1, n + 1)
-        if pg.kind(m) is NodeKind.AVERAGE and len(pg.arcs_of(m)) == 1
-    ]
+    single = [m for m in range(1, n + 1) if pg.code[m] == AVG and len(pg.arcs[m - 1]) == 1]
     r = rng.randint(max(len(zero) - (p.b + p.c), 0), min(p.a, len(zero)))
     for _ in range(r):
         # eligible while an in-degree-zero node other than m is left (m's
@@ -388,7 +423,7 @@ def _build_modified(p: GenParams, rng: Rng) -> PartialGame | None:
         if not eligible:
             break
         m = eligible[rng.randbelow(len(eligible))]
-        q = _draw(rng, zero, {bisect_left(zero, m)} if not parents[m] else set())
+        q = _draw(rng, zero, (bisect_left(zero, m),) if not parents[m] else ())
         pg.add_arc(m, q)
         del zero[bisect_left(zero, q)]
         del single[bisect_left(single, m)]

@@ -54,10 +54,16 @@ class Rng:
         if n <= 0:
             raise ValueError(f"randbelow needs a positive bound, got {n}")
         limit = (1 << 64) - ((1 << 64) % n)
+        # ``u64`` written out: the generator draws thousands of times per game
+        state = self._state
         while True:
-            x = self.u64()
-            if x < limit:
-                return x % n
+            state = (state + _GAMMA) & _MASK64
+            z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+            z ^= z >> 31
+            if z < limit:
+                self._state = state
+                return z % n
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], inclusive on both ends."""

@@ -438,11 +438,11 @@ def brute_force_valid_arcs(pg: PartialGame, m: int) -> set[int]:
     return valid
 
 
-def ancestor_peel_valid_arcs(g, m: int) -> set[int]:
-    """Reference valid-arc search, the generator's former algorithm: mark
+def ancestor_peel_trapped(g, m: int) -> set[int]:
+    """Reference trapped set, from the generator's former algorithm: mark
     every ancestor of m unsafe, then restore nodes that provably cannot sit
-    in a player-controlled terminal-free set.  O(n) per call."""
-    p = g.arcs_of(m)[0]
+    in a player-controlled terminal-free set; the nodes left unsafe.  O(n)
+    per call."""
     parents = g.parents()
     safe = [True] * (g.n + 1)
     safe[m] = False
@@ -471,7 +471,13 @@ def ancestor_peel_valid_arcs(g, m: int) -> set[int]:
         for par in parents[v]:
             if not safe[par] and par != m:
                 queue.append(par)
-    return {q for q in range(1, g.n + 1) if safe[q]} - {m, p}
+    return {q for q in range(1, g.n + 1) if not safe[q]}
+
+
+def ancestor_peel_valid_arcs(g, m: int) -> set[int]:
+    """Reference valid-arc search: every node outside
+    ``ancestor_peel_trapped``, less m's current target."""
+    return set(range(1, g.n + 1)) - ancestor_peel_trapped(g, m) - {g.arcs_of(m)[0]}
 
 
 def oracle_values(g: Game) -> dict[int, Fraction]:

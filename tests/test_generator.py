@@ -3,8 +3,9 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
-from conftest import ancestor_peel_valid_arcs, brute_force_valid_arcs, build_game, deep_partial
+from conftest import ancestor_peel_trapped, ancestor_peel_valid_arcs, brute_force_valid_arcs, build_game, deep_partial
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -189,10 +190,16 @@ class CheckedWitnessIndex(generate._WitnessIndex):
         assert_well_founded(self)
 
     def trapped(self, m):
-        u = super().trapped(m)
-        valid = set(range(1, self.game.n + 1)) - u - set(self.game.arcs_of(m))
+        count = super().trapped(m)
+        n, marks = self.game.n, self.marks
+        assert set(marks) <= {0, 1, 2} and marks[0] == 0
+        assert {v for v in range(1, n + 1) if marks[v]} == set(self.region)
+        u = {v for v in range(1, n + 1) if marks[v] == 1}
+        valid = set(range(1, n + 1)) - u - set(self.game.arcs_of(m))
         assert valid == ancestor_peel_valid_arcs(self.game, m)
-        return u
+        peel = ancestor_peel_trapped(self.game, m)
+        assert u == peel and count == len(peel)
+        return count
 
     def add_arc(self, m, q):
         super().add_arc(m, q)
@@ -410,31 +417,19 @@ def test_fully_reduced_deterministic():
     assert game_to_json(a) == game_to_json(b)
 
 
-def arcs_as_sets(g):
-    return {i: frozenset(g.arcs_of(i)) for i in range(1, g.n + 1)}
-
-
-def isomorphic_fixed_terminals(g, target) -> bool:
-    """Kind-preserving node bijection fixing both terminals."""
-    if g.n != target.n:
-        return False
-    t_kinds = {k: [i for i in range(1, target.n - 1) if target.kind(i) is k] for k in NodeKind}
-    g_kinds = {k: [i for i in range(1, g.n - 1) if g.kind(i) is k] for k in NodeKind}
-    if any(len(t_kinds[k]) != len(g_kinds[k]) for k in NodeKind):
-        return False
-    t_arcs, g_arcs = arcs_as_sets(target), arcs_as_sets(g)
-    kinds_present = [k for k in (NodeKind.MAX, NodeKind.MIN, NodeKind.AVERAGE) if t_kinds[k]]
-    perms = [itertools.permutations(g_kinds[k]) for k in kinds_present]
-    for combo in itertools.product(*perms):
-        phi = {target.n - 1: g.n - 1, target.n: g.n}
-        for k, image in zip(kinds_present, combo):
-            phi.update(zip(t_kinds[k], image))
-        if all(
-            frozenset(phi[t] for t in t_arcs[i]) == g_arcs[phi[i]]
-            for i in range(1, target.n - 1)
-        ):
-            return True
-    return False
+def canonical_form(g):
+    """A key equal for two games exactly when a kind-preserving node
+    bijection fixing both terminals maps each node's arcs, as an unordered
+    pair, onto its image's."""
+    n = g.n
+    by_kind = [[i for i in range(1, n - 1) if g.kind(i) is k] for k in (NodeKind.MAX, NodeKind.MIN, NodeKind.AVERAGE)]
+    keys = []
+    for order in itertools.product(*(itertools.permutations(ids) for ids in by_kind)):
+        phi = {old: new for new, old in enumerate(itertools.chain(*order), start=1)}
+        phi[n - 1], phi[n] = n - 1, n
+        relabelled = {phi[i]: tuple(sorted(phi[t] for t in g.arcs_of(i))) for i in range(1, n - 1)}
+        keys.append(tuple(relabelled[i] for i in range(1, n - 1)))
+    return tuple(len(ids) for ids in by_kind), min(keys)
 
 
 def test_seed_sweep_reaches_fixed_six_node_game():
@@ -452,6 +447,154 @@ def test_seed_sweep_reaches_fixed_six_node_game():
     params = dict(n=6, a=2, b=1, c=1)
     for seed in range(20000):
         g = generate_basic(GenParams(seed=seed, **params))
-        if isomorphic_fixed_terminals(g, target):
+        if canonical_form(g) == canonical_form(target):
             return
     raise AssertionError("seed sweep never produced the target game")
+
+
+def set_draw(rng, pool, skip):
+    """The phase-2 draw as a set-based oracle: a uniform element of the
+    ascending sequence ``pool`` outside the positions in the set
+    ``skip``, with one ``randbelow`` call; None, without a call, when
+    nothing is left."""
+    count = len(pool) - len(skip)
+    if not count:
+        return None
+    x = rng.randbelow(count)
+    for i in sorted(skip):
+        if i > x:
+            break
+        x += 1
+    return pool[x]
+
+
+def test_marks_draws_pick_what_the_set_draw_picks():
+    """On random marks, pools and current targets, the two marks-based
+    draws and ``_draw`` take the same node and RNG state as the set-based
+    draw over the same exclusions: trapped nodes (mark 1), the target and
+    the terminals."""
+    picks = nones = 0
+    for case in range(600):
+        rng = Rng(derive_seed(51, case))
+        n = 3 + rng.randbelow(40)
+        marks = bytearray(n + 1)
+        for v in range(1, n - 1):
+            marks[v] = (0, 0, 1, 1, 1, 2)[rng.randbelow(6)] if case % 5 else 1
+        view = np.frombuffer(marks, np.uint8, n - 2, 1)
+        p = 1 + rng.randbelow(n)
+        excluded = {v for v in range(1, n + 1) if marks[v] == 1} | {p, n - 1, n}
+        pool = [q for q in range(1, n - 1) if q != p and rng.randbelow(2)]
+        seed = rng.u64()
+        draws = [
+            (
+                lambda r: generate._draw_target(r, marks, view, p),
+                lambda r: set_draw(r, range(1, n + 1), {e - 1 for e in excluded}),
+            ),
+            (
+                lambda r: generate._draw_untrapped(r, pool, marks),
+                lambda r: set_draw(r, pool, {pool.index(e) for e in excluded if e in pool}),
+            ),
+            (
+                lambda r: generate._draw(r, pool, sorted(pool.index(e) for e in excluded if e in pool)),
+                lambda r: set_draw(r, pool, {pool.index(e) for e in excluded if e in pool}),
+            ),
+        ]
+        for new, old in draws:
+            got_rng, want_rng = Rng(seed), Rng(seed)
+            got = new(got_rng)
+            assert got == old(want_rng) and type(got) in (int, type(None))
+            assert got_rng._state == want_rng._state
+            picks += got is not None
+            nones += got is None
+    assert picks > 1000 and nones > 100
+
+
+@pytest.mark.parametrize("prefer_zero_indegree", [False, True])
+def test_phase2_step_without_valid_target_is_a_dead_end_without_a_draw(prefer_zero_indegree):
+    # max node 1 points at average 2, which feeds both terminals: the
+    # non-terminals are 1 itself, trapped, and its current target 2, so
+    # no second arc is left
+    pg = PartialGame([NodeKind.MAX, NodeKind.AVERAGE, NodeKind.TERMINAL0, NodeKind.TERMINAL1])
+    pg.add_arc(1, 2)
+    pg.add_arc(2, 3)
+    pg.add_arc(2, 4)
+    rng, picked = Rng(7), Rng(7)
+    picked.randbelow(1)  # the pending node's pick, the step's only draw
+    assert generate._assign_second_arcs_decisions(pg, rng, prefer_zero_indegree) is False
+    assert rng._state == picked._state
+    assert pg.arcs_of(1) == (2,)
+
+
+class ReplayRng(Rng):
+    """Answers the draws of one choice path: the i-th ``randbelow`` call
+    returns ``path[i]``, or 0 past its end, and every bound is recorded."""
+
+    def __init__(self, path):
+        super().__init__(0)
+        self.path = path
+        self.bounds = []
+
+    def randbelow(self, n):
+        i = len(self.bounds)
+        self.bounds.append(n)
+        return self.path[i] if i < len(self.path) else 0
+
+    def u64(self):
+        raise AssertionError("the builders draw through randbelow alone")
+
+
+def every_choice_path(build, params):
+    """``build(params, rng)`` on every choice path of its draws, in
+    lexicographic order of the choices."""
+    path = []
+    while True:
+        rng = ReplayRng(path)
+        yield build(params, rng)
+        choices = path + [0] * (len(rng.bounds) - len(path))
+        i = len(choices) - 1
+        while i >= 0 and choices[i] == rng.bounds[i] - 1:
+            i -= 1
+        if i < 0:
+            return
+        path = choices[:i] + [choices[i] + 1]
+
+
+def fully_reduced_classes(games):
+    """``canonical_form`` of each fully reduced game, mapped to whether
+    its non-terminals form a single component."""
+    classes = {}
+    for g in games:
+        checklist = check_assumptions(g)
+        if checklist.fully_reduced:
+            classes[canonical_form(g.freeze())] = checklist.single_nonterminal_scc
+    return classes
+
+
+def test_modified_builder_reaches_every_fully_reduced_six_node_game():
+    """Completeness at n = 6 with 2 averages, 1 min and 1 max node: the
+    attempts that pass the checklist over every choice path of
+    ``_build_modified`` are, up to kind-preserving isomorphism with the
+    terminals fixed, exactly the fully reduced games of those kinds,
+    listed by brute force; so are the single-component ones, which
+    ``generate_fully_reduced`` accepts."""
+    params = GenParams(n=6, a=2, b=1, c=1, seed=0, variant=Variant.MODIFIED)
+    attempts = list(every_choice_path(_build_modified, params))
+    image = fully_reduced_classes(pg for pg in attempts if pg is not None)
+
+    def listed_games():
+        # nodes 1 max, 2 min, 3 and 4 averages; fully reduced games have
+        # no self or duplicate arcs and no max/min arcs to the terminals
+        kinds = [NodeKind.MAX, NodeKind.MIN, NodeKind.AVERAGE, NodeKind.AVERAGE, NodeKind.TERMINAL0, NodeKind.TERMINAL1]
+        options = [itertools.combinations([t for t in range(1, 7 if i > 2 else 5) if t != i], 2) for i in range(1, 5)]
+        for arcs in itertools.product(*map(list, options)):
+            pg = PartialGame(kinds)
+            for i, out in enumerate(arcs, start=1):
+                for t in out:
+                    pg.add_arc(i, t)
+            yield pg
+
+    listed = fully_reduced_classes(listed_games())
+    assert len(attempts) == 1796
+    assert len(listed) == 11 and sum(listed.values()) == 7
+    assert sorted(set(listed) - set(image)) == [] and sorted(set(image) - set(listed)) == []
+    assert image == listed

@@ -30,6 +30,43 @@ def test_rng_known_stream():
     assert rng.u64() == 0x6E789E6AA1B965F4
 
 
+def test_rng_matches_published_splitmix64_outputs():
+    rng = Rng(1234567)
+    assert [rng.u64() for _ in range(5)] == [
+        6457827717110365317,
+        3203168211198807973,
+        9817491932198370423,
+        4593380528125082431,
+        16408922859458223821,
+    ]
+
+
+@pytest.mark.parametrize("bound", [1, 3, 7, 1000003, 2**63 + 1, 2**64 - 1])
+def test_randbelow_matches_reference_loop(bound):
+    """``randbelow`` against the SplitMix64 step and the rejection rule
+    written out: the same draw and the same state after every draw.  At
+    2**63 + 1 about half of all outputs are rejected."""
+    mask = 2**64 - 1
+    limit = 2**64 - 2**64 % bound
+    state = derive_seed(11, bound)
+    rng = Rng(state)
+    rejected = 0
+    for _ in range(1000):
+        while True:
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = state
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            z ^= z >> 31
+            if z < limit:
+                break
+            rejected += 1
+        assert rng.randbelow(bound) == z % bound
+        assert rng._state == state
+    if bound == 2**63 + 1:
+        assert 400 < rejected < 1600
+
+
 def test_randbelow_range_and_coverage():
     rng = Rng(3)
     draws = [rng.randbelow(7) for _ in range(2000)]
