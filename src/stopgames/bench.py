@@ -256,18 +256,29 @@ def records_csv_text(records) -> str:
 
 
 def read_records_csv(path) -> list[BenchRecord]:
+    """The records of a CSV as ``write_records_csv`` writes it; a
+    malformed row is a ``ValueError`` naming its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header}")
-        out = []
-        for row in reader:
-            iid, algo, seed, iters, wall, stable = row
-            out.append(
-                BenchRecord(iid, algo, int(seed), int(iters), float(wall), stable == "true")
-            )
-    return out
+        reader = csv.reader(fh, strict=True)  # strict: an unclosed quote is an error
+        try:
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                raise ValueError(f"unexpected CSV header {header}")
+            return [_parse_record(row, reader.line_num) for row in reader]
+        except csv.Error as exc:
+            raise ValueError(f"records line {reader.line_num}: {exc}") from None
+
+
+def _parse_record(row: list[str], line: int) -> BenchRecord:
+    try:  # a wrong field count, a non-int, a non-number and a non-boolean all land here
+        iid, algo, seed, iters, wall, stable = row
+        rec = BenchRecord(iid, algo, int(seed), int(iters), float(wall), bool(("false", "true").index(stable)))
+    except ValueError:
+        rec = None
+    if rec is None or not (np.isfinite(rec.wall_time_ms) and rec.wall_time_ms >= 0):
+        want = "int seed and iterations, a finite wall_time_ms >= 0 and a stable_check of true or false"
+        raise ValueError(f"records line {line}: expected {len(CSV_HEADER)} fields: {want}")
+    return rec
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,7 @@ def _cmd_verify(args) -> int:
 def _cmd_solve(args) -> int:
     game = load_game(args.input)
     res = SOLVERS[args.algo](game, args.seed, args.mode)
-    payload = json.loads(res.to_json(game))
+    payload = res.payload(game)
     stable = is_stable(game, res.values)
     payload["stable"] = stable
     print(json.dumps(payload))

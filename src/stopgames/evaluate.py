@@ -162,10 +162,6 @@ def random_strategy(g: Game, player: Player, rng) -> Strategy:
     return Strategy(player, bytes([rng.randbelow(2) for _ in _owned(g, player)]))
 
 
-def first_arc_strategy(g: Game, player: Player) -> Strategy:
-    return Strategy(player, bytes(len(_owned(g, player))))
-
-
 def _check_fits(g: Game, s: Strategy, player: Player) -> None:
     """``ValueError`` unless ``s`` is a ``player`` strategy with one bit
     per node ``player`` owns in ``g``."""
@@ -262,16 +258,19 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
     return ValueVector(by_slot[node_slot], mode, den)
 
 
-def is_stable(g: Game, v: ValueVector, tol: float = DEFAULT_STABLE_TOL) -> bool:
+def is_stable(g: Game, v: ValueVector, tol: float | None = None) -> bool:
     """True when every node satisfies its local equation within ``tol``.
 
-    With tol=0 and exact values this is an exact stability check.  Gaps
+    Without a ``tol`` the vector's mode picks it: 0 on exact vectors, an
+    exact stability check, and ``DEFAULT_STABLE_TOL`` on float ones.  Gaps
     are taken at twice their scale, so that an average's wanted value
     stays an int on exact numerators.  An exact vector is checked in
     integers against the exact ratio tol = p/q: an int gap exceeds
     2·p·den // q exactly when it times q exceeds 2·p·den.  A terminal
     reads its own value twice, as an average would, so its gap is 0.
     """
+    if tol is None:
+        tol = 0 if v.mode == EXACT else DEFAULT_STABLE_TOL
     if v.mode == EXACT:
         p, q = Fraction(tol).as_integer_ratio()
         limit = 2 * p * v.den // q
@@ -307,13 +306,10 @@ def improve_all(g: Game, strat: Strategy, v: ValueVector) -> Strategy | None:
 
 
 def best_response(
-    g: Game,
-    fixed: Strategy,
-    player: Player,
-    mode: str = FLOAT,
-    initial: Strategy | None = None,
+    g: Game, fixed: Strategy, mode: str = FLOAT, initial: Strategy | None = None
 ) -> tuple[Strategy, ValueVector]:
-    """Optimal response of ``player`` against the fixed opposite strategy.
+    """Optimal response of the player opposite ``fixed`` against it,
+    from ``initial`` or, without one, the all-first-arcs strategy.
 
     Policy iteration: evaluate, switch all improving responder nodes,
     repeat until none improve.  Every round strictly improves the
@@ -326,9 +322,8 @@ def best_response(
     exact phase goes on from the current response.  The first evaluation
     refuses a game that is not stopping.
     """
-    if fixed.player is player:
-        raise ValueError("fixed strategy must belong to the opposite player")
-    resp = initial if initial is not None else first_arc_strategy(g, player)
+    player = Player.MIN if fixed.player is Player.MAX else Player.MAX
+    resp = initial if initial is not None else Strategy(player, bytes(len(_owned(g, player))))
     cap = 10 * len(resp.bits) + 20
 
     def pair_for(r: Strategy) -> StrategyPair:
@@ -349,10 +344,3 @@ def best_response(
         else:
             raise EvaluationContractError(f"{phase} policy iteration hit its cap")
     return resp, v
-
-
-def value_strings(v: ValueVector) -> list[str]:
-    """One string per node: ``num/den`` in exact mode, ``repr`` in float."""
-    if v.mode == EXACT:
-        return [str(x) for x in v.values]
-    return [repr(x) for x in v.values]

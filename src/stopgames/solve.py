@@ -15,20 +15,19 @@ Two benchmarked algorithms and two independent oracles:
 All four agree on every stopping game because the stable assignment is
 unique.  ``SOLVERS`` maps each algorithm name to one uniform call,
 ``(game, seed, mode) -> SolveResult``; every entry refuses a game that is
-not stopping.
+not stopping, and every result leaves through ``_finish``, which checks
+it stable at its mode's tolerance.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .evaluate import (
-    DEFAULT_STABLE_TOL,
     EXACT,
     FLOAT,
     EvaluationContractError,
@@ -41,7 +40,6 @@ from .evaluate import (
     improve_all,
     is_stable,
     random_strategy,
-    value_strings,
 )
 from .game import MAX, MIN, Game, require_stopping
 from .rng import Rng
@@ -69,26 +67,31 @@ class SolveResult:
     permutation: tuple[int, ...] | None = None
     value_history: tuple | None = None
 
-    def to_json(self, g: Game) -> str:
-        """The result as one JSON line; ``g`` is the solved game, whose
-        node ids key the strategies."""
-        payload = {
+    def payload(self, g: Game) -> dict:
+        """The result as a JSON-ready dict, each value as its ``str``
+        (``num/den`` exact, the shortest round-trip repr in float); ``g``
+        is the solved game, whose node ids key the strategies."""
+        out = {
             "algorithm": self.algorithm,
             "seed": self.seed,
             "iterations": self.iterations,
             "mode": self.values.mode,
-            "values": value_strings(self.values),
+            "values": list(map(str, self.values.values)),
         }
         if self.strategies is not None:
             for key, strat in (("max_strategy", self.strategies.sigma), ("min_strategy", self.strategies.tau)):
-                payload[key] = {str(k): c for k, c in strat.choice(g).items()}
-        return json.dumps(payload, separators=(",", ":"))
+                out[key] = {str(k): c for k, c in strat.choice(g).items()}
+        return out
 
 
-def _check_result(g: Game, v: ValueVector) -> None:
-    tol = 0 if v.mode == EXACT else DEFAULT_STABLE_TOL
-    if not is_stable(g, v, tol):
-        raise EvaluationContractError("solver produced an unstable assignment")
+def _finish(
+    g: Game, algorithm: str, seed: int | None, v: ValueVector, strategies: StrategyPair | None, iterations: int, **extra
+) -> SolveResult:
+    """The one exit of every solver: ``EvaluationContractError`` unless
+    ``v`` is stable at its mode's tolerance, else the ``SolveResult``."""
+    if not is_stable(g, v):
+        raise EvaluationContractError(f"{algorithm} produced an unstable assignment")
+    return SolveResult(v, strategies, iterations, algorithm, seed, **extra)
 
 
 def solve_hoffman_karp(
@@ -113,7 +116,7 @@ def solve_hoffman_karp(
         iterations += 1
         if iterations > cap:
             raise EvaluationContractError(f"Hoffman-Karp exceeded {cap} iterations")
-        tau, v = best_response(g, sigma, Player.MIN, mode, initial=tau)
+        tau, v = best_response(g, sigma, mode, initial=tau)
         if mode == EXACT and prev_values is not None:
             # v.scaled / v.den against prev.scaled / prev.den, cross-multiplied
             den, prev_den = v.den, prev_values.den
@@ -128,15 +131,8 @@ def solve_hoffman_karp(
         if improved is None:
             break
         sigma = improved
-    _check_result(g, v)
-    return SolveResult(
-        values=v,
-        strategies=StrategyPair(sigma, tau),
-        iterations=iterations,
-        algorithm="hk",
-        seed=seed,
-        value_history=tuple(history) if history is not None else None,
-    )
+    history = None if history is None else tuple(history)
+    return _finish(g, "hk", seed, v, StrategyPair(sigma, tau), iterations, value_history=history)
 
 
 def _order_induced_pair(g: Game, order: list[int]) -> StrategyPair:
@@ -275,15 +271,7 @@ def solve_permutation_improvement(
         keys = v.scaled.tolist()
         order.sort(key=lambda node: keys[node - 1])
         if improve_all(g, sp.sigma, v) is None and improve_all(g, sp.tau, v) is None:
-            _check_result(g, v)
-            return SolveResult(
-                values=v,
-                strategies=sp,
-                iterations=max(1, passes - 1),
-                algorithm="perm",
-                seed=seed,
-                permutation=tuple(order),
-            )
+            return _finish(g, "perm", seed, v, sp, max(1, passes - 1), permutation=tuple(order))
     raise EvaluationContractError(
         f"permutation improvement failed to settle within {iteration_cap} rounds"
     )
@@ -313,13 +301,7 @@ def solve_brute_force(g: Game) -> SolveResult:
             pair = StrategyPair(sigma, tau)
             v = evaluate_strategy_pair(g, pair, EXACT)
             if is_stable(g, v, 0):
-                return SolveResult(
-                    values=v,
-                    strategies=pair,
-                    iterations=examined,
-                    algorithm="bf",
-                    seed=None,
-                )
+                return _finish(g, "bf", None, v, pair, examined)
     raise EvaluationContractError("no stable strategy pair found")
 
 
@@ -353,14 +335,8 @@ def solve_value_iteration(
         if history is not None:
             history.append(ValueVector(v, FLOAT))
         if diff < tol:
-            return SolveResult(
-                values=ValueVector(v, FLOAT),
-                strategies=None,
-                iterations=sweeps,
-                algorithm="vi",
-                seed=None,
-                value_history=tuple(history) if history is not None else None,
-            )
+            history = None if history is None else tuple(history)
+            return _finish(g, "vi", None, ValueVector(v, FLOAT), None, sweeps, value_history=history)
     raise EvaluationContractError(f"value iteration did not converge in {max_sweeps} sweeps")
 
 

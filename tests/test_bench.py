@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from stopgames import cli, game_from_json, load_game, save_game
 
 from stopgames.bench import (
+    CSV_HEADER,
     BenchPlan,
     instance_id,
     parse_instance_id,
@@ -549,6 +550,35 @@ def test_cli_bench_and_summarize(tmp_path, capsys):
     capsys.readouterr()
     assert summary_path.exists()
     assert (tmp_path / "summary_plot.csv").exists()
+
+
+GOOD_ROW = "s32_r4_i000,hk,5,2,1.250,true"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "s32_r4_i000,hk,5,2,1.250," + "x" * 131073,
+        "s32_r4_i000,hk,5,2,1.250,maybe",
+        's32_r4_i000,hk,5,2,1.250,"true',
+        "s32_r4_i000,hk,5,2,nan,true",
+        "s32_r4_i000,hk,5,2,-1.0,true",
+        "s32_r4_i000,hk,5.0,2,1.250,true",
+        "s32_r4_i000,hk,5,2,1.250,true,extra",
+        "s32_r4_i000,hk,5,2,true",
+    ],
+    ids=["huge-field", "maybe", "unclosed-quote", "nan-wall", "negative-wall", "float-seed", "extra-column", "missing-column"],
+)
+def test_cli_summarize_rejects_malformed_records(tmp_path, capsys, row):
+    """A malformed row exits 1 with one line naming its line number, and
+    no summary or plot file is written."""
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_text(",".join(CSV_HEADER) + "\n" + GOOD_ROW + "\n" + row + "\n")
+    summary_path = tmp_path / "summary.csv"
+    code = main(["summarize", str(csv_path), "--out", str(summary_path)])
+    err = capsys.readouterr().err
+    assert one_line_error(code, err) and "records line 3: " in err, err[:200]
+    assert not summary_path.exists() and not (tmp_path / "summary_plot.csv").exists()
 
 
 def test_module_entry_point(tmp_path):

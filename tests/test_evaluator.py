@@ -228,6 +228,17 @@ def test_is_stable_rejects_nan():
         assert not is_stable(MINIMAL, ValueVector(values, FLOAT))
 
 
+def test_is_stable_tolerance_follows_the_mode():
+    """Without a ``tol`` an exact vector is checked exactly and a float
+    one at ``DEFAULT_STABLE_TOL``."""
+    x = Fraction(1, 2) + Fraction(1, 2**40)
+    off = ValueVector((x.numerator, 0, x.denominator), EXACT, x.denominator)
+    assert not is_stable(MINIMAL, off)
+    assert is_stable(MINIMAL, off, 1e-9)
+    for gap, stable in ((2.0**-40, True), (2.0**-29, False)):
+        assert is_stable(MINIMAL, ValueVector((0.5 + gap, 0.0, 1.0), FLOAT)) is stable
+
+
 def switched(g, strat, v) -> set[int]:
     """The nodes ``improve_all`` switches in ``strat`` under ``v``."""
     better = improve_all(g, strat, v)
@@ -289,7 +300,7 @@ def test_switch_and_stability_match_scalar_oracles(case):
     loop's verdict at tol 0, 1e-12 and 1e-9."""
     g, sp, mode = case
     v = evaluate_strategy_pair(g, sp, mode)
-    tau, settled = best_response(g, sp.sigma, Player.MIN, mode)
+    tau, settled = best_response(g, sp.sigma, mode)
     for values, pair in ((v, sp), (settled, StrategyPair(sp.sigma, tau))):
         for strat in (pair.sigma, pair.tau):
             assert improve_all(g, strat, values) == oracle_improve_all(g, strat, values)
@@ -360,13 +371,13 @@ def test_best_response_min_picks_smaller_subgame():
             ("avg", (5, 6)),  # value 1/2
         ]
     )
-    tau, v = best_response(g, Strategy.from_choice(g, Player.MAX, {}), Player.MIN, EXACT)
+    tau, v = best_response(g, Strategy.from_choice(g, Player.MAX, {}), EXACT)
     assert tau.choice(g) == {1: 0}
     assert v.value(1) == Fraction(1, 4)
 
 
 def test_best_response_vacuous_without_responder_nodes():
-    tau, v = best_response(MINIMAL, EMPTY_PAIR.sigma, Player.MIN, EXACT)
+    tau, v = best_response(MINIMAL, EMPTY_PAIR.sigma, EXACT)
     assert tau.choice(MINIMAL) == {}
     assert v.value(1) == Fraction(1, 2)
 
@@ -376,17 +387,17 @@ def test_best_response_rejects_initial_missing_a_responder_node():
     fixed = Strategy.from_choice(g, Player.MAX, {})
     for initial in ({1: 0}, {1: 0, 3: 0}, {}):
         with pytest.raises(ValueError, match=re.escape("min strategy must cover exactly [1, 2]")):
-            best_response(g, fixed, Player.MIN, EXACT, initial=Strategy.from_choice(g, Player.MIN, initial))
+            best_response(g, fixed, EXACT, initial=Strategy.from_choice(g, Player.MIN, initial))
     for bits in (b"\0", b"", b"\0\0\0"):
         with pytest.raises(ValueError, match=re.escape("min strategy must cover exactly [1, 2]")):
-            best_response(g, fixed, Player.MIN, EXACT, initial=Strategy(Player.MIN, bits))
-    tau, _ = best_response(g, fixed, Player.MIN, EXACT, initial=Strategy.from_choice(g, Player.MIN, {1: 1, 2: 0}))
+            best_response(g, fixed, EXACT, initial=Strategy(Player.MIN, bits))
+    tau, _ = best_response(g, fixed, EXACT, initial=Strategy.from_choice(g, Player.MIN, {1: 1, 2: 0}))
     assert tau.choice(g) == {1: 0, 2: 1}
 
 
 def test_best_response_rejects_non_stopping():
     with pytest.raises(NonStoppingGameError):
-        best_response(CYCLE4, Strategy.from_choice(CYCLE4, Player.MAX, {1: 0}), Player.MIN)
+        best_response(CYCLE4, Strategy.from_choice(CYCLE4, Player.MAX, {1: 0}))
 
 
 def test_best_response_matches_enumeration():
@@ -394,7 +405,7 @@ def test_best_response_matches_enumeration():
         g = random_stopping_game(seed, max_nodes=10)
         rng = Rng(seed + 777)
         sigma = Strategy.from_choice(g, Player.MAX, {i: rng.randbelow(2) for i in g.max_nodes})
-        _, got = best_response(g, sigma, Player.MIN, EXACT)
+        _, got = best_response(g, sigma, EXACT)
         best = None
         for sp in all_strategy_pairs(g):
             if sp.sigma != sigma:
@@ -404,6 +415,23 @@ def test_best_response_matches_enumeration():
                 best = list(v.values)
             else:
                 best = [min(x, y) for x, y in zip(best, v.values)]
+        assert list(got.values) == best
+
+
+def test_best_response_max_matches_enumeration():
+    """Against a fixed min strategy the responder is the max player, and
+    its values are the best of every max strategy's."""
+    for seed in range(40):
+        g = random_stopping_game(seed, max_nodes=10)
+        rng = Rng(seed + 555)
+        tau = Strategy.from_choice(g, Player.MIN, {i: rng.randbelow(2) for i in g.min_nodes})
+        sigma, got = best_response(g, tau, EXACT)
+        assert sigma.player is Player.MAX
+        best = None
+        for sp in all_strategy_pairs(g):
+            if sp.tau == tau:
+                v = list(evaluate_strategy_pair(g, sp, EXACT).values)
+                best = v if best is None else [max(x, y) for x, y in zip(best, v)]
         assert list(got.values) == best
 
 

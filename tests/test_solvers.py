@@ -42,6 +42,7 @@ from stopgames.evaluate import DEFAULT_STABLE_TOL
 from stopgames.generate import GenParams, Variant, generate_basic, ratio_counts
 from stopgames.reduce import scc_condense
 from stopgames.rng import Rng, derive_seed
+from stopgames import solve as solve_module
 from stopgames.solve import SOLVERS, _order_induced_pair
 
 MINIMAL = build_game([("avg", (2, 3))])
@@ -229,17 +230,26 @@ def test_uniqueness_across_seeds():
 
 
 def test_solve_result_json():
-    import json
-
     res = solve_brute_force(CHAIN)
-    payload = json.loads(res.to_json(CHAIN))
+    payload = res.payload(CHAIN)
     assert payload["algorithm"] == "bf"
     assert payload["mode"] == "exact"
     assert payload["values"] == ["3/4", "1/2", "0", "1"]
     assert payload["max_strategy"] == {} and payload["min_strategy"] == {}
     fl = solve_hoffman_karp(CHAIN, seed=0, mode=FLOAT)
-    fl_payload = json.loads(fl.to_json(CHAIN))
+    fl_payload = fl.payload(CHAIN)
     assert fl_payload["values"][1] == "0.5"
+
+
+@pytest.mark.parametrize("algo", sorted(SOLVERS))
+def test_every_solver_returns_through_the_stability_check(monkeypatch, algo):
+    """Every registry entry leaves through one finishing step, which
+    refuses a result that ``is_stable`` rejects at the mode's tolerance.
+    Brute force's own search still runs the real check at tol 0."""
+    real = solve_module.is_stable
+    monkeypatch.setattr(solve_module, "is_stable", lambda g, v, tol=None: tol is not None and real(g, v, tol))
+    with pytest.raises(EvaluationContractError, match=f"^{algo} produced an unstable assignment$"):
+        SOLVERS[algo](random_stopping_game(3), 0, EXACT)
 
 
 def halving_chain(k: int):
