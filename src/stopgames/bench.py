@@ -11,7 +11,6 @@ itself rather than trusting the solver.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -249,12 +248,6 @@ def write_records_csv(records, target) -> None:
             )
 
 
-def records_csv_text(records) -> str:
-    buf = io.StringIO()
-    write_records_csv(records, buf)
-    return buf.getvalue()
-
-
 def read_records_csv(path) -> list[BenchRecord]:
     """The records of a CSV as ``write_records_csv`` writes it; a
     malformed row is a ``ValueError`` naming its line."""
@@ -270,14 +263,26 @@ def read_records_csv(path) -> list[BenchRecord]:
 
 
 def _parse_record(row: list[str], line: int) -> BenchRecord:
-    try:  # a wrong field count, a non-int, a non-number and a non-boolean all land here
+    """One row as ``write_records_csv`` writes it for a run of
+    ``run_benchmark``, which writes stable results only; anything else is
+    a ``ValueError`` naming the line and the first fault."""
+    try:  # a non-int, a non-number and a bad instance id raise here too
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
         iid, algo, seed, iters, wall, stable = row
-        rec = BenchRecord(iid, algo, int(seed), int(iters), float(wall), bool(("false", "true").index(stable)))
-    except ValueError:
-        rec = None
-    if rec is None or not (np.isfinite(rec.wall_time_ms) and rec.wall_time_ms >= 0):
-        want = "int seed and iterations, a finite wall_time_ms >= 0 and a stable_check of true or false"
-        raise ValueError(f"records line {line}: expected {len(CSV_HEADER)} fields: {want}")
+        parse_instance_id(iid)
+        rec = BenchRecord(iid, algo, int(seed), int(iters), float(wall), stable == "true")
+        for fault, message in (
+            (algo not in ALGORITHMS, f"algorithm {algo!r} is not one of {', '.join(ALGORITHMS)}"),
+            (rec.seed < 0, "seed is negative"),
+            (rec.iterations < 1, "iterations is below 1"),
+            (not (np.isfinite(rec.wall_time_ms) and rec.wall_time_ms >= 0), "wall_time_ms is not a finite number >= 0"),
+            (not rec.stable_check, "stable_check is not true"),
+        ):
+            if fault:
+                raise ValueError(message)
+    except ValueError as exc:
+        raise ValueError(f"records line {line}: {exc}") from None
     return rec
 
 

@@ -23,7 +23,7 @@ from .bench import (
     write_plot_csv,
 )
 from .evaluate import EXACT, FLOAT, EvaluationContractError, is_stable
-from .game import NonStoppingGameError, load_game, save_game, validate_structure
+from .game import NonStoppingGameError, load_game, save_game
 from .generate import GenerationError
 from .linsolve import SingularSystemError
 from .reduce import check_assumptions, reduce_game
@@ -106,11 +106,6 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_verify(args) -> int:
     game = load_game(args.input)
-    problems = validate_structure(game)
-    for problem in problems:
-        print(f"structure: {problem}")
-    if problems:
-        return 1
     stopping = game.stopping
     print(f"stopping: {'yes' if stopping else 'no'}")
     checklist = check_assumptions(game)

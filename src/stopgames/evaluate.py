@@ -131,9 +131,6 @@ class ValueVector:
             return NotImplemented
         return self.mode == other.mode and self.den == other.den and np.array_equal(self.scaled, other.scaled)
 
-    def __hash__(self):
-        return hash((self.mode, self.den, tuple(self.scaled.tolist())))
-
     @property
     def values(self) -> Sequence:
         """The per-node values: a tuple of Fractions of Python ints built

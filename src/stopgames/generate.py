@@ -25,9 +25,10 @@ inside it can an arc out of m trap a node, so the search and the
 witness updates after each added arc touch that region alone (delete and
 rederive, as in Gupta, Mumick & Subrahmanian, "Maintaining views
 incrementally", SIGMOD 1993), never all of m's ancestors.  The search
-builds no set: it leaves one mark per node, and the phase-2 draw counts
-and indexes the unmarked candidates in place, the in-degree-zero list
-in Python and all nodes in one NumPy pass over the marks.
+builds no set: it leaves one mark per node.  Every phase-2 pick is one
+``_draw``, a uniform element of an ascending pool minus a few of its
+elements; a max/min node's pool is the unmarked in-degree-zero nodes,
+or the unmarked non-terminals from one NumPy pass over the marks.
 
 The modified variant additionally plants average nodes next to both
 terminals, keeps max/min arcs off the terminals, steers second arcs
@@ -276,82 +277,56 @@ def find_valid_arcs(g, m: int) -> set[int]:
 
 
 def _draw(rng: Rng, pool, skip) -> int | None:
-    """Uniform element of the ascending sequence ``pool`` outside the
-    ascending positions ``skip``, with one ``randbelow`` call; None,
+    """Uniform element of the ascending sequence ``pool`` other than the
+    ascending elements ``skip`` of it, with one ``randbelow`` call; None,
     without a call, when nothing is left."""
     count = len(pool) - len(skip)
     if not count:
         return None
     x = rng.randbelow(count)
-    for i in skip:
-        if i > x:
+    for s in skip:
+        if pool[x] < s:
             break
         x += 1
     return pool[x]
 
 
-def _draw_untrapped(rng: Rng, pool: list[int], marks) -> int | None:
-    """Uniform element of ``pool`` not marked trapped (1), with one
-    ``randbelow`` call; None, without a call, when nothing is left."""
-    free = [q for q in pool if marks[q] != 1]
-    return free[rng.randbelow(len(free))] if free else None
+def _second_arcs(pg: PartialGame, rng: Rng, prefer_zero_indegree: bool) -> PartialGame | None:
+    """Phase 2: every node with one arc gets its second, the averages
+    first, then the max/min nodes; None at a dead end.
 
-
-def _draw_target(rng: Rng, marks, view, p: int) -> int | None:
-    """Uniform non-terminal node id that is not marked trapped (1) and is
-    not ``p``, with one ``randbelow`` call; None, without a call, when
-    nothing is left.  ``marks`` is indexed by node id, the terminals
-    last, and ``view`` is a NumPy view of its non-terminal entries,
-    ``marks[1:-2]``; one pass over it lists the free ids."""
-    free = (view != 1).nonzero()[0]
-    skip_p = p <= len(view) and marks[p] != 1
-    count = len(free) - skip_p
-    if not count:
-        return None
-    x = rng.randbelow(count)
-    q = int(free[x]) + 1
-    if skip_p and q >= p:
-        q = int(free[x + 1]) + 1
-    return q
-
-
-def _assign_second_arcs_decisions(pg: PartialGame, rng: Rng, prefer_zero_indegree: bool):
-    """Phase-2 loop for max/min nodes; False return means a dead end.
-
-    Each step draws m's second arc among the nodes ``trapped(m)`` leaves
-    unmarked, minus m's current target and the terminals: first among
-    the in-degree-zero nodes if ``prefer_zero_indegree``, which are never
-    a target or a terminal (the modified builder feeds both terminals).
+    An average m may point anywhere but at m and its first target.  A
+    max/min node m draws among the nodes ``trapped(m)`` leaves unmarked,
+    minus m's current target and the terminals: first among the
+    in-degree-zero nodes if ``prefer_zero_indegree``, which are never a
+    target or a terminal (the modified builder feeds both terminals).
     """
-    n = pg.n
-    code, arcs = pg.code, pg.arcs
-    pending = [i for i in range(1, n + 1) if code[i] in (MAX, MIN) and len(arcs[i - 1]) == 1]
+    n, code, arcs = pg.n, pg.code, pg.arcs
+    pending = [m for m in range(1, n + 1) if code[m] == AVG and len(arcs[m - 1]) == 1]
+    while pending:
+        m = pending.pop(rng.randbelow(len(pending)))
+        # m below its first target: first arcs point higher
+        pg.add_arc(m, _draw(rng, range(1, n + 1), (m, arcs[m - 1][0])))
+
+    pending = [m for m in range(1, n + 1) if code[m] in (MAX, MIN) and len(arcs[m - 1]) == 1]
     index = _WitnessIndex(pg)
-    marks = index.marks
-    view = np.frombuffer(marks, np.uint8, n - 2, 1)
-    parents = pg.parents()
+    marks, parents = index.marks, index.parents
+    view = np.frombuffer(marks, np.uint8, n - 2, 1)  # the non-terminals' marks, node i at i - 1
     zero = [q for q in range(1, n + 1) if not parents[q]]
     while pending:
         m = pending.pop(rng.randbelow(len(pending)))
         index.trapped(m)
-        q = _draw_untrapped(rng, zero, marks) if prefer_zero_indegree else None
+        q = _draw(rng, [q for q in zero if marks[q] != 1], ()) if prefer_zero_indegree else None
         if q is None:
-            q = _draw_target(rng, marks, view, arcs[m - 1][0])
+            p = arcs[m - 1][0]
+            q = _draw(rng, (view != 1).nonzero()[0], (p - 1,) if p <= n - 2 and marks[p] != 1 else ())
             if q is None:
-                return False
+                return None
+            q = int(q) + 1
         if not parents[q]:
             del zero[bisect_left(zero, q)]
         index.add_arc(m, q)
-    return True
-
-
-def _complete_average_arcs(pg: PartialGame, rng: Rng):
-    code, arcs = pg.code, pg.arcs
-    pending = [i for i in range(1, pg.n + 1) if code[i] == AVG and len(arcs[i - 1]) == 1]
-    while pending:
-        m = pending.pop(rng.randbelow(len(pending)))
-        # m below its first target: first arcs point higher
-        pg.add_arc(m, _draw(rng, range(1, pg.n + 1), (m - 1, arcs[m - 1][0] - 1)))
+    return pg
 
 
 def _labelled(p: GenParams, rng: Rng, planted: int) -> PartialGame:
@@ -367,11 +342,7 @@ def _build_basic(p: GenParams, rng: Rng) -> PartialGame | None:
     pg = _labelled(p, rng, 1)
     for v in range(1, n - 1):
         pg.add_arc(v, v + 1 + rng.randbelow(n - v))
-
-    _complete_average_arcs(pg, rng)
-    if not _assign_second_arcs_decisions(pg, rng, prefer_zero_indegree=False):
-        return None
-    return pg
+    return _second_arcs(pg, rng, prefer_zero_indegree=False)
 
 
 def _first_build(build, p: GenParams) -> PartialGame:
@@ -423,15 +394,11 @@ def _build_modified(p: GenParams, rng: Rng) -> PartialGame | None:
         if not eligible:
             break
         m = eligible[rng.randbelow(len(eligible))]
-        q = _draw(rng, zero, (bisect_left(zero, m),) if not parents[m] else ())
+        q = _draw(rng, zero, (m,) if not parents[m] else ())
         pg.add_arc(m, q)
         del zero[bisect_left(zero, q)]
         del single[bisect_left(single, m)]
-
-    _complete_average_arcs(pg, rng)
-    if not _assign_second_arcs_decisions(pg, rng, prefer_zero_indegree=True):
-        return None
-    return pg
+    return _second_arcs(pg, rng, prefer_zero_indegree=True)
 
 
 def generate_reduced(p: GenParams, merge: bool = True) -> Game:

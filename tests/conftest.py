@@ -8,6 +8,7 @@ paths.
 
 from __future__ import annotations
 
+import io
 import itertools
 from fractions import Fraction
 from math import lcm
@@ -26,6 +27,7 @@ from stopgames import (
     linsolve,
     scc_condense,
 )
+from stopgames.bench import write_records_csv
 from stopgames.evaluate import DEFAULT_STABLE_TOL, DEFAULT_SWITCH_MARGIN
 from stopgames.game import AVG, MAX, MIN, TERM
 from stopgames.solve import BRUTE_FORCE_DECISION_CAP
@@ -312,6 +314,12 @@ def common_denominator(xs) -> tuple[list[int], int]:
     """Rationals ``xs`` as numerators over their least common denominator."""
     den = lcm(*(x.denominator for x in xs))
     return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def records_csv_text(records) -> str:
+    buf = io.StringIO()
+    write_records_csv(records, buf)
+    return buf.getvalue()
 
 
 def fallback_chain(k: int) -> Game:

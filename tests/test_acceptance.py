@@ -14,6 +14,7 @@ from conftest import (
     deep_partial,
     oracle_values,
     random_stopping_game,
+    records_csv_text,
     solve_by_components,
     terminal_valued_and_examinations,
 )
@@ -41,7 +42,6 @@ from stopgames import (
 )
 from stopgames.bench import (
     BenchPlan,
-    records_csv_text,
     run_benchmark,
     write_instance_files,
 )

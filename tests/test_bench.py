@@ -4,7 +4,7 @@ import sys
 from dataclasses import fields
 
 import pytest
-from conftest import fallback_chain, twin_chain
+from conftest import fallback_chain, records_csv_text, twin_chain
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +16,6 @@ from stopgames.bench import (
     instance_id,
     parse_instance_id,
     read_records_csv,
-    records_csv_text,
     run_benchmark,
     summarize,
     write_instance_files,
@@ -566,8 +565,27 @@ GOOD_ROW = "s32_r4_i000,hk,5,2,1.250,true"
         "s32_r4_i000,hk,5.0,2,1.250,true",
         "s32_r4_i000,hk,5,2,1.250,true,extra",
         "s32_r4_i000,hk,5,2,true",
+        "s32_r4_i000,zz,1,-2,1.0,true",
+        "s32_r4_i000,hk,-1,2,1.250,true",
+        "s32_r4_i000,hk,5,0,1.250,true",
+        "s32_r4_i000,hk,5,2,1.250,false",
+        "nonsense,hk,5,2,1.250,true",
     ],
-    ids=["huge-field", "maybe", "unclosed-quote", "nan-wall", "negative-wall", "float-seed", "extra-column", "missing-column"],
+    ids=[
+        "huge-field",
+        "maybe",
+        "unclosed-quote",
+        "nan-wall",
+        "negative-wall",
+        "float-seed",
+        "extra-column",
+        "missing-column",
+        "unknown-algorithm",
+        "negative-seed",
+        "zero-iterations",
+        "unstable",
+        "bad-instance-id",
+    ],
 )
 def test_cli_summarize_rejects_malformed_records(tmp_path, capsys, row):
     """A malformed row exits 1 with one line naming its line number, and

@@ -469,10 +469,13 @@ def set_draw(rng, pool, skip):
 
 
 def test_marks_draws_pick_what_the_set_draw_picks():
-    """On random marks, pools and current targets, the two marks-based
-    draws and ``_draw`` take the same node and RNG state as the set-based
-    draw over the same exclusions: trapped nodes (mark 1), the target and
-    the terminals."""
+    """On random marks, pools and arcs, ``_draw`` on each pool shape
+    phase 2 passes it takes the same node and RNG state as the set-based
+    draw over the same exclusions: an average's second arc over all
+    nodes minus the average and its first target; a max/min node's over
+    the unmarked part of a list pool; and over the positions of the
+    non-terminals not marked trapped (1), minus the current target p's
+    position p - 1."""
     picks = nones = 0
     for case in range(600):
         rng = Rng(derive_seed(51, case))
@@ -484,20 +487,24 @@ def test_marks_draws_pick_what_the_set_draw_picks():
         p = 1 + rng.randbelow(n)
         excluded = {v for v in range(1, n + 1) if marks[v] == 1} | {p, n - 1, n}
         pool = [q for q in range(1, n - 1) if q != p and rng.randbelow(2)]
+        m = 1 + rng.randbelow(n - 1)
+        first = m + 1 + rng.randbelow(n - m)
         seed = rng.u64()
+
+        def nonterminal(r):
+            q = generate._draw(r, (view != 1).nonzero()[0], (p - 1,) if p <= n - 2 and marks[p] != 1 else ())
+            return None if q is None else int(q) + 1
+
         draws = [
             (
-                lambda r: generate._draw_target(r, marks, view, p),
-                lambda r: set_draw(r, range(1, n + 1), {e - 1 for e in excluded}),
+                lambda r: generate._draw(r, range(1, n + 1), (m, first)),
+                lambda r: set_draw(r, range(1, n + 1), {m - 1, first - 1}),
             ),
             (
-                lambda r: generate._draw_untrapped(r, pool, marks),
+                lambda r: generate._draw(r, [q for q in pool if marks[q] != 1], ()),
                 lambda r: set_draw(r, pool, {pool.index(e) for e in excluded if e in pool}),
             ),
-            (
-                lambda r: generate._draw(r, pool, sorted(pool.index(e) for e in excluded if e in pool)),
-                lambda r: set_draw(r, pool, {pool.index(e) for e in excluded if e in pool}),
-            ),
+            (nonterminal, lambda r: set_draw(r, range(1, n + 1), {e - 1 for e in excluded})),
         ]
         for new, old in draws:
             got_rng, want_rng = Rng(seed), Rng(seed)
@@ -520,7 +527,7 @@ def test_phase2_step_without_valid_target_is_a_dead_end_without_a_draw(prefer_ze
     pg.add_arc(2, 4)
     rng, picked = Rng(7), Rng(7)
     picked.randbelow(1)  # the pending node's pick, the step's only draw
-    assert generate._assign_second_arcs_decisions(pg, rng, prefer_zero_indegree) is False
+    assert generate._second_arcs(pg, rng, prefer_zero_indegree) is None
     assert rng._state == picked._state
     assert pg.arcs_of(1) == (2,)
 
