@@ -121,11 +121,19 @@ def instance_id(size: int, ratio: int, idx: int) -> str:
 
 
 def parse_instance_id(iid: str) -> tuple[int, int, int]:
+    """(size, ratio, index) of an id ``instance_id`` writes for a valid
+    plan: size at least 6, ratio in 1..8, index at least 0."""
     try:
         s, r, i = iid.split("_")
-        return int(s[1:]), int(r[1:]), int(i[1:])
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"instance id {iid!r} is not in s<size>_r<ratio>_i<idx> form") from exc
+        parsed = int(s[1:]), int(r[1:]), int(i[1:])
+    except (ValueError, IndexError):
+        parsed = None
+    if parsed is None or instance_id(*parsed) != iid:
+        raise ValueError(f"instance id {iid!r} is not in s<size>_r<ratio>_i<idx> form")
+    size, ratio, idx = parsed
+    if size < 6 or not 1 <= ratio <= 8 or idx < 0:
+        raise ValueError(f"instance id {iid!r} needs size >= 6, ratio in 1..8 and index >= 0")
+    return parsed
 
 
 def generate_instance(size: int, ratio: int, idx: int, master_seed: int) -> tuple[Game, GenMeta]:

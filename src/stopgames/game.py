@@ -237,7 +237,7 @@ class PartialGame:
         return self.n
 
     def add_arc(self, src: int, dst: int) -> None:
-        if self.kinds[src - 1].is_terminal:
+        if self.code[src] == TERM:
             raise ValueError(f"node {src} is a terminal and cannot have arcs")
         if len(self.arcs[src - 1]) >= 2:
             raise ValueError(f"node {src} already has two out-arcs")

@@ -171,7 +171,6 @@ class _WitnessIndex:
             )
         self.marks = bytearray(n + 1)
         self.region = []
-        self._inside = [0] * (n + 1)  # per ``trapped`` call: a max/min region node's arcs into the region
         self._found = (0, None)  # m and the new witnesses of the last ``trapped``
 
     def trapped(self, m: int) -> int:
@@ -181,53 +180,53 @@ class _WitnessIndex:
 
         One upward walk collects m's region, the nodes whose derivation
         passes through m (every max/min parent of a region node, an
-        average only through its witness), and counts each max/min region
-        node's arcs into it.  Averages with an arc out of the region are
-        freed, and freedom spreads upward inside it; the rest is
-        trapped.  The new witness of each freed average is kept for
-        ``add_arc``.  ``marks`` stays valid until the next call, which
-        clears the last region's marks, so a call touches that region
-        and its own alone.
+        average only through its witness).  Averages with an arc out of
+        the region are freed, and freedom spreads upward inside it, one
+        freed node per turn, first freed first: an average is freed by
+        its first freed child, which becomes its new witness, and a
+        max/min node once none of its arcs leads to a node marked 1 (in
+        the region, not freed) or 3 (freed, its turn still to come); the
+        rest is trapped.  The new witnesses are kept for ``add_arc``.
+        ``marks`` stays valid until the next call, which clears the last
+        region's marks, so a call touches that region and its own alone.
         """
         code, arcs, parents, witness = self.code, self.arcs, self.parents, self.witness
-        marks, inside = self.marks, self._inside
+        marks = self.marks
         for v in self.region:
             marks[v] = 0
         marks[m] = 1
-        inside[m] = 0
         region = self.region = [m]
         averages = []
         for u in region:
             for par in parents[u]:
-                if code[par] == AVG:
-                    if witness[par] == u and not marks[par]:
-                        marks[par] = 1
-                        region.append(par)
-                        averages.append(par)
-                elif marks[par]:
-                    inside[par] += 1
-                else:
+                if marks[par]:
+                    continue
+                if code[par] != AVG:
                     marks[par] = 1
-                    inside[par] = 1
                     region.append(par)
+                elif witness[par] == u:
+                    marks[par] = 1
+                    region.append(par)
+                    averages.append(par)
         new = {}  # freed average -> its new witness
         for v in averages:
             a, b = arcs[v - 1]
             if not (marks[a] and marks[b]):
                 new[v] = b if marks[a] else a
-                marks[v] = 2
+                marks[v] = 3
         freed = list(new)
         for u in freed:
+            marks[u] = 2
             for par in parents[u]:
                 if marks[par] != 1:
                     continue
                 if code[par] == AVG:
                     new[par] = u
                 else:
-                    inside[par] -= 1
-                    if inside[par]:
+                    out = arcs[par - 1]  # one or two arcs
+                    if marks[out[0]] & 1 or marks[out[-1]] & 1:
                         continue
-                marks[par] = 2
+                marks[par] = 3
                 freed.append(par)
         self._found = (m, new)
         return len(region) - len(freed)
@@ -374,10 +373,10 @@ def _build_modified(p: GenParams, rng: Rng) -> PartialGame | None:
     pg.add_arc(n - 2, n - 1)  # terminal-adjacent average feeding the 0-terminal
     pg.add_arc(n - 3, n)  # and its 1-terminal twin
 
+    code, arcs = pg.code, pg.arcs
     for v in range(1, n - 1):
-        kind = pg.kind(v)
-        if kind is NodeKind.AVERAGE:
-            if not pg.arcs_of(v):
+        if code[v] == AVG:
+            if not arcs[v - 1]:
                 pg.add_arc(v, v + 1 + rng.randbelow(n - v))
         else:
             # max/min first arcs stay off the terminals
@@ -385,7 +384,7 @@ def _build_modified(p: GenParams, rng: Rng) -> PartialGame | None:
 
     parents = pg.parents()
     zero = [q for q in range(1, n + 1) if not parents[q]]
-    single = [m for m in range(1, n + 1) if pg.code[m] == AVG and len(pg.arcs[m - 1]) == 1]
+    single = [m for m in range(1, n + 1) if code[m] == AVG and len(arcs[m - 1]) == 1]
     r = rng.randint(max(len(zero) - (p.b + p.c), 0), min(p.a, len(zero)))
     for _ in range(r):
         # eligible while an in-degree-zero node other than m is left (m's

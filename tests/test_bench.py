@@ -570,6 +570,10 @@ GOOD_ROW = "s32_r4_i000,hk,5,2,1.250,true"
         "s32_r4_i000,hk,5,0,1.250,true",
         "s32_r4_i000,hk,5,2,1.250,false",
         "nonsense,hk,5,2,1.250,true",
+        "x32_y4_z000,hk,5,2,1.250,true",
+        "s-5_r99_i000,hk,5,2,1.250,true",
+        "s32_r4_i1,hk,5,2,1.250,true",
+        "s32_r4_i-01,hk,5,2,1.250,true",
     ],
     ids=[
         "huge-field",
@@ -585,6 +589,10 @@ GOOD_ROW = "s32_r4_i000,hk,5,2,1.250,true"
         "zero-iterations",
         "unstable",
         "bad-instance-id",
+        "instance-id-letters",
+        "instance-id-out-of-range",
+        "instance-id-unpadded",
+        "instance-id-negative-index",
     ],
 )
 def test_cli_summarize_rejects_malformed_records(tmp_path, capsys, row):

@@ -139,6 +139,12 @@ def partial_games(draw):
 # an average with a self arc, one with no arcs and one with one arc, a
 # min node with no arcs, a max node with a duplicate arc
 @example(_partial("xaanxa", [[2], [2, 6], [], [], [3, 3], [1]]), 0)
+# m = 1: min node 3 has both arcs in m's region, to m, trapped, and to
+# average 2, freed through its arc to 4, so 3 stays trapped
+@example(_partial("xanxn", [[6], [1, 4], [1, 2], [5], [7]]), 0)
+# m = 1: min node 4 has both arcs in m's region, to averages 2 and 3,
+# both freed through their arcs to 5, so 4 is freed
+@example(_partial("xaanxn", [[7], [1, 5], [1, 5], [2, 3], [6], [8]]), 0)
 def test_valid_arcs_property_matches_add_and_check(pg, pick):
     if find_bad_core(pg):
         with pytest.raises(ValueError):

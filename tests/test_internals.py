@@ -67,6 +67,72 @@ def test_randbelow_matches_reference_loop(bound):
         assert 400 < rejected < 1600
 
 
+class ScalarSplitMix64:
+    """SplitMix64 one output at a time, with ``Rng``'s rejection rule and
+    Fisher-Yates written out."""
+
+    def __init__(self, seed):
+        self.state = seed
+        self.outputs = 0
+
+    def u64(self):
+        mask = 2**64 - 1
+        self.state = (self.state + 0x9E3779B97F4A7C15) & mask
+        self.outputs += 1
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    def randbelow(self, n):
+        while True:
+            z = self.u64()
+            if z < 2**64 - 2**64 % n:
+                return z % n
+
+    def randint(self, lo, hi):
+        return lo + self.randbelow(hi - lo + 1)
+
+    def shuffle(self, items):
+        for i in range(len(items) - 1, 0, -1):
+            j = self.randbelow(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+
+# the first state is 0: the batch's states wrap past 2**64 at once
+WRAP_SEED = 2**64 - 0x9E3779B97F4A7C15
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, WRAP_SEED])
+def test_batched_stream_matches_scalar_splitmix64(seed):
+    """``Rng`` hands out its outputs from batches; across several refills
+    and with every helper interleaved, each call returns what the scalar
+    loop returns and leaves the same state.  At 2**63 + 1 about half of
+    all outputs are rejected, so rejections cross refills too."""
+
+    def shuffled(r):
+        items = list(range(13))
+        r.shuffle(items)
+        return items
+
+    calls = [
+        lambda r: r.u64(),
+        lambda r: r.randbelow(1),
+        lambda r: r.randbelow(3),
+        lambda r: r.randbelow(2**63 + 1),
+        lambda r: r.randint(-5, 9),
+        shuffled,
+    ]
+    rng, ref = Rng(seed), ScalarSplitMix64(seed)
+    assert rng._state == seed
+    step = 0
+    while ref.outputs < 4 * 256 + 100:  # the first fill and four refills
+        call = calls[step % len(calls)] if step % 7 else calls[3]
+        assert call(rng) == call(ref)
+        assert rng._state == ref.state
+        step += 1
+
+
 def test_randbelow_range_and_coverage():
     rng = Rng(3)
     draws = [rng.randbelow(7) for _ in range(2000)]
