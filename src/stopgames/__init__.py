@@ -50,6 +50,7 @@ from .reduce import (
     scc_condense,
 )
 from .solve import (
+    NonConvergenceError,
     SolveResult,
     solve_brute_force,
     solve_hoffman_karp,

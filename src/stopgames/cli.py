@@ -1,8 +1,9 @@
 """Command-line surface: generate, reduce, verify, solve, bench, summarize.
 
-Exit codes: 0 on success, 1 on validation or input failures and on a
-value system float64 cannot solve (exact mode can), 2 when a solver or
-generator violates its own contracts (instability, cap trips).
+Exit codes: 0 on success, 1 on validation or input failures, on a
+value system float64 cannot solve (exact mode can) and on value
+iteration that does not converge within its sweep cap, 2 when a solver
+or generator violates its own contracts (instability, cap trips).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .game import NonStoppingGameError, load_game, save_game
 from .generate import GenerationError
 from .linsolve import SingularSystemError
 from .reduce import check_assumptions, reduce_game
-from .solve import SOLVERS
+from .solve import SOLVERS, NonConvergenceError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -159,7 +160,7 @@ def main(argv=None) -> int:
     except SingularSystemError as exc:  # exact systems of stopping games are never singular
         print(f"error: float64 could not solve the value system ({exc}); --mode exact solves it", file=sys.stderr)
         return 1
-    except (NonStoppingGameError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (NonStoppingGameError, NonConvergenceError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,6 +28,10 @@ system is nonsingular.  Any other game is refused with
 Policy iteration stays on arrays too: a strategy is one byte per owned
 node, a value vector one array, and the switch and stability tests are
 a few gathers and compares over the layout's arc targets.
+``best_response`` is one policy-iteration loop in the mode it is given;
+when exact Hoffman-Karp leaves float64 is decided in
+``solve.solve_hoffman_karp``, with ``float_error_estimate`` as its test
+of whether float values can be trusted.
 """
 
 from __future__ import annotations
@@ -255,6 +259,40 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
     return ValueVector(by_slot[node_slot], mode, den)
 
 
+def float_error_estimate(g: Game, sp: StrategyPair) -> float:
+    """How far float64 values of ``sp`` may lie from its exact ones: the
+    condition number of its value system A times the machine epsilon;
+    ``inf`` where float64 cannot factor A.
+
+    A is 2I minus the child counts, and on a stopping game A^-1 is the
+    sum of (C/2)^k / 2 over k >= 0, non-negative entry by entry, so
+    ‖A^-1‖∞ is the largest entry of A^-1·1; ‖A‖∞ is at most 4.  The
+    estimate grows with how long play can stay among the averages: below
+    1e-13 on generated games of up to 512 nodes, about 5e-10 on a chain
+    of 20 averages that play leaves only after 19 fair coin flips in a
+    row.
+
+    A is built here as ``evaluate_strategy_pair`` builds it, without the
+    right-hand side.  That function keeps its own copy of the build: run
+    through one shared helper, whose work arrays die before the solve's
+    results are gathered, float perm on the ``solve-float`` benchmark
+    workload measured 2–4 % slower in every pair (a 2-core x86-64 VM,
+    Python 3.11, NumPy 2.4)."""
+    require_stopping(g, "strategy evaluation")
+    lay = g.layout
+    rows = lay.average_nodes
+    a = len(rows)
+    child = _anchor_slots(_successors(g, sp), lay.slot)[lay.targets[:, rows]].T
+    unknown_rows, unknown_cols = np.nonzero(child < a)
+    diagonal = np.arange(a)
+    coo = (
+        np.concatenate((diagonal, unknown_rows)),
+        np.concatenate((diagonal, child[unknown_rows, unknown_cols])),
+        np.repeat((2, -1), (a, len(unknown_rows))),
+    )
+    return 4 * linsolve.inverse_norm(a, coo) * np.finfo(float).eps
+
+
 def is_stable(g: Game, v: ValueVector, tol: float | None = None) -> bool:
     """True when every node satisfies its local equation within ``tol``.
 
@@ -308,36 +346,19 @@ def best_response(
     """Optimal response of the player opposite ``fixed`` against it,
     from ``initial`` or, without one, the all-first-arcs strategy.
 
-    Policy iteration: evaluate, switch all improving responder nodes,
-    repeat until none improve.  Every round strictly improves the
-    responder's values on a stopping game, so the loop terminates.  In
-    exact mode the loop first converges in float64 and then verifies and,
-    if needed, finishes with exact arithmetic, which leaves the result
-    exactly optimal at a fraction of the rational-arithmetic cost.  The
-    float phase is only a warm start there: a float system too
-    ill-conditioned to factor or to solve inside [0, 1] ends it, and the
-    exact phase goes on from the current response.  The first evaluation
-    refuses a game that is not stopping.
+    Policy iteration in ``mode``: evaluate, switch all improving responder
+    nodes, repeat until none improve.  Every round strictly improves the
+    responder's values on a stopping game, so the loop terminates.  The
+    first evaluation refuses a game that is not stopping.
     """
     player = Player.MIN if fixed.player is Player.MAX else Player.MAX
     resp = initial if initial is not None else Strategy(player, bytes(len(_owned(g, player))))
     cap = 10 * len(resp.bits) + 20
-
-    def pair_for(r: Strategy) -> StrategyPair:
-        return StrategyPair(r, fixed) if player is Player.MAX else StrategyPair(fixed, r)
-
-    for phase in (FLOAT,) if mode == FLOAT else (FLOAT, EXACT):
-        for _ in range(cap):
-            try:
-                v = evaluate_strategy_pair(g, pair_for(resp), phase)
-            except linsolve.SingularSystemError:
-                if phase == mode:
-                    raise
-                break  # the float warm start ends here; the exact phase goes on
-            improved = improve_all(g, resp, v)
-            if improved is None:
-                break
-            resp = improved
-        else:
-            raise EvaluationContractError(f"{phase} policy iteration hit its cap")
-    return resp, v
+    for _ in range(cap):
+        pair = StrategyPair(resp, fixed) if player is Player.MAX else StrategyPair(fixed, resp)
+        v = evaluate_strategy_pair(g, pair, mode)
+        improved = improve_all(g, resp, v)
+        if improved is None:
+            return resp, v
+        resp = improved
+    raise EvaluationContractError(f"{mode} policy iteration hit its cap")

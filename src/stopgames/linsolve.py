@@ -33,6 +33,9 @@ unknown, or a child aliasing the row's own unknown, need no merging.
 
 * ``solve_float`` returns float64 values with one step of iterative
   refinement and a residual guarantee.
+
+* ``inverse_norm`` returns ‖A^-1‖∞ in float64, the condition estimate
+  behind ``evaluate.float_error_estimate``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 from math import gcd, isqrt, prod
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgesv, dgetrf, dgetrs
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
@@ -143,11 +146,11 @@ def _reconstruct(xs, modulus: int) -> tuple[list[int], int] | None:
 
 
 def _dense(a: int, coo, dtype) -> np.ndarray:
-    """The a x a matrix of the triplets, duplicates summed."""
-    dense = np.zeros((a, a), dtype=dtype)
-    rows, cols, coefs = coo
-    np.add.at(dense, (rows, cols), coefs)
-    return dense
+    """The a x a matrix of the triplets, duplicates summed.  The sums are
+    taken in float64, exactly: every entry is a small integer."""
+    rows, cols, coefs = map(np.asarray, coo)
+    flat = np.bincount(rows * a + cols, weights=coefs, minlength=a * a)
+    return flat.reshape(a, a).astype(dtype, copy=False)
 
 
 def _hadamard_sq(row_norms_sq, rhs) -> int:
@@ -314,6 +317,28 @@ def solve_exact(rhs, coo) -> tuple[list[int], int]:
     if len(rhs) == 0:
         return [], 1
     return _solve_numeric(rhs, coo) or _solve_dixon(rhs, coo)
+
+
+def inverse_norm(a: int, coo) -> float:
+    """‖A^-1‖∞ in float64 for an a x a matrix whose inverse is entrywise
+    non-negative, as every value system of a stopping game has: the
+    largest entry of A^-1·1, solved once without refinement; ``inf``
+    where float64 cannot factor A or the solve overflows."""
+    if a == 0:
+        return 0.0
+    ones = np.ones(a)
+    if a <= _DENSE_MAX:
+        *_, t, info = dgesv(_dense(a, coo, float), ones)
+        if info:
+            return np.inf
+    else:
+        rows, cols, coefs = coo
+        try:
+            t = splu(csc_matrix((coefs, (rows, cols)), shape=(a, a), dtype=float)).solve(ones)
+        except RuntimeError:
+            return np.inf
+    norm = float(np.abs(t).max())
+    return norm if np.isfinite(norm) else np.inf
 
 
 def solve_float(rhs, coo) -> np.ndarray:

@@ -3,7 +3,8 @@
 Two benchmarked algorithms and two independent oracles:
 
 * Hoffman-Karp strategy improvement: switch every improving max node
-  against an exact min best response each round.
+  against a min best response each round; exact mode runs in float64
+  until float settles, fails or cannot be trusted.
 * Permutation improvement (after Gimbert and Horn): guess an ascending
   value order of the average nodes, derive the deterministic-reachability
   strategies consistent with it, evaluate, and re-sort until the order is
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluate import (
+    DEFAULT_SWITCH_MARGIN,
     EXACT,
     FLOAT,
     EvaluationContractError,
@@ -37,16 +39,24 @@ from .evaluate import (
     ValueVector,
     best_response,
     evaluate_strategy_pair,
+    float_error_estimate,
     improve_all,
     is_stable,
     random_strategy,
 )
 from .game import MAX, MIN, Game, require_stopping
+from .linsolve import SingularSystemError
 from .rng import Rng
 
 # Brute force enumerates 2^d strategy assignments; it refuses more than
 # this many decision nodes d.
 BRUTE_FORCE_DECISION_CAP = 12
+
+
+class NonConvergenceError(RuntimeError):
+    """Value iteration reached its sweep cap before its largest change fell
+    below its tolerance: a numerical outcome on a slowly converging game,
+    not a defect."""
 
 
 @dataclass(frozen=True)
@@ -99,15 +109,30 @@ def solve_hoffman_karp(
 ) -> SolveResult:
     """Strategy improvement from a uniformly random initial max strategy.
 
-    Each iteration computes the min player's exact best response, then
-    switches every max node whose other arc beats its current value; the
-    loop ends on the iteration that finds nothing to switch.  In exact
-    mode the value vector is checked to be componentwise non-decreasing
-    between iterations, which the switch-all rule guarantees.
+    Each iteration computes the min player's best response, then switches
+    every max node whose other arc beats its current value; the loop ends
+    on the iteration that finds nothing to switch.
+
+    Exact mode starts in float64, and float values steer the max
+    strategy only while their ``float_error_estimate`` stays within half
+    the switch margin: where the estimate bounds the float error, a tie
+    then never switches in float, and a gain above twice the margin
+    switches as in exact arithmetic.  At the first iteration that finds
+    nothing to switch in float, whose float system float64 cannot solve,
+    or whose final pair's estimate exceeds that bound, the loop turns
+    exact for good: that iteration is redone from the same max strategy,
+    the best response starting from the last float one, and the loop
+    goes on until an exact iteration switches nothing.  With
+    ``keep_history`` each float iteration is also evaluated exactly, by
+    an exact best response from the float one that steers nothing, and
+    ``value_history`` holds the exact vector of every iteration.  Every
+    exact vector is checked to be componentwise non-decreasing from the
+    one before, which the switch-all rule guarantees.
     """
     require_stopping(g, "Hoffman-Karp")
     sigma = random_strategy(g, Player.MAX, Rng(seed))
     tau: Strategy | None = None
+    float_ahead = mode == EXACT  # until float settles, fails or is not trusted, then exact for good
     prev_values = None
     history = [] if keep_history else None
     iterations = 0
@@ -116,18 +141,34 @@ def solve_hoffman_karp(
         iterations += 1
         if iterations > cap:
             raise EvaluationContractError(f"Hoffman-Karp exceeded {cap} iterations")
-        tau, v = best_response(g, sigma, mode, initial=tau)
-        if mode == EXACT and prev_values is not None:
-            # v.scaled / v.den against prev.scaled / prev.den, cross-multiplied
-            den, prev_den = v.den, prev_values.den
-            if any(a * prev_den < b * den for a, b in zip(v.scaled, prev_values.scaled)):
-                raise EvaluationContractError(
-                    "max values decreased between improvement rounds"
-                )
-        prev_values = v
-        if history is not None:
-            history.append(v)
-        improved = improve_all(g, sigma, v)
+        if float_ahead:
+            try:
+                tau, v = best_response(g, sigma, FLOAT, initial=tau)
+                improved = improve_all(g, sigma, v)
+            except SingularSystemError:
+                improved = None
+            # a switch compares two values, each off by up to the estimate
+            float_ahead = improved is not None and (
+                float_error_estimate(g, StrategyPair(sigma, tau)) <= DEFAULT_SWITCH_MARGIN / 2
+            )
+        if float_ahead:
+            # float steers; a history records the exact vector, which steers nothing
+            seen = best_response(g, sigma, EXACT, initial=tau)[1] if keep_history else None
+        else:
+            tau, v = best_response(g, sigma, mode, initial=tau)
+            improved = improve_all(g, sigma, v)
+            seen = v
+        if seen is not None:
+            if mode == EXACT and prev_values is not None:
+                # seen.scaled / seen.den against prev.scaled / prev.den, cross-multiplied
+                den, prev_den = seen.den, prev_values.den
+                if any(a * prev_den < b * den for a, b in zip(seen.scaled, prev_values.scaled)):
+                    raise EvaluationContractError(
+                        "max values decreased between improvement rounds"
+                    )
+            prev_values = seen
+            if history is not None:
+                history.append(seen)
         if improved is None:
             break
         sigma = improved
@@ -314,7 +355,8 @@ def solve_value_iteration(
     assignment on a stopping game; iteration stops when the largest
     componentwise change drops below ``tol``.  ``iterations`` is the
     sweep count; ``keep_history`` keeps every iterate, the zero start
-    included, in ``value_history``.
+    included, in ``value_history``.  ``NonConvergenceError`` when
+    ``max_sweeps`` sweeps pass without that.
     """
     require_stopping(g, "value iteration")
     # a terminal's targets are its own position twice, so the average
@@ -337,7 +379,7 @@ def solve_value_iteration(
         if diff < tol:
             history = None if history is None else tuple(history)
             return _finish(g, "vi", None, ValueVector(v, FLOAT), None, sweeps, value_history=history)
-    raise EvaluationContractError(f"value iteration did not converge in {max_sweeps} sweeps")
+    raise NonConvergenceError(f"value iteration did not converge in {max_sweeps} sweeps")
 
 
 # Entries look their solver up when called, so a module attribute rebound

@@ -15,6 +15,7 @@ from math import lcm
 
 from stopgames import (
     EXACT,
+    FLOAT,
     EvaluationContractError,
     Game,
     NodeKind,
@@ -28,7 +29,7 @@ from stopgames import (
     scc_condense,
 )
 from stopgames.bench import write_records_csv
-from stopgames.evaluate import DEFAULT_STABLE_TOL, DEFAULT_SWITCH_MARGIN
+from stopgames.evaluate import DEFAULT_STABLE_TOL, DEFAULT_SWITCH_MARGIN, random_strategy
 from stopgames.game import AVG, MAX, MIN, TERM
 from stopgames.solve import BRUTE_FORCE_DECISION_CAP
 from stopgames.generate import GenParams, Variant, generate_basic
@@ -280,6 +281,36 @@ def oracle_improve_all(g: Game, strat: Strategy, v: ValueVector) -> Strategy | N
             new_choice[i] = 1 - c
             switched = True
     return Strategy.from_choice(g, strat.player, new_choice) if switched else None
+
+
+def oracle_hoffman_karp(g: Game, seed: int) -> tuple[ValueVector, StrategyPair, int]:
+    """Exact Hoffman-Karp with an exact best response at every iteration:
+    the values, the final pair and the iteration count.  Each best
+    response is a float64 policy iteration, ended early by a system
+    float64 cannot solve, and then an exact one from where it stopped;
+    every switch is ``oracle_improve_all``'s.  The max strategy starts
+    from the run seed's random strategy, as ``solve_hoffman_karp``'s does."""
+    cap = 10 * g.n + 100
+    sigma = random_strategy(g, Player.MAX, Rng(seed))
+    tau = Strategy(Player.MIN, bytes(len(g.min_nodes)))
+    for iterations in range(1, cap + 1):
+        for mode in (FLOAT, EXACT):
+            for _ in range(cap):
+                try:
+                    v = evaluate_strategy_pair(g, StrategyPair(sigma, tau), mode)
+                except linsolve.SingularSystemError:
+                    if mode == EXACT:
+                        raise
+                    break
+                better = oracle_improve_all(g, tau, v)
+                if better is None:
+                    break
+                tau = better
+        better = oracle_improve_all(g, sigma, v)
+        if better is None:
+            return v, StrategyPair(sigma, tau), iterations
+        sigma = better
+    raise EvaluationContractError(f"oracle Hoffman-Karp exceeded {cap} iterations")
 
 
 def oracle_value_iteration(g: Game, tol: float = 1e-12) -> list[list[float]]:

@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stopgames import cli, game_from_json, load_game, save_game
+from stopgames import solve as solve_module
 
 from stopgames.bench import (
     CSV_HEADER,
@@ -498,6 +500,20 @@ def test_cli_float_solve_of_twin_chain_exits_1(tmp_path, capsys, algo):
     assert "outside [0, 1]" in captured.err and captured.err.count("\n") == 1
     assert main(["solve", "--algo", algo, "--mode", "exact", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["values"][0] == "1/2"
+
+
+def test_cli_value_iteration_cap_exits_1(tmp_path, capsys, monkeypatch):
+    """vi on the k = 20 twin chain reaches its sweep cap, here lowered to
+    50 sweeps: a numerical non-convergence, reported in one line with
+    exit 1, not as a contract failure."""
+    path = tmp_path / "twin20.json"
+    save_game(twin_chain(20), path)
+    capped = functools.partial(solve_module.solve_value_iteration, max_sweeps=50)
+    monkeypatch.setattr(solve_module, "solve_value_iteration", capped)
+    assert main(["solve", "--algo", "vi", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: value iteration did not converge in 50 sweeps\n"
 
 
 def test_cli_bench_rejects_non_stopping_instance_file(tmp_path, capsys):

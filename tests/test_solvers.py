@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     build_game,
     fallback_chain,
+    oracle_hoffman_karp,
     oracle_value_iteration,
     random_stopping_game,
     solve_by_components,
@@ -22,11 +23,13 @@ from stopgames import (
     EvaluationContractError,
     Game,
     NodeKind,
+    NonConvergenceError,
     NonStoppingGameError,
     Player,
     RatioSpec,
     Strategy,
     StrategyPair,
+    best_response,
     check_assumptions,
     generate_fully_reduced,
     is_stable,
@@ -38,7 +41,7 @@ from stopgames import (
     solve_value_iteration,
 )
 from stopgames.bench import generate_instance
-from stopgames.evaluate import DEFAULT_STABLE_TOL
+from stopgames.evaluate import DEFAULT_STABLE_TOL, float_error_estimate, random_strategy
 from stopgames.generate import GenParams, Variant, generate_basic, ratio_counts
 from stopgames.reduce import scc_condense
 from stopgames.rng import Rng, derive_seed
@@ -86,6 +89,15 @@ def test_value_iteration_monotone_from_zero():
         assert len(history) == res.iterations + 1  # the zero start, then each sweep
         for prev, cur in zip(history, history[1:]):
             assert all(c >= p - 1e-15 for p, c in zip(prev.values, cur.values))
+
+
+def test_value_iteration_cap_is_non_convergence():
+    """Value iteration that reaches ``max_sweeps`` raises
+    ``NonConvergenceError``, a numerical outcome and no contract failure:
+    the k = 20 twin chain is still moving after 50 sweeps."""
+    assert not issubclass(NonConvergenceError, EvaluationContractError)
+    with pytest.raises(NonConvergenceError, match="^value iteration did not converge in 50 sweeps$"):
+        solve_value_iteration(twin_chain(20), max_sweeps=50)
 
 
 @pytest.mark.parametrize("ratio", [1, 8], ids=["1:4", "8:4"])
@@ -300,13 +312,114 @@ def test_component_solving_matches_whole_game():
     assert done >= 30
 
 
+def test_exact_hoffman_karp_leaves_float_once(monkeypatch):
+    """Exact hk runs in float64 and turns exact at the first iteration
+    that switches nothing in float, or whose float values it cannot
+    trust.  On generated games float settles on the exactly optimal pair,
+    so the run makes one exact evaluation.  On
+    ``twin_chain(60)`` float hk settles on a pair that is not exactly
+    stable (node 1 reads 1.0 in float, for an exact 1/2), so the exact
+    continuation runs and evaluates more than once."""
+    calls = []
+    real = linsolve.solve_exact
+
+    def counting(rhs, coo):
+        calls.append(len(rhs))
+        return real(rhs, coo)
+
+    monkeypatch.setattr(linsolve, "solve_exact", counting)
+    for size in (64, 128, 256):
+        for ratio in (1, 4, 8):
+            g, _ = generate_fully_reduced(RatioSpec(size, ratio), derive_seed(61, size, ratio))
+            for seed in (0, 1):
+                calls.clear()
+                solve_hoffman_karp(g, seed, EXACT)
+                assert len(calls) == 1, (size, ratio, seed, calls)
+    calls.clear()
+    assert solve_hoffman_karp(twin_chain(60), 1, EXACT).values.value(1) == Fraction(1, 2)
+    assert len(calls) > 1
+
+
+def test_exact_hoffman_karp_matches_per_iteration_exact_oracle():
+    """Exact hk, with and without its history, equals the loop that
+    takes an exact best response at every iteration
+    (``oracle_hoffman_karp``) in values, strategies and iteration count,
+    on 30 (game, run seed) pairs: generated fully reduced games of 64 to
+    256 nodes at ratios 1, 4 and 8 and small random stopping games.  The
+    history's last vector is the result's.
+
+    On the ill-conditioned chains, run seeds 1 to 3, it equals the oracle
+    in values, max strategy and iteration count, none of which may follow
+    float64 noise.  Every node of ``fallback_chain`` is worth 1/2, so the
+    random max strategy is already optimal and every run takes one
+    iteration; at k = 120, 140 and 160 with run seed 2 float64 proposes a
+    switch there on values that are wrong, and its error estimate must
+    keep that switch out.  The min strategy, a choice between ties on
+    these chains, may follow where float64 stops, as the oracle's does."""
+    cases = [
+        (generate_fully_reduced(RatioSpec(size, ratio), derive_seed(67, size, ratio))[0], seed)
+        for size in (64, 128, 256)
+        for ratio in (1, 4, 8)
+        for seed in (0, 1)
+    ]
+    cases += [(random_stopping_game(seed, max_nodes=12), seed) for seed in range(12)]
+    iterations = []
+    for g, seed in cases:
+        want = oracle_hoffman_karp(g, seed)
+        for keep_history in (False, True):
+            res = solve_hoffman_karp(g, seed, EXACT, keep_history)
+            assert (res.values, res.strategies, res.iterations) == want, (g.n, seed, keep_history)
+        assert len(res.value_history) == res.iterations and res.value_history[-1] == res.values
+        iterations.append(res.iterations)
+    assert max(iterations) >= 3
+
+    chains = [(f"fallback_chain({k})", fallback_chain(k)) for k in (20, 80, 100, 120, 140, 160)]
+    chains += [(f"twin_chain({k})", twin_chain(k)) for k in (20, 60, 70, 80)]
+    for name, g in chains:
+        for seed in (1, 2, 3):
+            values, pair, count = oracle_hoffman_karp(g, seed)
+            for keep_history in (False, True):
+                res = solve_hoffman_karp(g, seed, EXACT, keep_history)
+                got = (res.values, res.strategies.sigma, res.iterations)
+                assert got == (values, pair.sigma, count), (name, seed, keep_history)
+            if name.startswith("fallback"):
+                assert res.iterations == 1 and res.strategies.sigma == random_strategy(g, Player.MAX, Rng(seed))
+
+
+def test_float_error_estimate_separates_generated_games_from_chains():
+    """The error estimate of a float best response's values stays below
+    1e-13 on generated games of 64 to 512 nodes and passes 1e-10 on the
+    chains, where it stops exact hk's float iterations.  Underneath,
+    ``linsolve.inverse_norm`` is ‖A^-1‖∞ and ``inf`` on a matrix float64
+    cannot factor, dense or sparse."""
+    for size in (64, 128, 256, 512):
+        for ratio in (1, 8):
+            g, _ = generate_fully_reduced(RatioSpec(size, ratio), derive_seed(71, size, ratio))
+            for seed in (0, 1):
+                sigma = random_strategy(g, Player.MAX, Rng(seed))
+                tau, _ = best_response(g, sigma, FLOAT)
+                assert float_error_estimate(g, StrategyPair(sigma, tau)) < 1e-13, (size, ratio, seed)
+    for g in (fallback_chain(20), fallback_chain(120), twin_chain(20)):
+        sigma = random_strategy(g, Player.MAX, Rng(2))
+        tau, _ = best_response(g, sigma, FLOAT)
+        assert float_error_estimate(g, StrategyPair(sigma, tau)) > 1e-10
+    two = ([0, 0, 1, 1], [0, 1, 0, 1], [2, -1, -1, 2])  # A^-1 = [[2, 1], [1, 2]] / 3
+    assert linsolve.inverse_norm(2, two) == pytest.approx(1.0, rel=1e-15)
+    for a in (2, 70):
+        zero = ([0] * a, [0] * a, [0] * a)
+        assert linsolve.inverse_norm(a, zero) == float("inf")
+
+
 @pytest.mark.parametrize("k", range(20, 161, 20))
 def test_exact_solvers_on_ill_conditioned_chain(monkeypatch, k):
     """Exact hk, perm and brute force return 1/2 at every node.  At k = 80
-    and 100 the float LU in one of hk's best-response warm starts is
-    exactly singular, and that phase hands over to the exact one.  From
-    k = 80 the numeric lift gives up on some system of every solver, and
-    Dixon lifting answers it."""
+    and 100 a float LU in exact hk's first iteration is exactly singular,
+    and hk redoes that iteration exactly; from k = 120 float64 settles on
+    wrong values, and the exact redo of the settling iteration corrects
+    them (under run seed 2 it proposes a switch on them instead, which
+    the error estimate keeps out: see the oracle test).  From k = 80 the
+    numeric lift gives up on some system of every
+    solver, and Dixon lifting answers it."""
     g = fallback_chain(k)
     assert g.stopping
     answered = []
@@ -325,12 +438,14 @@ def test_exact_solvers_on_ill_conditioned_chain(monkeypatch, k):
         assert bool(answered) == (k >= 80), (algo, answered)
 
 
-@pytest.mark.parametrize("k", [20, 70, 80, 160])
+@pytest.mark.parametrize("k", [20, 60, 70, 80, 160])
 def test_exact_solvers_on_twin_chain(k):
     """The twin chain is fully reduced, so ``reduce_game`` leaves it as it
     is, and exact hk, perm and brute force agree on it, node 1 worth 1/2.
-    From k = 70 the float LU in hk's best-response warm start solves to a
-    value outside [0, 1], and that phase hands over to the exact one."""
+    At k = 60 exact hk's float64 iterations settle on a pair that is not
+    exactly stable, and the exact continuation finds the optimum.  From
+    k = 70 a float solve in hk's first iteration lands outside [0, 1],
+    and hk redoes that iteration exactly."""
     g = twin_chain(k)
     assert check_assumptions(g).fully_reduced
     assert reduce_game(g)[0] == g
@@ -340,27 +455,35 @@ def test_exact_solvers_on_twin_chain(k):
         assert SOLVERS[algo](g, 1, EXACT).values == want, algo
 
 
+# known silent wrong float answers on the twin chain, run seed 1
+FLOAT_TWIN_WRONG = {
+    ("hk", 60): "float hk answers 1.0 at node 1",
+    ("perm", 60): "float perm answers 1.0 at node 1",
+    ("perm", 70): "float perm answers about 2.1e-5 at node 1",
+    ("perm", 80): "float perm answers about 3.0e-8 at node 1",
+}
+
+
 @pytest.mark.parametrize(
     "algo,k",
     [
-        ("hk", 20),
-        ("hk", 70),
-        ("hk", 80),
-        ("hk", 160),
-        ("perm", 20),
-        *(
-            pytest.param("perm", k, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason))
-            for k, reason in ((70, "float perm answers about 2.1e-5 at node 1"), (80, "float perm answers about 3.0e-8 at node 1"))
-        ),
-        ("perm", 160),
+        pytest.param(
+            algo,
+            k,
+            marks=[pytest.mark.xfail(strict=True, raises=AssertionError, reason=FLOAT_TWIN_WRONG[algo, k])]
+            if (algo, k) in FLOAT_TWIN_WRONG
+            else [],
+        )
+        for algo in ("hk", "perm")
+        for k in (20, 60, 70, 80, 160)
     ],
 )
 def test_float_solvers_on_twin_chain(algo, k):
     """Float hk and perm on the twin chain come within 1e-9 of the exact
-    values or refuse with ``SingularSystemError``.  Float perm at k = 70
-    and 80 returns a wrong vector instead: a known silent wrong answer,
-    pinned here until float answers are certified against exact
-    arithmetic."""
+    values or refuse with ``SingularSystemError``.  Float hk and perm at
+    k = 60 and float perm at k = 70 and 80 return a wrong vector instead:
+    known silent wrong answers, pinned here until float answers are
+    certified against exact arithmetic."""
     g = twin_chain(k)
     want = SOLVERS[algo](g, 1, EXACT).values
     try:
