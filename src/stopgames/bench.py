@@ -23,6 +23,7 @@ import numpy as np
 from .evaluate import EXACT, FLOAT, EvaluationContractError, is_stable
 from .game import Game, json_object, load_game, save_game
 from .generate import GenMeta, RatioSpec, generate_fully_reduced, ratio_counts
+from .linsolve import load_scipy
 from .rng import derive_seed
 from .solve import ALGORITHMS, BRUTE_FORCE_DECISION_CAP, SOLVERS
 
@@ -213,8 +214,10 @@ def run_benchmark(plan: BenchPlan, workers: int = 1) -> list[BenchRecord]:
             for run in range(plan.runs_per_instance):
                 seed = _run_seed(plan.master_seed, size, ratio, idx, algo, run)
                 jobs.append((iid, game, algo, seed, plan.mode))
+    # every record times one solve, never a first import of SciPy
+    load_scipy()
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=load_scipy) as pool:
             records = list(pool.map(_execute_job, jobs, chunksize=8))
     else:
         records = [_execute_job(job) for job in jobs]

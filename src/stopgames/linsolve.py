@@ -36,6 +36,15 @@ unknown, or a child aliasing the row's own unknown, need no merging.
 
 * ``inverse_norm`` returns ‖A^-1‖∞ in float64, the condition estimate
   behind ``evaluate.float_error_estimate``.
+
+SciPy is imported where it is first used, so importing this module loads
+none of it: SuperLU and the sparse matrix types with the first system of
+more than ``_DENSE_MAX`` unknowns, LAPACK's ``dgetrf``/``dgetrs`` with the
+first dense exact solve and ``dgesv`` with the first dense error
+estimate.  Dense float solves need only NumPy.  The dense exact factor
+stays on LAPACK: ``np.linalg.solve`` per lift step, or one
+``np.linalg.inv``, made exact solving slower.  ``load_scipy`` imports it
+all up front, for callers that time solves.
 """
 
 from __future__ import annotations
@@ -43,13 +52,17 @@ from __future__ import annotations
 from math import gcd, isqrt, prod
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dgetrf, dgetrs
-from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.linalg import splu
 
 
 RESIDUAL_BOUND = 1e-9
 _DENSE_MAX = 64  # unknowns up to which a system is factored dense, not sparse
+
+
+def load_scipy() -> None:
+    """Import every SciPy module the solvers use, which they otherwise
+    import on first use, so that no timed solve pays for the import."""
+    import scipy.linalg.lapack  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
 
 
 class SingularSystemError(RuntimeError):
@@ -267,6 +280,8 @@ def _solve_numeric(rhs, coo) -> tuple[list[int], int] | None:
     a = len(rhs)
     rows, cols, coefs = coo
     if a <= _DENSE_MAX:
+        from scipy.linalg.lapack import dgetrf, dgetrs
+
         matrix = _dense(a, coo, np.int64)
         norms_sq = (matrix * matrix).sum(axis=1)
         lu, piv, info = dgetrf(matrix.astype(float))
@@ -277,6 +292,9 @@ def _solve_numeric(rhs, coo) -> tuple[list[int], int] | None:
             return dgetrs(lu, piv, v)[0]
 
     else:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.linalg import splu
+
         matrix = csr_matrix((coefs, (rows, cols)), shape=(a, a), dtype=np.int64)
         norms_sq = matrix.multiply(matrix).sum(axis=1).A1
         try:
@@ -328,10 +346,15 @@ def inverse_norm(a: int, coo) -> float:
         return 0.0
     ones = np.ones(a)
     if a <= _DENSE_MAX:
+        from scipy.linalg.lapack import dgesv
+
         *_, t, info = dgesv(_dense(a, coo, float), ones)
         if info:
             return np.inf
     else:
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
         rows, cols, coefs = coo
         try:
             t = splu(csc_matrix((coefs, (rows, cols)), shape=(a, a), dtype=float)).solve(ones)
@@ -360,6 +383,9 @@ def solve_float(rhs, coo) -> np.ndarray:
             raise SingularSystemError(str(exc)) from exc
         residual = np.abs(dense @ x - b).max()
     else:
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
         rows, cols, coefs = coo
         sparse = csc_matrix((coefs, (rows, cols)), shape=(a, a), dtype=float)
         try:

@@ -7,11 +7,13 @@ when a terminal is unreachable).  A linear propagation finds every node
 whose value is forced to exactly 1 or exactly 0, so it can be merged
 into its terminal: the nodes outside the other terminal's backward
 attractor (``game.attractor``, the fixpoint the bad core and the
-generator's witnesses come from too).  SciPy's strongly connected
-components split the game, sinks first, into parts that can be solved
-independently.
-``check_assumptions`` bundles the whole checklist a fully reduced
-benchmark instance must satisfy.
+generator's witnesses come from too).  ``scc_condense`` splits the game,
+sinks first, into strongly connected components that can be solved
+independently; it is the one user of SciPy here and imports SciPy's
+strong components when it is called, so importing this module loads no
+SciPy.  ``check_assumptions`` bundles the whole checklist a fully
+reduced benchmark instance must satisfy; its single-component question
+needs no component labels, only two reachability sweeps.
 
 Every transformation logs its steps in a ``ReductionReport`` keyed by
 original node ids, so reduced solutions can be mapped back and the whole
@@ -27,8 +29,6 @@ from fractions import Fraction
 from itertools import chain
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .game import AVG, MAX, MIN, TERM, Game, attractor, require_stopping
 
@@ -342,7 +342,8 @@ def scc_condense(g) -> list[frozenset[int]]:
     """Non-terminal strongly connected components, sinks first.
 
     ``g`` is a ``Game`` or a complete ``PartialGame``.  SciPy's strong
-    components (Pearce's variant of Tarjan's depth-first search) number
+    components (Pearce's variant of Tarjan's depth-first search), imported
+    on the first call so that ``import stopgames`` loads no SciPy, number
     each component as it completes, and completion order is reverse
     topological: label 0 is a sink.  SciPy does not document that order;
     the sinks-first tests guard it.  So every component's out-arcs lead
@@ -350,6 +351,9 @@ def scc_condense(g) -> list[frozenset[int]]:
     them left to right needs no lookahead.  Terminals have no out-arcs,
     so they are singletons of their own and are left out.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     code, arcs = g.code, g.arcs
     indptr = np.cumsum([0, 0] + [len(a) for a in arcs])  # row 0 is empty
     heads = np.fromiter(chain.from_iterable(arcs), np.int32, indptr[-1])
@@ -362,6 +366,35 @@ def scc_condense(g) -> list[frozenset[int]]:
         if code[v] != TERM:
             buckets[label].append(v)
     return [frozenset(b) for b in buckets if b]
+
+
+def _one_component(code, arcs, parents) -> bool:
+    """Whether the non-terminals form one strongly connected component
+    with a cycle in it: at least two nodes, or one with a self-arc.
+
+    A forward sweep over ``arcs`` and a backward sweep over ``parents``
+    from the first non-terminal both reach every non-terminal exactly when
+    all of them share its component (Sharir 1981).  Terminals have no
+    out-arcs, so no path between non-terminals passes one, and neither
+    sweep enters them.
+    """
+    term = bytes(c == TERM for c in code)  # entry 0 reads TERM
+    live = len(term) - sum(term)
+    start = term.find(0)
+    if live < 2:
+        return live == 1 and start in arcs[start - 1]
+    for step in ((None, *arcs), parents):  # both indexed by node id
+        seen = bytearray(term)
+        seen[start] = 1
+        order = [start]
+        for v in order:
+            for t in step[v]:
+                if not seen[t]:
+                    seen[t] = 1
+                    order.append(t)
+        if len(order) < live:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -403,6 +436,9 @@ def check_assumptions(g) -> AssumptionChecklist:
     ``g`` is a ``Game`` or a complete ``PartialGame``, whose ``stopping``
     is checked afresh: the fully reduced generator checks each attempt's
     partial game and freezes only the one it accepts.
+    ``single_nonterminal_scc`` comes from ``_one_component``, two O(n)
+    reachability sweeps, not from ``scc_condense``, so the checklist
+    loads no SciPy.
     """
     t0, t1 = g.terminal0, g.terminal1
     stopping = g.stopping
@@ -436,9 +472,6 @@ def check_assumptions(g) -> AssumptionChecklist:
         attractor(code, arcs, parents, *polarity.escape(g.n))[0].count(0) == 2 for polarity in Polarity
     )
 
-    comps = scc_condense(g)
-    single = len(comps) == 1 and (len(comps[0]) >= 2 or any(v in arcs[v - 1] for v in comps[0]))
-
     return AssumptionChecklist(
         stopping=stopping,
         no_terminal_decision_arcs=no_term_dec,
@@ -446,5 +479,5 @@ def check_assumptions(g) -> AssumptionChecklist:
         no_zero_indegree=no_zero_indegree,
         terminal_adjacent_average_pair=adjacent_pair,
         no_solved_nodes=no_solved,
-        single_nonterminal_scc=single,
+        single_nonterminal_scc=_one_component(code, arcs, parents),
     )

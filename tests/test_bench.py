@@ -623,6 +623,35 @@ def test_cli_summarize_rejects_malformed_records(tmp_path, capsys, row):
     assert not summary_path.exists() and not (tmp_path / "summary_plot.csv").exists()
 
 
+# Run in a fresh interpreter, where the solvers have not yet imported SciPy:
+# each timed solve of a bench run finds every SciPy module they use loaded.
+FIRST_RUN_SCIPY = """
+import sys
+
+from stopgames import bench
+from stopgames.bench import BenchPlan
+
+solve = bench.SOLVERS["hk"]
+checked = []
+
+
+def checking(g, seed, mode):
+    checked.append({"scipy.linalg.lapack", "scipy.sparse.linalg"} <= set(sys.modules))
+    return solve(g, seed, mode)
+
+
+assert "scipy" not in sys.modules
+bench.SOLVERS = {"hk": checking}
+bench.run_benchmark(BenchPlan(sizes=[32], ratios=[4], instances_per_cell=1, runs_per_instance=2, algorithms=["hk"]))
+assert checked == [True, True], checked
+"""
+
+
+def test_bench_loads_scipy_before_its_first_timed_solve():
+    proc = subprocess.run([sys.executable, "-c", FIRST_RUN_SCIPY], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_module_entry_point(tmp_path):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(small_plan(instances_per_cell=1, runs_per_instance=1).to_json())

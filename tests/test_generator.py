@@ -187,9 +187,11 @@ def assert_well_founded(index):
 class CheckedWitnessIndex(generate._WitnessIndex):
     """The generator's witness index, checked at every step of the
     decision loop against the ancestor-peel reference and for
-    well-founded derivations."""
+    well-founded derivations.  ``steps`` counts the arcs added and
+    ``checks`` the ``trapped`` answers checked against the peel."""
 
     steps = 0
+    checks = 0
 
     def __init__(self, g):
         super().__init__(g)
@@ -205,6 +207,7 @@ class CheckedWitnessIndex(generate._WitnessIndex):
         assert valid == ancestor_peel_valid_arcs(self.game, m)
         peel = ancestor_peel_trapped(self.game, m)
         assert u == peel and count == len(peel)
+        CheckedWitnessIndex.checks += 1
         return count
 
     def add_arc(self, m, q):
@@ -222,13 +225,15 @@ def test_witness_index_matches_peel_and_stays_acyclic_at_every_step(monkeypatch,
         params = GenParams(a + b + c + 2, a, b, c, derive_seed(44, size, ratio), variant)
         plain.append(game_to_json(generate_basic(params) if variant is Variant.BASIC else generate_reduced(params, merge=False)))
     monkeypatch.setattr(generate, "_WitnessIndex", CheckedWitnessIndex)
-    CheckedWitnessIndex.steps = 0
+    CheckedWitnessIndex.steps = CheckedWitnessIndex.checks = 0
     for (size, ratio), text in zip(cells, plain):
         a, b, c = ratio_counts(size, ratio)
         params = GenParams(a + b + c + 2, a, b, c, derive_seed(44, size, ratio), variant)
         g = generate_basic(params) if variant is Variant.BASIC else generate_reduced(params, merge=False)
         assert game_to_json(g) == text
     assert CheckedWitnessIndex.steps >= sum(2 * ratio_counts(*cell)[1] for cell in cells)
+    # the peel check ran: at least one checked trapped answer per added arc
+    assert CheckedWitnessIndex.checks >= CheckedWitnessIndex.steps
 
 
 def _sha256(text: str) -> str:

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,3 +461,41 @@ def test_exact_singular_system_raises():
     rhs[1] = rhs[0]
     with pytest.raises(SingularSystemError):
         solve_exact(rhs, coo(entries))
+
+
+# Run in a fresh interpreter: importing the package and taking a 64-node
+# game through generation, the checklist, reduction and float hk and perm
+# loads no SciPy module; a float system of more than 64 unknowns then
+# loads SuperLU.
+IMPORT_FOOTPRINT = """
+import sys
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+
+import stopgames, stopgames.cli
+
+assert not scipy_modules(), scipy_modules()
+from stopgames import FLOAT, RatioSpec, check_assumptions, generate_fully_reduced, reduce_game
+from stopgames import solve_hoffman_karp, solve_permutation_improvement
+
+g, _ = generate_fully_reduced(RatioSpec(64, 4), 3)
+assert check_assumptions(g).fully_reduced
+reduce_game(g)
+solve_hoffman_karp(g, 1, FLOAT)
+solve_permutation_improvement(g, 1, FLOAT)
+assert not scipy_modules(), scipy_modules()
+big, _ = generate_fully_reduced(RatioSpec(256, 8), 3)
+assert len(big.average_nodes) > 64
+solve_hoffman_karp(big, 1, FLOAT)
+assert "scipy.sparse.linalg" in sys.modules, scipy_modules()
+"""
+
+
+def test_import_and_small_float_pipeline_load_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

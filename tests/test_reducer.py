@@ -21,6 +21,7 @@ from stopgames import (
     Game,
     NodeKind,
     NonStoppingGameError,
+    PartialGame,
     Polarity,
     ReductionReport,
     apply_trivial_reductions,
@@ -34,7 +35,7 @@ from stopgames import (
     scc_condense,
     validate_structure,
 )
-from stopgames.generate import GenParams, RatioSpec, generate_basic, ratio_counts
+from stopgames.generate import GenParams, RatioSpec, Variant, generate_basic, generate_reduced, ratio_counts
 from stopgames.reduce import _Work, replay_reduction
 from stopgames.rng import Rng, derive_seed
 
@@ -230,6 +231,70 @@ def test_scc_single_component_on_fully_reduced():
     g, _ = generate_fully_reduced(RatioSpec(32, 2), seed=5)
     comps = scc_condense(g)
     assert comps == [frozenset(range(1, g.n - 1))]
+
+
+def scc_single_component(g) -> bool:
+    """The checklist's single-component rule read off ``scc_condense``:
+    one non-terminal component, of two or more nodes or of one node with
+    a self arc."""
+    c = scc_condense(g)
+    return len(c) == 1 and (len(c[0]) >= 2 or any(v in g.arcs[v - 1] for v in c[0]))
+
+
+@st.composite
+def complete_partial_games(draw):
+    """Complete partial games of 3..9 nodes, two arcs per non-terminal
+    with targets anywhere: self arcs and duplicate arcs included, often
+    non-stopping."""
+    n = draw(st.integers(3, 9))
+    kinds = draw(st.lists(st.sampled_from([NodeKind.MAX, NodeKind.MIN, NodeKind.AVERAGE]), min_size=n - 2, max_size=n - 2))
+    pg = PartialGame(kinds + [NodeKind.TERMINAL0, NodeKind.TERMINAL1])
+    for i in range(1, n - 1):
+        for t in draw(st.lists(st.integers(1, n), min_size=2, max_size=2)):
+            pg.add_arc(i, t)
+    return pg
+
+
+@settings(max_examples=400, deadline=None)
+@given(complete_partial_games())
+def test_single_component_sweeps_match_scc_condense_on_partial_games(pg):
+    assert check_assumptions(pg).single_nonterminal_scc == scc_single_component(pg)
+
+
+def test_single_component_sweeps_match_scc_condense_on_generator_grid():
+    """Basic games of the generator grid, which have 2 to 84 components,
+    and its modified games before merging, most of them one component."""
+    found = set()
+    for size in (12, 24, 48, 100, 200):
+        for ratio in (1, 4, 8):
+            a, b, c = ratio_counts(size, ratio)
+            for i in range(3):
+                seed = derive_seed(41, size, ratio, i)
+                basic = generate_basic(GenParams(a + b + c + 2, a, b, c, seed))
+                modified = generate_reduced(GenParams(a + b + c + 2, a, b, c, seed, Variant.MODIFIED), merge=False)
+                for g in (basic, modified):
+                    single = scc_single_component(g)
+                    assert check_assumptions(g).single_nonterminal_scc == single, (size, ratio, i)
+                    found.add((g is basic, single))
+    assert found == {(True, False), (False, False), (False, True)}
+
+
+@pytest.mark.parametrize(
+    "entries, single",
+    [
+        ([], False),  # no non-terminal
+        ([("avg", (1, 3))], True),  # one non-terminal with a self arc
+        ([("avg", (2, 3))], False),  # one non-terminal without one
+        ([("max", (1, 1))], True),  # a duplicate self arc
+        ([("avg", (3, 4)), ("min", (3, 4))], False),  # every arc into a terminal
+        ([("avg", (2, 4)), ("max", (1, 3))], True),
+        ([("avg", (2, 4)), ("max", (3, 3))], False),  # a path, no cycle back
+    ],
+)
+def test_single_component_sweeps_edge_cases(entries, single):
+    g = build_game(entries)
+    assert scc_single_component(g) is single
+    assert check_assumptions(g).single_nonterminal_scc is single
 
 
 def test_scc_two_disjoint_chains():
