@@ -16,6 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -142,22 +143,26 @@ def generate_instance(size: int, ratio: int, idx: int, master_seed: int) -> tupl
     return generate_fully_reduced(RatioSpec(size, ratio), seed)
 
 
+def _cells(plan: BenchPlan):
+    """The plan's instances as ``(instance id, size, ratio, index)``, by
+    size, then ratio, then index."""
+    for size, ratio, idx in product(plan.sizes, plan.ratios, range(plan.instances_per_cell)):
+        yield instance_id(size, ratio, idx), size, ratio, idx
+
+
 def build_instance_set(plan: BenchPlan) -> list[tuple[str, Game]]:
     """Instances for the plan, loaded from disk when a directory is given
     and generated from the master seed otherwise."""
     out = []
-    for size in plan.sizes:
-        for ratio in plan.ratios:
-            for idx in range(plan.instances_per_cell):
-                iid = instance_id(size, ratio, idx)
-                if plan.instances_dir is not None:
-                    path = Path(plan.instances_dir) / f"{iid}.json"
-                    if not path.exists():
-                        raise FileNotFoundError(f"missing instance file {path}")
-                    game = load_game(path)
-                else:
-                    game, _ = generate_instance(size, ratio, idx, plan.master_seed)
-                out.append((iid, game))
+    for iid, size, ratio, idx in _cells(plan):
+        if plan.instances_dir is not None:
+            path = Path(plan.instances_dir) / f"{iid}.json"
+            if not path.exists():
+                raise FileNotFoundError(f"missing instance file {path}")
+            game = load_game(path)
+        else:
+            game, _ = generate_instance(size, ratio, idx, plan.master_seed)
+        out.append((iid, game))
     return out
 
 
@@ -166,16 +171,13 @@ def write_instance_files(plan: BenchPlan, out_dir) -> list[str]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ids = []
-    for size in plan.sizes:
-        for ratio in plan.ratios:
-            for idx in range(plan.instances_per_cell):
-                iid = instance_id(size, ratio, idx)
-                game, meta = generate_instance(size, ratio, idx, plan.master_seed)
-                save_game(game, out_dir / f"{iid}.json")
-                with open(out_dir / f"{iid}.meta.json", "w", encoding="utf-8") as fh:
-                    json.dump(meta.as_dict(), fh, separators=(",", ":"))
-                    fh.write("\n")
-                ids.append(iid)
+    for iid, size, ratio, idx in _cells(plan):
+        game, meta = generate_instance(size, ratio, idx, plan.master_seed)
+        save_game(game, out_dir / f"{iid}.json")
+        with open(out_dir / f"{iid}.meta.json", "w", encoding="utf-8") as fh:
+            json.dump(meta.as_dict(), fh, separators=(",", ":"))
+            fh.write("\n")
+        ids.append(iid)
     return ids
 
 

@@ -15,9 +15,11 @@ the column of an average, or one of two slots past the columns for the
 constants 0 and 1.  A few NumPy operations gather the system from the
 slots of the averages' children, in the one format both ``linsolve``
 solvers take: an int right-hand side and integer COO triplets (the
-diagonal 2 and a -1 per child whose value is an unknown).  The values
-come back with one gather through the slots, and only the solved
-unknowns are range-checked, once each.
+diagonal 2 and a -1 per child whose value is an unknown).  One function,
+``_value_system``, does all of this, for ``evaluate_strategy_pair`` and
+for ``float_error_estimate`` alike.  The values come back with one
+gather through the slots, and only the solved unknowns are
+range-checked, once each.
 
 Only stopping games are evaluated: there every node reaches a terminal
 under every strategy pair, so every average is an unknown and the
@@ -200,6 +202,29 @@ def _anchor_slots(succ: np.ndarray, slot: np.ndarray) -> np.ndarray:
     raise EvaluationContractError("the chosen arcs of max/min nodes close a cycle")
 
 
+def _value_system(g: Game, sp: StrategyPair) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The value system of ``sp`` as ``evaluate_strategy_pair`` describes
+    it: per position the slot of its node's anchor, then the right-hand
+    side and the COO triplets that both ``linsolve`` solvers take.
+    ``NonStoppingGameError`` unless ``g`` is stopping."""
+    require_stopping(g, "strategy evaluation")
+    lay = g.layout
+    rows = lay.average_nodes
+    node_slot = _anchor_slots(_successors(g, sp), lay.slot)
+    # child[r] holds the slots of row r's two children: a column below a,
+    # a for the constant 0 and a + 1 for the constant 1.
+    a = len(rows)
+    child = node_slot[lay.targets[:, rows]].T
+    unknown_rows, unknown_cols = np.nonzero(child < a)
+    diagonal = np.arange(a)
+    coo = (
+        np.concatenate((diagonal, unknown_rows)),
+        np.concatenate((diagonal, child[unknown_rows, unknown_cols])),
+        np.repeat((2, -1), (a, len(unknown_rows))),
+    )
+    return node_slot, (child == a + 1).sum(axis=1), coo
+
+
 def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> ValueVector:
     """Solve the value system for a fixed strategy pair.
 
@@ -220,25 +245,7 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
     """
     if mode not in (EXACT, FLOAT):
         raise ValueError(f"unknown mode {mode!r}")
-    require_stopping(g, "strategy evaluation")
-    succ = _successors(g, sp)
-    lay = g.layout
-    rows = lay.average_nodes
-    node_slot = _anchor_slots(succ, lay.slot)
-
-    # child[r] holds the slots of row r's two children: a column below a,
-    # a for the constant 0 and a + 1 for the constant 1.
-    a = len(rows)
-    child = node_slot[lay.targets[:, rows]].T
-    rhs = (child == a + 1).sum(axis=1)
-    unknown = child < a
-    unknown_rows, _ = np.nonzero(unknown)
-    diagonal = np.arange(a)
-    coo = (
-        np.concatenate((diagonal, unknown_rows)),
-        np.concatenate((diagonal, child[unknown])),
-        np.repeat((2, -1), (a, len(unknown_rows))),
-    )
+    node_slot, rhs, coo = _value_system(g, sp)
 
     # Only the solved unknowns can leave [0, 1]; every other node shares
     # a checked value or a constant.
@@ -250,7 +257,7 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
         by_slot = np.array([*solution, 0, den], dtype=object)
     else:
         solution = linsolve.solve_float(rhs, coo)
-        if a and (solution.min() < 0.0 or solution.max() > 1.0):
+        if len(rhs) and (solution.min() < 0.0 or solution.max() > 1.0):
             wild = solution[(solution < -1e-9) | (solution > 1.0 + 1e-9)]
             if wild.size:  # float64 lost the system, as on a singular one
                 raise linsolve.SingularSystemError(f"float value {float(wild[0])} outside [0, 1]")
@@ -270,27 +277,9 @@ def float_error_estimate(g: Game, sp: StrategyPair) -> float:
     estimate grows with how long play can stay among the averages: below
     1e-13 on generated games of up to 512 nodes, about 5e-10 on a chain
     of 20 averages that play leaves only after 19 fair coin flips in a
-    row.
-
-    A is built here as ``evaluate_strategy_pair`` builds it, without the
-    right-hand side.  That function keeps its own copy of the build: run
-    through one shared helper, whose work arrays die before the solve's
-    results are gathered, float perm on the ``solve-float`` benchmark
-    workload measured 2–4 % slower in every pair (a 2-core x86-64 VM,
-    Python 3.11, NumPy 2.4)."""
-    require_stopping(g, "strategy evaluation")
-    lay = g.layout
-    rows = lay.average_nodes
-    a = len(rows)
-    child = _anchor_slots(_successors(g, sp), lay.slot)[lay.targets[:, rows]].T
-    unknown_rows, unknown_cols = np.nonzero(child < a)
-    diagonal = np.arange(a)
-    coo = (
-        np.concatenate((diagonal, unknown_rows)),
-        np.concatenate((diagonal, child[unknown_rows, unknown_cols])),
-        np.repeat((2, -1), (a, len(unknown_rows))),
-    )
-    return 4 * linsolve.inverse_norm(a, coo) * np.finfo(float).eps
+    row."""
+    _, rhs, coo = _value_system(g, sp)
+    return 4 * linsolve.inverse_norm(len(rhs), coo) * np.finfo(float).eps
 
 
 def is_stable(g: Game, v: ValueVector, tol: float | None = None) -> bool:

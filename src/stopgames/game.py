@@ -73,8 +73,27 @@ def _kind_codes(kinds) -> tuple[int, ...]:
     return (TERM,) + tuple(_CODE[k] for k in kinds)
 
 
+class _NodeReads:
+    """The reads by node id that ``Game`` and ``PartialGame`` share, over
+    their ``n``, ``kinds`` and ``arcs``."""
+
+    def kind(self, i: int) -> NodeKind:
+        return self.kinds[i - 1]
+
+    def arcs_of(self, i: int) -> tuple[int, ...]:
+        return tuple(self.arcs[i - 1])
+
+    @property
+    def terminal0(self) -> int:
+        return self.n - 1
+
+    @property
+    def terminal1(self) -> int:
+        return self.n
+
+
 @dataclass(frozen=True)
-class Game:
+class Game(_NodeReads):
     """Immutable game graph.
 
     ``kinds[i-1]`` is the kind of node i and ``arcs[i-1]`` its ordered
@@ -90,20 +109,6 @@ class Game:
     n: int
     kinds: tuple[NodeKind, ...]
     arcs: tuple[tuple[int, ...], ...]
-
-    def kind(self, i: int) -> NodeKind:
-        return self.kinds[i - 1]
-
-    def arcs_of(self, i: int) -> tuple[int, ...]:
-        return self.arcs[i - 1]
-
-    @property
-    def terminal0(self) -> int:
-        return self.n - 1
-
-    @property
-    def terminal1(self) -> int:
-        return self.n
 
     @cached_property
     def stopping(self) -> bool:
@@ -206,7 +211,7 @@ class ArcLayout(NamedTuple):
     is_min: np.ndarray
 
 
-class PartialGame:
+class PartialGame(_NodeReads):
     """Mutable game under construction: out-degrees may be 0, 1, or 2.
 
     Single-writer: one generation run owns the instance.  Its kinds are
@@ -221,20 +226,6 @@ class PartialGame:
         self.code = _kind_codes(kinds)
         self.arcs: list[list[int]] = [[] for _ in range(self.n)]
         self._parents: list[list[int]] = [[] for _ in range(self.n + 1)]
-
-    def kind(self, i: int) -> NodeKind:
-        return self.kinds[i - 1]
-
-    def arcs_of(self, i: int) -> tuple[int, ...]:
-        return tuple(self.arcs[i - 1])
-
-    @property
-    def terminal0(self) -> int:
-        return self.n - 1
-
-    @property
-    def terminal1(self) -> int:
-        return self.n
 
     def add_arc(self, src: int, dst: int) -> None:
         if self.code[src] == TERM:
@@ -277,28 +268,27 @@ def validate_structure(g) -> list[str]:
     n = g.n
     if n < 2:
         return [f"game needs at least the two terminals, got n={n}"]
-    if len(g.kinds) != n or len(g.arcs) != n:
+    kinds, arcs = g.kinds, g.arcs
+    if len(kinds) != n or len(arcs) != n:
         problems.append("kinds/arcs length does not match n")
         return problems
-    if g.kind(n - 1) is not NodeKind.TERMINAL0:
+    if kinds[n - 2] is not NodeKind.TERMINAL0:
         problems.append(f"node {n - 1} must be the 0-terminal")
-    if g.kind(n) is not NodeKind.TERMINAL1:
+    if kinds[n - 1] is not NodeKind.TERMINAL1:
         problems.append(f"node {n} must be the 1-terminal")
+    code = g.code
     for i in range(1, n + 1):
-        k = g.kind(i)
-        if k is NodeKind.TERMINAL0 and i != n - 1:
-            problems.append(f"extra 0-terminal at node {i}")
-        if k is NodeKind.TERMINAL1 and i != n:
-            problems.append(f"extra 1-terminal at node {i}")
-        out = g.arcs_of(i)
-        if k.is_terminal:
+        out = arcs[i - 1]
+        if code[i] == TERM:
+            k = kinds[i - 1]
+            if k is NodeKind.TERMINAL0 and i != n - 1:
+                problems.append(f"extra 0-terminal at node {i}")
+            if k is NodeKind.TERMINAL1 and i != n:
+                problems.append(f"extra 1-terminal at node {i}")
             if out:
                 problems.append(f"terminal node {i} has out-arcs")
             continue
-        if partial:
-            if len(out) > 2:
-                problems.append(f"node {i} has out-degree {len(out)}")
-        elif len(out) != 2:
+        if len(out) > 2 or (len(out) < 2 and not partial):
             problems.append(f"node {i} has out-degree {len(out)}")
         for t in out:
             if not 1 <= t <= n:

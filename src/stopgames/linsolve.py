@@ -12,24 +12,23 @@ unknown, or a child aliasing the row's own unknown, need no merging.
   over one positive common denominator d, in lowest terms; a system
   without unknowns is ``([], 1)``.  Every other system, whatever its
   size, is first solved by numeric lifting (Z. Wan, J. Symbolic
-  Computation 41, 2006): A is factored once in float64, dense or sparse
-  as ``solve_float`` picks, and each step solves for the residual scaled
-  by 2**40, rounds to integers and updates the residual exactly in
-  int64.  After every step the approximation is turned into numerators
-  over one common denominator, and the answer is returned only once
-  ``A·N == d·b`` holds exactly in integers.  The lift gives up when the
-  float factor is singular, when a step gains too few bits, when a
-  scaled residual would overflow int64, or when it passes the Hadamard
-  bound on Cramer's-rule numerators and denominators without a verified
-  answer.  The system then goes to Dixon's p-adic lifting: A is inverted
-  once modulo a prime p below 2**23, each step costs one matrix-vector
-  product mod p, the same integer check ends it, and lifting past the
-  Hadamard bound without a verified answer raises
-  ``SingularSystemError``.  The primes are tried largest first, 8388593,
-  8388587, 8388581 and on down, until one leaves A nonsingular.  Each
-  prime that leaves A singular divides det A, so once the primes tried
-  multiply past the Hadamard bound on |det A|, A is singular and
-  ``SingularSystemError`` is raised.
+  Computation 41, 2006): A is factored once in float64, and each step
+  solves for the residual scaled by 2**40, rounds to integers and
+  updates the residual exactly in int64.  After every step the
+  approximation is turned into numerators over one common denominator,
+  and the answer is returned only once ``A·N == d·b`` holds exactly in
+  integers.  The lift gives up when the float factor is singular, when a
+  step gains too few bits, when a scaled residual would overflow int64,
+  or when it passes the Hadamard bound on Cramer's-rule numerators and
+  denominators without a verified answer.  The system then goes to
+  Dixon's p-adic lifting: A is inverted once modulo a prime p below
+  2**23, each step costs one matrix-vector product mod p, the same
+  integer check ends it, and lifting past the Hadamard bound without a
+  verified answer raises ``SingularSystemError``.  The primes are tried
+  largest first, 8388593, 8388587, 8388581 and on down, until one leaves
+  A nonsingular.  Each prime that leaves A singular divides det A, so
+  once the primes tried multiply past the Hadamard bound on |det A|, A
+  is singular and ``SingularSystemError`` is raised.
 
 * ``solve_float`` returns float64 values with one step of iterative
   refinement and a residual guarantee.
@@ -37,18 +36,24 @@ unknown, or a child aliasing the row's own unknown, need no merging.
 * ``inverse_norm`` returns ‖A^-1‖∞ in float64, the condition estimate
   behind ``evaluate.float_error_estimate``.
 
+One helper, ``_float_factor``, takes every float LU: LAPACK's
+``dgetrf``/``dgetrs`` up to ``_DENSE_MAX`` unknowns and SuperLU above,
+for the numeric lift, for ``inverse_norm`` and for sparse float solves.
+Only dense float solves take their own, ``np.linalg.solve``: its
+rounding differs from ``dgetrs``'s, and the float bit pins fix it.
+
 SciPy is imported where it is first used, so importing this module loads
 none of it: SuperLU and the sparse matrix types with the first system of
-more than ``_DENSE_MAX`` unknowns, LAPACK's ``dgetrf``/``dgetrs`` with the
-first dense exact solve and ``dgesv`` with the first dense error
-estimate.  Dense float solves need only NumPy.  The dense exact factor
-stays on LAPACK: ``np.linalg.solve`` per lift step, or one
+more than ``_DENSE_MAX`` unknowns, LAPACK with the first dense exact
+solve or error estimate.  Dense float solves need only NumPy.  The dense
+exact factor stays on LAPACK: ``np.linalg.solve`` per lift step, or one
 ``np.linalg.inv``, made exact solving slower.  ``load_scipy`` imports it
 all up front, for callers that time solves.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -166,6 +171,29 @@ def _dense(a: int, coo, dtype) -> np.ndarray:
     return flat.reshape(a, a).astype(dtype, copy=False)
 
 
+def _float_factor(a: int, coo) -> tuple:
+    """The a x a float64 matrix of the triplets and a solve on its one LU:
+    LAPACK's ``getrf``/``getrs`` up to ``_DENSE_MAX`` unknowns, SuperLU
+    above; ``SingularSystemError`` where float64 cannot factor it."""
+    if a <= _DENSE_MAX:
+        from scipy.linalg.lapack import dgetrf, dgetrs
+
+        matrix = _dense(a, coo, float)
+        lu, piv, info = dgetrf(matrix)
+        if info:
+            raise SingularSystemError(f"float64 LU pivot {info} is zero")
+        return matrix, lambda v: dgetrs(lu, piv, v)[0]
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    rows, cols, coefs = coo
+    matrix = csc_matrix((coefs, (rows, cols)), shape=(a, a), dtype=float)
+    try:
+        return matrix, splu(matrix).solve
+    except RuntimeError as exc:
+        raise SingularSystemError(str(exc)) from exc
+
+
 def _hadamard_sq(row_norms_sq, rhs) -> int:
     """The product of the squared row norms of [A | b].  It bounds the
     square of the determinant of A and of every Cramer's-rule numerator,
@@ -278,29 +306,13 @@ def _solve_numeric(rhs, coo) -> tuple[list[int], int] | None:
     residual means the step gained too few bits.
     """
     a = len(rhs)
-    rows, cols, coefs = coo
-    if a <= _DENSE_MAX:
-        from scipy.linalg.lapack import dgetrf, dgetrs
-
-        matrix = _dense(a, coo, np.int64)
-        norms_sq = (matrix * matrix).sum(axis=1)
-        lu, piv, info = dgetrf(matrix.astype(float))
-        if info:
-            return None
-
-        def solve(v):
-            return dgetrs(lu, piv, v)[0]
-
-    else:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.linalg import splu
-
-        matrix = csr_matrix((coefs, (rows, cols)), shape=(a, a), dtype=np.int64)
-        norms_sq = matrix.multiply(matrix).sum(axis=1).A1
-        try:
-            solve = splu(matrix.astype(float).tocsc()).solve
-        except RuntimeError:
-            return None
+    try:
+        matrix, solve = _float_factor(a, coo)
+    except SingularSystemError:
+        return None
+    matrix = matrix.astype(np.int64)  # its entries are small integers
+    squares = matrix.multiply(matrix) if a > _DENSE_MAX else matrix * matrix
+    norms_sq = np.asarray(squares.sum(axis=1)).ravel()
     norm = int(abs(matrix).sum(axis=1).max())
     ceiling = 2 * _hadamard_sq(norms_sq, rhs)
     z_cap = _INT64_HALF // norm
@@ -344,23 +356,11 @@ def inverse_norm(a: int, coo) -> float:
     where float64 cannot factor A or the solve overflows."""
     if a == 0:
         return 0.0
-    ones = np.ones(a)
-    if a <= _DENSE_MAX:
-        from scipy.linalg.lapack import dgesv
-
-        *_, t, info = dgesv(_dense(a, coo, float), ones)
-        if info:
-            return np.inf
-    else:
-        from scipy.sparse import csc_matrix
-        from scipy.sparse.linalg import splu
-
-        rows, cols, coefs = coo
-        try:
-            t = splu(csc_matrix((coefs, (rows, cols)), shape=(a, a), dtype=float)).solve(ones)
-        except RuntimeError:
-            return np.inf
-    norm = float(np.abs(t).max())
+    try:
+        _, solve = _float_factor(a, coo)
+    except SingularSystemError:
+        return np.inf
+    norm = float(np.abs(solve(np.ones(a))).max())
     return norm if np.isfinite(norm) else np.inf
 
 
@@ -372,29 +372,19 @@ def solve_float(rhs, coo) -> np.ndarray:
         return np.zeros(0)
     b = np.asarray(rhs, dtype=float)
     if a <= _DENSE_MAX:
-        # np.linalg.solve, not _solve_numeric's dgetrf/dgetrs factor: the two
-        # round differently, and sharing the factor moved some values by
-        # 1.1e-16 (numpy 2.4.6, scipy 1.17.1), past the float bit pins.
-        dense = _dense(a, coo, float)
-        try:
-            x = np.linalg.solve(dense, b)
-            x += np.linalg.solve(dense, b - dense @ x)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
-        residual = np.abs(dense @ x - b).max()
+        # np.linalg.solve, not _float_factor's getrf/getrs: the two round
+        # differently, and sharing the factor moved some values by 1.1e-16
+        # (numpy 2.4.6, scipy 1.17.1), past the float bit pins.
+        matrix = _dense(a, coo, float)
+        solve = partial(np.linalg.solve, matrix)
     else:
-        from scipy.sparse import csc_matrix
-        from scipy.sparse.linalg import splu
-
-        rows, cols, coefs = coo
-        sparse = csc_matrix((coefs, (rows, cols)), shape=(a, a), dtype=float)
-        try:
-            lu = splu(sparse)
-        except RuntimeError as exc:
-            raise SingularSystemError(str(exc)) from exc
-        x = lu.solve(b)
-        x += lu.solve(b - sparse @ x)
-        residual = np.abs(sparse @ x - b).max()
+        matrix, solve = _float_factor(a, coo)
+    try:
+        x = solve(b)
+        x += solve(b - matrix @ x)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(str(exc)) from exc
+    residual = np.abs(matrix @ x - b).max()
     if not residual <= RESIDUAL_BOUND:
         raise SingularSystemError(f"residual {residual:.3e} above {RESIDUAL_BOUND:.1e}")
     return x

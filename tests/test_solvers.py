@@ -4,12 +4,14 @@ from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import (
     build_game,
     fallback_chain,
     oracle_hoffman_karp,
     oracle_value_iteration,
+    oracle_value_system,
     random_stopping_game,
     solve_by_components,
     twin_chain,
@@ -408,6 +410,64 @@ def test_float_error_estimate_separates_generated_games_from_chains():
     for a in (2, 70):
         zero = ([0] * a, [0] * a, [0] * a)
         assert linsolve.inverse_norm(a, zero) == float("inf")
+
+
+def oracle_inverse_norm(a: int, coo) -> float:
+    """‖A^-1‖∞ as the largest entry of A^-1·1: SciPy's ``dgesv`` on the
+    dense matrix up to 64 unknowns and SuperLU on the CSC matrix above;
+    ``inf`` where either cannot factor A or the solve overflows."""
+    from scipy.linalg.lapack import dgesv
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    if a == 0:
+        return 0.0
+    rows, cols, coefs = coo
+    ones = np.ones(a)
+    if a <= 64:
+        dense = np.zeros((a, a))
+        np.add.at(dense, (rows, cols), coefs)
+        *_, t, info = dgesv(dense, ones)
+        if info:
+            return np.inf
+    else:
+        try:
+            t = splu(csc_matrix((coefs, (rows, cols)), shape=(a, a), dtype=float)).solve(ones)
+        except RuntimeError:
+            return np.inf
+    norm = float(np.abs(t).max())
+    return norm if np.isfinite(norm) else np.inf
+
+
+def test_float_error_estimate_matches_gesv_and_superlu_oracle():
+    """``float_error_estimate`` and ``linsolve.inverse_norm`` equal, bit
+    for bit, the oracle on systems built node by node: dense and sparse
+    pairs of generated games and of the chains, random and best-response
+    ones, and ``inf`` on singular dense and sparse systems."""
+    games = [
+        generate_fully_reduced(RatioSpec(size, ratio), derive_seed(72, size, ratio))[0]
+        for size, ratio in ((64, 1), (128, 8), (256, 1), (256, 4), (512, 8))
+    ]
+    games += [fallback_chain(20), fallback_chain(120), twin_chain(20), twin_chain(40)]
+    sparse = set()
+    for g in games:
+        for seed in (0, 1):
+            rng = Rng(seed)
+            sigma = random_strategy(g, Player.MAX, rng)
+            for tau in (random_strategy(g, Player.MIN, rng), best_response(g, sigma, FLOAT)[0]):
+                sp = StrategyPair(sigma, tau)
+                rhs, coo, _, _ = oracle_value_system(g, sp)
+                norm = oracle_inverse_norm(len(rhs), coo)
+                assert linsolve.inverse_norm(len(rhs), coo).hex() == norm.hex(), (g.n, seed)
+                want = 4 * norm * np.finfo(float).eps
+                assert float_error_estimate(g, sp).hex() == want.hex(), (g.n, seed)
+                sparse.add(len(rhs) > 64)
+    assert sparse == {False, True}
+    for a in (2, 3, 64, 65, 200):
+        cycle = (list(range(a)) * 2, [*range(a), *((i + 1) % a for i in range(a))], [2] * a + [-2] * a)
+        zero = ([0] * a, [0] * a, [0] * a)
+        for coo in (cycle, zero):  # A·1 = 0 for the cycle of averages
+            assert linsolve.inverse_norm(a, coo) == oracle_inverse_norm(a, coo) == np.inf, a
 
 
 @pytest.mark.parametrize("k", range(20, 161, 20))
