@@ -171,7 +171,7 @@ class _WitnessIndex:
             )
         self.marks = bytearray(n + 1)
         self.region = []
-        self._found = (0, None)  # m and the new witnesses of the last ``trapped``
+        self.new_witness = {}  # freed average -> its witness, from the last ``trapped``
 
     def trapped(self, m: int) -> int:
         """Mark the nodes that an added arc out of max/min node m could
@@ -208,7 +208,7 @@ class _WitnessIndex:
                     marks[par] = 1
                     region.append(par)
                     averages.append(par)
-        new = {}  # freed average -> its new witness
+        new = self.new_witness = {}
         for v in averages:
             a, b = arcs[v - 1]
             if not (marks[a] and marks[b]):
@@ -228,24 +228,20 @@ class _WitnessIndex:
                         continue
                 marks[par] = 3
                 freed.append(par)
-        self._found = (m, new)
         return len(region) - len(freed)
 
     def add_arc(self, m: int, q: int) -> None:
-        """Add arc (m, q), q not trapped by ``trapped(m)``.
+        """Add arc (m, q): ``trapped(m)`` is the last ``trapped`` call,
+        and q is not trapped by it.
 
         Only a q in m's region has a derivation through m, which the new
         arc would close into a cycle; then every freed node takes the
         derivation found for it by ``trapped(m)``, which avoids m.
         """
-        if self._found[0] != m:
-            self.trapped(m)
-        new = self._found[1]
-        self._found = (0, None)
         self.game.add_arc(m, q)
         if self.marks[q]:
             witness = self.witness
-            for v, w in new.items():
+            for v, w in self.new_witness.items():
                 witness[v] = w
 
 

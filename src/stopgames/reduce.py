@@ -13,7 +13,7 @@ independently; it is the one user of SciPy here and imports SciPy's
 strong components when it is called, so importing this module loads no
 SciPy.  ``check_assumptions`` bundles the whole checklist a fully
 reduced benchmark instance must satisfy; its single-component question
-needs no component labels, only two reachability sweeps.
+needs no component labels, only two ``attractor`` sweeps.
 
 Every transformation logs its steps in a ``ReductionReport`` keyed by
 original node ids, so reduced solutions can be mapped back and the whole
@@ -198,11 +198,10 @@ class _Work:
             return
         pending = self.alive_nonterminals()
         queued = set(pending)
+        # every queued node is alive: a step merges or deletes only v, and a collapse returns
         while pending:
             v = pending.pop()
             queued.discard(v)
-            if not self.alive[v]:
-                continue
             result = self._trivial_step(v)
             if result is None:
                 continue
@@ -372,27 +371,22 @@ def _one_component(code, arcs, parents) -> bool:
     """Whether the non-terminals form one strongly connected component
     with a cycle in it: at least two nodes, or one with a self-arc.
 
-    A forward sweep over ``arcs`` and a backward sweep over ``parents``
-    from the first non-terminal both reach every non-terminal exactly when
-    all of them share its component (Sharir 1981).  Terminals have no
-    out-arcs, so no path between non-terminals passes one, and neither
-    sweep enters them.
+    A forward and a backward sweep from the first non-terminal both reach
+    every non-terminal exactly when all of them share its component
+    (Sharir 1981).  Each is one ``attractor`` with no gated kind, which
+    then reads only the lists it walks: ``parents`` backward, the arc
+    lists by node id forward.  Terminals have no out-arcs, so no path
+    between non-terminals passes one; only the forward sweep reaches
+    them, and only non-terminals are counted.
     """
     term = bytes(c == TERM for c in code)  # entry 0 reads TERM
     live = len(term) - sum(term)
     start = term.find(0)
     if live < 2:
         return live == 1 and start in arcs[start - 1]
-    for step in ((None, *arcs), parents):  # both indexed by node id
-        seen = bytearray(term)
-        seen[start] = 1
-        order = [start]
-        for v in order:
-            for t in step[v]:
-                if not seen[t]:
-                    seen[t] = 1
-                    order.append(t)
-        if len(order) < live:
+    for walk in ((None, *arcs), parents):
+        order = attractor(code, arcs, walk, (start,), ())[1]
+        if len(order) - sum(term[v] for v in order) < live:
             return False
     return True
 
@@ -437,7 +431,7 @@ def check_assumptions(g) -> AssumptionChecklist:
     is checked afresh: the fully reduced generator checks each attempt's
     partial game and freezes only the one it accepts.
     ``single_nonterminal_scc`` comes from ``_one_component``, two O(n)
-    reachability sweeps, not from ``scc_condense``, so the checklist
+    ``attractor`` sweeps, not from ``scc_condense``, so the checklist
     loads no SciPy.
     """
     t0, t1 = g.terminal0, g.terminal1

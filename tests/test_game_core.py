@@ -81,6 +81,61 @@ def test_terminal_placement_enforced():
     assert problems
 
 
+_T0, _T1, _AVG, _MAX = NodeKind.TERMINAL0, NodeKind.TERMINAL1, NodeKind.AVERAGE, NodeKind.MAX
+
+# (n, kinds, arcs, every problem in the order validate_structure reports it)
+STRUCTURE_CASES = {
+    "no-nodes": (0, (), (), ["game needs at least the two terminals, got n=0"]),
+    "one-node": (1, (_T1,), ((),), ["game needs at least the two terminals, got n=1"]),
+    "length-mismatch": (3, (_AVG, _T0, _T1), ((2, 3), ()), ["kinds/arcs length does not match n"]),
+    "swapped-terminals": (
+        3,
+        (_AVG, _T1, _T0),
+        ((2, 3), (), ()),
+        [
+            "node 2 must be the 0-terminal",
+            "node 3 must be the 1-terminal",
+            "extra 1-terminal at node 2",
+            "extra 0-terminal at node 3",
+        ],
+    ),
+    "extra-0-terminal": (4, (_T0, _AVG, _T0, _T1), ((), (3, 4), (), ()), ["extra 0-terminal at node 1"]),
+    "every-node-rule": (
+        5,
+        (_T1, _AVG, _MAX, _T0, _T1),
+        ((2,), (1, 2, 3), (9, 0), (), ()),
+        [
+            "extra 1-terminal at node 1",
+            "terminal node 1 has out-arcs",
+            "node 2 has out-degree 3",
+            "arc target out of range: 3 -> 9",
+            "arc target out of range: 3 -> 0",
+        ],
+    ),
+    "out-degree-below-2": (4, (_AVG, _MAX, _T0, _T1), ((3,), (), (), ()), ["node 1 has out-degree 1", "node 2 has out-degree 0"]),
+}
+
+
+@pytest.mark.parametrize("case", list(STRUCTURE_CASES))
+def test_validate_structure_reports_every_rule_in_order(case):
+    """Every rule's message, in reporting order, on a ``Game``, on a
+    ``PartialGame`` (which may lack arcs, and whose arcs are set here
+    directly, past ``add_arc``'s own refusals) and through
+    ``game_from_json``.  Neither of the last two can build a game whose
+    kinds and arcs miss n, so that rule runs on a ``Game`` alone."""
+    n, kinds, arcs, problems = STRUCTURE_CASES[case]
+    assert validate_structure(Game(n, kinds, arcs)) == problems
+    if len(kinds) != n or len(arcs) != n:
+        return
+    pg = PartialGame(list(kinds))
+    pg.arcs = [list(a) for a in arcs]
+    assert validate_structure(pg) == [p for p in problems if not p.endswith(("out-degree 0", "out-degree 1"))]
+    nodes = [{"id": i, "kind": k.value, "arcs": list(a)} for i, (k, a) in enumerate(zip(kinds, arcs), start=1)]
+    with pytest.raises(ValueError) as info:
+        game_from_json(json.dumps({"n": n, "nodes": nodes}))
+    assert str(info.value) == "invalid instance: " + "; ".join(problems)
+
+
 def test_duplicate_arcs_are_structurally_legal():
     g = build_game([("avg", (2, 2)), ("avg", (3, 4))])
     assert validate_structure(g) == []

@@ -346,6 +346,21 @@ def test_singular_system_raises():
         solve_float([1, 2], system)
 
 
+def test_float_solve_refuses_a_residual_above_the_bound():
+    """[[10^6, 10^6 - 1], [10^6 + 1, 10^6]] has determinant 1 and a
+    condition number near 4e12: float64 factors it, but even after a
+    refinement step a residual stays above ``RESIDUAL_BOUND``.  Whether
+    it does rides on the LU's last bits, so the portable-kernel CI step
+    runs this test too; at 10^5 the OpenBLAS kernels without FMA
+    (Prescott, Core2, Nehalem, Sandybridge) meet the bound.  Exact
+    arithmetic solves it."""
+    a = 10**6
+    system = coo([(0, 0, a), (0, 1, a - 1), (1, 0, a + 1), (1, 1, a)])
+    with pytest.raises(SingularSystemError, match=r"^residual \S+ above 1\.0e-09$"):
+        solve_float([1, 0], system)
+    assert solve_exact([1, 0], system) == ([1000000, -1000001], 1)
+
+
 @pytest.mark.parametrize("size", [5, 40, 90], ids=["dense-gauss", "dense-dixon", "sparse-dixon"])
 def test_duplicate_triplets_are_summed(size):
     """Row 0 holds two -1 entries in column 1 (two children aliasing one
@@ -427,6 +442,33 @@ def test_exact_lifting_retries_second_prime_then_rational_elimination(monkeypatc
     with pytest.raises(SingularSystemError):
         solve_exact([1, 2], singular)
     assert used[0] == (first, False)
+
+
+_P = next(linsolve._lift_primes())
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1], [1, 0]],
+        [[_P, 1], [1, 1]],
+        [[0, 2, 1], [1, 0, 3], [4, 1, 0]],
+        [[0, 0, 1, 0], [0, 0, 0, 1], [3, 0, 0, 0], [0, 5, 0, 2]],
+    ],
+    ids=["swap", "pivot-p", "3x3", "two-swaps"],
+)
+def test_inverse_mod_undoes_its_row_swaps(rows):
+    """A pivot that is 0 mod p makes Gauss-Jordan elimination swap rows;
+    the inverse comes back with those swaps undone on its columns, so
+    ``A·inv ≡ I (mod p)``."""
+    dense_a = np.array(rows, dtype=np.int64)
+    inverse = linsolve._inverse_mod(dense_a, _P)
+    assert ((dense_a @ inverse) % _P == np.eye(len(rows), dtype=np.int64)).all()
+
+
+def test_dixon_lifting_through_a_row_swap():
+    """x_2 = 1, x_1 = 2: the first pivot of [[0, 1], [1, 0]] is 0."""
+    assert linsolve._solve_dixon([1, 2], coo([(0, 1, 1), (1, 0, 1)])) == ([2, 1], 1)
 
 
 @pytest.mark.parametrize("scale", [1, next(linsolve._lift_primes()) ** 2], ids=["unit", "p-squared"])

@@ -123,6 +123,17 @@ def test_hoffman_karp_without_max_nodes_single_iteration():
     assert res.values.value(1) == solve_brute_force(g).values.value(1)
 
 
+def test_exact_hoffman_karp_without_average_nodes():
+    """No average node, so every value system has no unknowns and the
+    float error estimate that steers exact hk is ``inverse_norm(0, ...)``,
+    0.0: a max node on (min node, 1-terminal), the min node on the two
+    terminals."""
+    g = build_game([("max", (2, 4)), ("min", (3, 4))])
+    assert linsolve.inverse_norm(0, ([], [], [])) == 0.0
+    for seed in (0, 1):
+        assert solve_hoffman_karp(g, seed, EXACT).values == solve_brute_force(g).values
+
+
 def test_hoffman_karp_rejects_non_stopping():
     with pytest.raises(NonStoppingGameError):
         solve_hoffman_karp(CYCLE4, seed=0)
