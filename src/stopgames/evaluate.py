@@ -21,6 +21,12 @@ for ``float_error_estimate`` alike.  The values come back with one
 gather through the slots, and only the solved unknowns are
 range-checked, once each.
 
+Evaluation has three modes: ``EXACT``, ``FLOAT`` and ``STEER``, the
+float values that steer exact Hoffman-Karp.  A ``STEER`` evaluation
+builds its system once and factors it once; the refined solve and
+‖A^-1‖∞ both use that LU, and its float ``ValueVector`` carries the
+pair's ``float_error_estimate`` in ``estimate``.
+
 Only stopping games are evaluated: there every node reaches a terminal
 under every strategy pair, so every average is an unknown and the
 system is nonsingular.  Any other game is refused with
@@ -32,8 +38,8 @@ node, a value vector one array, and the switch and stability tests are
 a few gathers and compares over the layout's arc targets.
 ``best_response`` is one policy-iteration loop in the mode it is given;
 when exact Hoffman-Karp leaves float64 is decided in
-``solve.solve_hoffman_karp``, with ``float_error_estimate`` as its test
-of whether float values can be trusted.
+``solve.solve_hoffman_karp``, from the estimate its ``STEER`` best
+response carries: its test of whether float values can be trusted.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from .game import EvaluationContractError, Game, require_stopping
 
 EXACT = "exact"
 FLOAT = "float"
+STEER = "steer"  # float values that only steer an exact answer, with their error estimate
 
 DEFAULT_STABLE_TOL = 1e-9
 DEFAULT_SWITCH_MARGIN = 1e-12
@@ -120,12 +127,15 @@ class ValueVector:
     terms.  Either way the switch and stability tests run the same array
     operations on it.  Any other sequence passed as ``scaled`` is
     converted into such an array; an array of that dtype is kept without
-    a copy and made read-only.
+    a copy and made read-only.  ``estimate`` is set on the float vectors
+    of a ``STEER`` evaluation only: the ``float_error_estimate`` of the
+    evaluated pair.  Equality ignores it.
     """
 
     scaled: np.ndarray
     mode: str
     den: int = 1
+    estimate: float | None = None
 
     def __post_init__(self):
         scaled = np.asarray(self.scaled, dtype=np.float64 if self.mode == FLOAT else object)
@@ -242,8 +252,14 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
     exact value outside [0, 1] is a defect, ``EvaluationContractError``;
     a float one, past 1e-9, is ``linsolve.SingularSystemError``, as
     float64 lost an ill-conditioned system that exact mode solves.
+
+    ``STEER`` mode is float mode on ``linsolve.solve_float_and_norm``:
+    the values, refined and checked as in float mode, and the pair's
+    ``float_error_estimate`` come from one LU, and the float vector
+    carries that estimate.  Its dense values follow LAPACK's ``getrs``,
+    so they may differ from float mode's in the last bit.
     """
-    if mode not in (EXACT, FLOAT):
+    if mode not in (EXACT, FLOAT, STEER):
         raise ValueError(f"unknown mode {mode!r}")
     node_slot, rhs, coo = _value_system(g, sp)
 
@@ -255,15 +271,26 @@ def evaluate_strategy_pair(g: Game, sp: StrategyPair, mode: str = FLOAT) -> Valu
             if not 0 <= x <= den:
                 raise EvaluationContractError(f"exact value {Fraction(x, den)} outside [0, 1]")
         by_slot = np.array([*solution, 0, den], dtype=object)
+        return ValueVector(by_slot[node_slot], EXACT, den)
+    estimate = None
+    if mode == STEER:
+        solution, norm = linsolve.solve_float_and_norm(rhs, coo)
+        estimate = _estimate(norm)
     else:
         solution = linsolve.solve_float(rhs, coo)
-        if len(rhs) and (solution.min() < 0.0 or solution.max() > 1.0):
-            wild = solution[(solution < -1e-9) | (solution > 1.0 + 1e-9)]
-            if wild.size:  # float64 lost the system, as on a singular one
-                raise linsolve.SingularSystemError(f"float value {float(wild[0])} outside [0, 1]")
-            solution = np.where(solution < 0.0, 0.0, np.where(solution > 1.0, 1.0, solution))
-        by_slot, den = np.concatenate((solution, (0.0, 1.0))), 1
-    return ValueVector(by_slot[node_slot], mode, den)
+    if len(rhs) and (solution.min() < 0.0 or solution.max() > 1.0):
+        wild = solution[(solution < -1e-9) | (solution > 1.0 + 1e-9)]
+        if wild.size:  # float64 lost the system, as on a singular one
+            raise linsolve.SingularSystemError(f"float value {float(wild[0])} outside [0, 1]")
+        solution = np.where(solution < 0.0, 0.0, np.where(solution > 1.0, 1.0, solution))
+    by_slot = np.concatenate((solution, (0.0, 1.0)))
+    return ValueVector(by_slot[node_slot], FLOAT, 1, estimate)
+
+
+def _estimate(norm: float) -> float:
+    """``float_error_estimate`` of a value system whose ‖A^-1‖∞ is
+    ``norm``: ‖A‖∞ is at most 4, times the machine epsilon."""
+    return 4 * norm * np.finfo(float).eps
 
 
 def float_error_estimate(g: Game, sp: StrategyPair) -> float:
@@ -277,9 +304,10 @@ def float_error_estimate(g: Game, sp: StrategyPair) -> float:
     estimate grows with how long play can stay among the averages: below
     1e-13 on generated games of up to 512 nodes, about 5e-10 on a chain
     of 20 averages that play leaves only after 19 fair coin flips in a
-    row."""
+    row.  A ``STEER`` evaluation of ``sp`` carries the same estimate,
+    taken on its own LU."""
     _, rhs, coo = _value_system(g, sp)
-    return 4 * linsolve.inverse_norm(len(rhs), coo) * np.finfo(float).eps
+    return _estimate(linsolve.inverse_norm(len(rhs), coo))
 
 
 def is_stable(g: Game, v: ValueVector, tol: float | None = None) -> bool:

@@ -36,19 +36,25 @@ unknown, or a child aliasing the row's own unknown, need no merging.
 * ``inverse_norm`` returns ‖A^-1‖∞ in float64, the condition estimate
   behind ``evaluate.float_error_estimate``.
 
+* ``solve_float_and_norm`` returns both from one factor: the float
+  values that steer exact Hoffman-Karp and the norm of their error
+  estimate.
+
 One helper, ``_float_factor``, takes every float LU: LAPACK's
 ``dgetrf``/``dgetrs`` up to ``_DENSE_MAX`` unknowns and SuperLU above,
-for the numeric lift, for ``inverse_norm`` and for sparse float solves.
-Only dense float solves take their own, ``np.linalg.solve``: its
-rounding differs from ``dgetrs``'s, and the float bit pins fix it.
+for the numeric lift, for ``inverse_norm``, for ``solve_float_and_norm``
+and for sparse float solves.  Only float mode's dense solves take their
+own, ``np.linalg.solve``: its rounding differs from ``dgetrs``'s, and
+the float bit pins fix it.
 
 SciPy is imported where it is first used, so importing this module loads
 none of it: SuperLU and the sparse matrix types with the first system of
 more than ``_DENSE_MAX`` unknowns, LAPACK with the first dense exact
-solve or error estimate.  Dense float solves need only NumPy.  The dense
-exact factor stays on LAPACK: ``np.linalg.solve`` per lift step, or one
-``np.linalg.inv``, made exact solving slower.  ``load_scipy`` imports it
-all up front, for callers that time solves.
+solve, steering solve or error estimate.  Float mode's dense solves
+need only NumPy.  The dense exact factor stays on LAPACK:
+``np.linalg.solve`` per lift step, or one ``np.linalg.inv``, made exact
+solving slower.  ``load_scipy`` imports it all up front, for callers
+that time solves.
 """
 
 from __future__ import annotations
@@ -74,9 +80,10 @@ class SingularSystemError(RuntimeError):
     """The value system had no unique solution in the arithmetic used.
 
     ``solve_exact`` raises it only on a truly singular matrix, which no
-    stopping-game evaluation builds.  ``solve_float`` raises it also on a
-    stopping game whose system is singular to float64 precision, or
-    misses the residual bound: an ill-conditioned system, not a bug."""
+    stopping-game evaluation builds.  ``solve_float`` and
+    ``solve_float_and_norm`` raise it also on a stopping game whose
+    system is singular to float64 precision, or misses the residual
+    bound: an ill-conditioned system, not a bug."""
 
 
 def _ints(xs) -> list[int]:
@@ -349,6 +356,28 @@ def solve_exact(rhs, coo) -> tuple[list[int], int]:
     return _solve_numeric(rhs, coo) or _solve_dixon(rhs, coo)
 
 
+def _refined(matrix, solve, b: np.ndarray) -> np.ndarray:
+    """The solution of ``matrix·x = b`` by ``solve`` with one refinement
+    step; ``SingularSystemError`` unless every equation's residual is at
+    most ``RESIDUAL_BOUND``."""
+    try:
+        x = solve(b)
+        x += solve(b - matrix @ x)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(str(exc)) from exc
+    residual = np.abs(matrix @ x - b).max()
+    if not residual <= RESIDUAL_BOUND:
+        raise SingularSystemError(f"residual {residual:.3e} above {RESIDUAL_BOUND:.1e}")
+    return x
+
+
+def _inverse_norm_on(solve, a: int) -> float:
+    """The largest entry of A^-1·1 by ``solve`` on a factor of A, without
+    refinement; ``inf`` where the solve overflows."""
+    norm = float(np.abs(solve(np.ones(a))).max())
+    return norm if np.isfinite(norm) else np.inf
+
+
 def inverse_norm(a: int, coo) -> float:
     """‖A^-1‖∞ in float64 for an a x a matrix whose inverse is entrywise
     non-negative, as every value system of a stopping game has: the
@@ -360,8 +389,7 @@ def inverse_norm(a: int, coo) -> float:
         _, solve = _float_factor(a, coo)
     except SingularSystemError:
         return np.inf
-    norm = float(np.abs(solve(np.ones(a))).max())
-    return norm if np.isfinite(norm) else np.inf
+    return _inverse_norm_on(solve, a)
 
 
 def solve_float(rhs, coo) -> np.ndarray:
@@ -370,7 +398,6 @@ def solve_float(rhs, coo) -> np.ndarray:
     a = len(rhs)
     if a == 0:
         return np.zeros(0)
-    b = np.asarray(rhs, dtype=float)
     if a <= _DENSE_MAX:
         # np.linalg.solve, not _float_factor's getrf/getrs: the two round
         # differently, and sharing the factor moved some values by 1.1e-16
@@ -379,12 +406,18 @@ def solve_float(rhs, coo) -> np.ndarray:
         solve = partial(np.linalg.solve, matrix)
     else:
         matrix, solve = _float_factor(a, coo)
-    try:
-        x = solve(b)
-        x += solve(b - matrix @ x)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    residual = np.abs(matrix @ x - b).max()
-    if not residual <= RESIDUAL_BOUND:
-        raise SingularSystemError(f"residual {residual:.3e} above {RESIDUAL_BOUND:.1e}")
-    return x
+    return _refined(matrix, solve, np.asarray(rhs, dtype=float))
+
+
+def solve_float_and_norm(rhs, coo) -> tuple[np.ndarray, float]:
+    """``solve_float``'s solution and ``inverse_norm``'s ‖A^-1‖∞, both on
+    one ``_float_factor`` LU of A: the same refinement step and residual
+    bound, and the same norm, bit for bit, as ``inverse_norm``.  Dense
+    solutions follow ``getrs``'s rounding, not ``solve_float``'s.
+    ``SingularSystemError`` where float64 cannot factor A or the residual
+    bound is missed."""
+    a = len(rhs)
+    if a == 0:
+        return np.zeros(0), 0.0
+    matrix, solve = _float_factor(a, coo)
+    return _refined(matrix, solve, np.asarray(rhs, dtype=float)), _inverse_norm_on(solve, a)

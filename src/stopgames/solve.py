@@ -32,6 +32,7 @@ from .evaluate import (
     DEFAULT_SWITCH_MARGIN,
     EXACT,
     FLOAT,
+    STEER,
     EvaluationContractError,
     Player,
     Strategy,
@@ -39,7 +40,6 @@ from .evaluate import (
     ValueVector,
     best_response,
     evaluate_strategy_pair,
-    float_error_estimate,
     improve_all,
     is_stable,
     random_strategy,
@@ -94,6 +94,13 @@ class SolveResult:
         return out
 
 
+def _check_mode(mode: str) -> None:
+    """``ValueError`` unless ``mode`` is one a solver runs in: exact or
+    float, not the steering mode that only exact hk uses inside."""
+    if mode not in (EXACT, FLOAT):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def _finish(
     g: Game, algorithm: str, seed: int | None, v: ValueVector, strategies: StrategyPair | None, iterations: int, **extra
 ) -> SolveResult:
@@ -113,23 +120,26 @@ def solve_hoffman_karp(
     every max node whose other arc beats its current value; the loop ends
     on the iteration that finds nothing to switch.
 
-    Exact mode starts in float64, and float values steer the max
-    strategy only while their ``float_error_estimate`` stays within half
-    the switch margin: where the estimate bounds the float error, a tie
-    then never switches in float, and a gain above twice the margin
-    switches as in exact arithmetic.  At the first iteration that finds
-    nothing to switch in float, whose float system float64 cannot solve,
-    or whose final pair's estimate exceeds that bound, the loop turns
-    exact for good: that iteration is redone from the same max strategy,
-    the best response starting from the last float one, and the loop
-    goes on until an exact iteration switches nothing.  With
-    ``keep_history`` each float iteration is also evaluated exactly, by
-    an exact best response from the float one that steers nothing, and
-    ``value_history`` holds the exact vector of every iteration.  Every
-    exact vector is checked to be componentwise non-decreasing from the
-    one before, which the switch-all rule guarantees.
+    Exact mode starts in float64: its best responses run in ``STEER``
+    mode, each evaluation built and factored once, and their values
+    steer the max strategy only while the ``float_error_estimate`` that
+    the final pair's values carry stays within half the switch margin:
+    where the estimate bounds the float error, a tie then never switches
+    in float, and a gain above twice the margin switches as in exact
+    arithmetic.  At the first iteration that finds nothing to switch in
+    float, whose float system float64 cannot factor or solve within the
+    residual bound, or whose final pair's estimate exceeds that bound,
+    the loop turns exact for good: that iteration is redone from the
+    same max strategy, the best response starting from the last float
+    one, and the loop goes on until an exact iteration switches nothing.
+    With ``keep_history`` each float iteration is also evaluated exactly,
+    by an exact best response from the float one that steers nothing,
+    and ``value_history`` holds the exact vector of every iteration.
+    Every exact vector is checked to be componentwise non-decreasing from
+    the one before, which the switch-all rule guarantees.
     """
     require_stopping(g, "Hoffman-Karp")
+    _check_mode(mode)
     sigma = random_strategy(g, Player.MAX, Rng(seed))
     tau: Strategy | None = None
     float_ahead = mode == EXACT  # until float settles, fails or is not trusted, then exact for good
@@ -143,14 +153,12 @@ def solve_hoffman_karp(
             raise EvaluationContractError(f"Hoffman-Karp exceeded {cap} iterations")
         if float_ahead:
             try:
-                tau, v = best_response(g, sigma, FLOAT, initial=tau)
+                tau, v = best_response(g, sigma, STEER, initial=tau)
                 improved = improve_all(g, sigma, v)
             except SingularSystemError:
                 improved = None
             # a switch compares two values, each off by up to the estimate
-            float_ahead = improved is not None and (
-                float_error_estimate(g, StrategyPair(sigma, tau)) <= DEFAULT_SWITCH_MARGIN / 2
-            )
+            float_ahead = improved is not None and v.estimate <= DEFAULT_SWITCH_MARGIN / 2
         if float_ahead:
             # float steers; a history records the exact vector, which steers nothing
             seen = best_response(g, sigma, EXACT, initial=tau)[1] if keep_history else None
@@ -287,6 +295,7 @@ def solve_permutation_improvement(
     first repeat.  The cap is a defect tripwire, not an expected exit.
     """
     require_stopping(g, "permutation improvement")
+    _check_mode(mode)
     averages = g.average_nodes
     if not averages:
         raise ValueError("permutation improvement needs at least one average node")

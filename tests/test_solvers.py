@@ -1,6 +1,6 @@
 import hashlib
 import json
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,7 +43,8 @@ from stopgames import (
     solve_value_iteration,
 )
 from stopgames.bench import generate_instance
-from stopgames.evaluate import DEFAULT_STABLE_TOL, float_error_estimate, random_strategy
+from stopgames import evaluate as evaluate_module
+from stopgames.evaluate import DEFAULT_STABLE_TOL, STEER, evaluate_strategy_pair, float_error_estimate, random_strategy
 from stopgames.generate import GenParams, Variant, generate_basic, ratio_counts
 from stopgames.reduce import scc_condense
 from stopgames.rng import Rng, derive_seed
@@ -353,6 +354,56 @@ def test_exact_hoffman_karp_leaves_float_once(monkeypatch):
     assert len(calls) > 1
 
 
+def test_exact_hoffman_karp_builds_and_factors_each_system_once(monkeypatch):
+    """Every evaluation of exact hk, a float steering one or an exact
+    one, builds its value system once and takes one float LU of it: the
+    steering solve, its refinement step and its error estimate share one
+    LU, and the exact solve's numeric lift takes its own.  Nothing
+    computes ``float_error_estimate`` apart from an evaluation.  Dense
+    systems (128 nodes at 4:4), sparse ones (256 nodes at 8:4, more than
+    64 averages) and ``fallback_chain(120)`` under run seed 2, whose
+    first estimate stops float.  No solver runs in the steering mode
+    itself."""
+    counts = Counter()
+    modes = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            if name == "evaluate_strategy_pair":
+                modes[args[2]] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in (
+        (evaluate_module, "_value_system"),
+        (evaluate_module, "evaluate_strategy_pair"),
+        (evaluate_module, "float_error_estimate"),
+        (linsolve, "_float_factor"),
+        (linsolve, "inverse_norm"),
+    ):
+        count(module, name)
+    games = [
+        generate_fully_reduced(RatioSpec(size, ratio), derive_seed(73, size, ratio))[0]
+        for size, ratio in ((128, 4), (256, 8))
+    ]
+    for g, seed in ((games[0], 0), (games[1], 0), (fallback_chain(120), 2)):
+        counts.clear()
+        modes.clear()
+        solve_hoffman_karp(g, seed, EXACT)
+        evaluations = counts["evaluate_strategy_pair"]
+        assert modes[STEER] >= 1 and modes[EXACT] >= 1 and modes[STEER] + modes[EXACT] == evaluations, (g.n, modes)
+        assert counts["_value_system"] == counts["_float_factor"] == evaluations, (g.n, counts)
+        assert counts["float_error_estimate"] == counts["inverse_norm"] == 0, (g.n, counts)
+    assert len(games[0].average_nodes) <= 64 < len(games[1].average_nodes)
+    for algo in ("hk", "perm"):
+        with pytest.raises(ValueError, match="^unknown mode 'steer'$"):
+            SOLVERS[algo](games[0], 0, STEER)
+
+
 def test_exact_hoffman_karp_matches_per_iteration_exact_oracle():
     """Exact hk, with and without its history, equals the loop that
     takes an exact best response at every iteration
@@ -451,10 +502,11 @@ def oracle_inverse_norm(a: int, coo) -> float:
 
 
 def test_float_error_estimate_matches_gesv_and_superlu_oracle():
-    """``float_error_estimate`` and ``linsolve.inverse_norm`` equal, bit
-    for bit, the oracle on systems built node by node: dense and sparse
-    pairs of generated games and of the chains, random and best-response
-    ones, and ``inf`` on singular dense and sparse systems."""
+    """``float_error_estimate``, ``linsolve.inverse_norm`` and the
+    estimate a ``STEER`` evaluation carries equal, bit for bit, the oracle
+    on systems built node by node: dense and sparse pairs of generated
+    games and of the chains, random and best-response ones, and ``inf``
+    on singular dense and sparse systems."""
     games = [
         generate_fully_reduced(RatioSpec(size, ratio), derive_seed(72, size, ratio))[0]
         for size, ratio in ((64, 1), (128, 8), (256, 1), (256, 4), (512, 8))
@@ -472,6 +524,7 @@ def test_float_error_estimate_matches_gesv_and_superlu_oracle():
                 assert linsolve.inverse_norm(len(rhs), coo).hex() == norm.hex(), (g.n, seed)
                 want = 4 * norm * np.finfo(float).eps
                 assert float_error_estimate(g, sp).hex() == want.hex(), (g.n, seed)
+                assert evaluate_strategy_pair(g, sp, STEER).estimate.hex() == want.hex(), (g.n, seed)
                 sparse.add(len(rhs) > 64)
     assert sparse == {False, True}
     for a in (2, 3, 64, 65, 200):
